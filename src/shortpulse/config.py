@@ -35,7 +35,6 @@ from .packets import DEFAULT_VELOCITIES, PacketParams
 from .spectral import Field
 from . import storage
 
-_INTEGRATORS = {"ifrk4": "ifrk4", "etdrk4": "etdrk4"}
 _DEALIAS = {"pad2x": "pad", "pad": "pad", "two-thirds": "truncate", "truncate": "truncate"}
 _FORMATS = ("bin", "csv", "json")
 _INITIAL_KINDS = ("gaussian_derivative", "file")
@@ -199,7 +198,7 @@ def _validate(raw):
     for key in ("L", "dt", "T"):
         if sol[key] <= 0:
             bad(f"solver.{key}", f"must be positive, got {sol[key]}")
-    if sol["integrator"] not in _INTEGRATORS:
+    if sol["integrator"] not in ("ifrk4", "etdrk4"):
         bad("solver.integrator", f"unknown integrator {sol['integrator']!r}")
     if sol["dealias"] not in _DEALIAS:
         bad("solver.dealias", f"unknown dealias mode {sol['dealias']!r}")
@@ -209,6 +208,8 @@ def _validate(raw):
         bad("solver.outer_frac", f"must lie in (0, 1/2), got {sol['outer_frac']}")
     if sol["snap_t0"] < 0 or sol["snap_t0"] > sol["T"]:
         bad("solver.snap_t0", f"must lie in [0, T], got {sol['snap_t0']}")
+    if sol["snap_h"] <= 0:
+        bad("solver.snap_h", f"must be positive, got {sol['snap_h']}")
 
     if ini["kind"] not in _INITIAL_KINDS:
         bad("initial.kind", f"must be one of {_INITIAL_KINDS}, got {ini['kind']!r}")
@@ -231,6 +232,14 @@ def _validate(raw):
         bad("probe.delta_p", "must be positive")
     if prb["cadence_ratio"] <= 1.0:
         bad("probe.cadence_ratio", f"must exceed 1, got {prb['cadence_ratio']}")
+    # scatter probes t0 * r^j and needs a stored snapshot at each, so r must
+    # step a whole number of snapshot intervals 2^snap_h; the slack is far
+    # below the 1e-9 relative time matching of storage.require_times
+    steps = math.log2(prb["cadence_ratio"]) / sol["snap_h"]
+    if abs(steps - round(steps)) > 1e-12 * max(1.0, steps):
+        bad("probe.cadence_ratio",
+            f"must be an integer power of 2 ** solver.snap_h = "
+            f"{2.0 ** sol['snap_h']!r}, got {prb['cadence_ratio']!r}")
     if any(v >= 0 for v in prb["velocities"]):
         bad("probe.velocities", "all probe velocities must be negative")
 
@@ -254,7 +263,7 @@ def _build(raw):
             length=sol["L"],
             dt=sol["dt"],
             t_final=sol["T"],
-            integrator=_INTEGRATORS[sol["integrator"]],
+            integrator=sol["integrator"],
             dealias=_DEALIAS[sol["dealias"]],
             power=sol["power"],
             mean_tol=sol["mean_tol"],
@@ -317,15 +326,3 @@ def load_config(path):
                 raise ConfigError(f"{section}.{key}: bad value {text!r} ({exc})") from exc
     return _build(raw)
 
-
-def dump_config(cfg):
-    """Render the effective values back as INI text (for humans)."""
-    lines = []
-    for section, keys in cfg.raw.items():
-        lines.append(f"[{section}]")
-        for key, value in keys.items():
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)

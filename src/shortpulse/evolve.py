@@ -14,9 +14,9 @@ are materialized only at snapshot times.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -101,8 +101,6 @@ class Snapshot:
     u_x: Field
     u_anti: Field
     norms: norms.NormRecord = None
-    h1_rate_fd: float = None     # centered FD of ||u_x||^2 at the base dt
-    h1_rate_flux: float = None   # 6 * integral of u u_x^3
 
 
 @dataclass
@@ -241,16 +239,6 @@ def nonlinearity(u, power=3, dealias="pad"):
     return Field(u.grid, kern.values(np.asarray(u.values, dtype=np.float64)))
 
 
-def step(snap, dt, cfg, nonlinear=True):
-    """Advance one snapshot by dt (field-level wrapper around the stepper)."""
-    st = Stepper(cfg)
-    if dt == 0.0:
-        out = st.spectrum_of(snap.u.values)
-    else:
-        out = st.step_checked(st.spectrum_of(snap.u.values), dt, nonlinear)
-    return st.make_snapshot(snap.t + dt, out)
-
-
 def _default_monitors(cfg):
     def wrap_monitor(snap):
         frac = snap.norms.wrapfrac
@@ -304,7 +292,7 @@ def evolve(u0, cfg, monitors=None):
 
     def emit(t_now, vh_now):
         snap = stepper.make_snapshot(t_now, vh_now)
-        snap.norms = norms.compute_record(
+        rec = snap.norms = norms.compute_record(
             snap, s=cfg.sobolev_s, power=cfg.power, dealias=cfg.dealias,
             outer_frac=cfg.outer_frac,
         )
@@ -314,10 +302,9 @@ def evolve(u0, cfg, monitors=None):
         probe = 0.25 * cfg.dt
         up = stepper.step_raw(vh_now, probe)
         um = stepper.step_raw(vh_now, -probe)
-        snap.h1_rate_fd = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * probe)
-        uv = snap.u.values
-        uxv = snap.u_x.values
-        snap.h1_rate_flux = 6.0 * g.dx * float(np.sum(uv * uxv ** 3))
+        rec.h1_rate_fd = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * probe)
+        uv, uxv = snap.u.values, snap.u_x.values
+        rec.h1_rate_flux = 6.0 * g.dx * float(np.sum(uv * (uxv * uxv * uxv)))
         traj.append(snap)
         for mon in monitors:
             mon(snap)
@@ -359,8 +346,8 @@ def self_convergence(u0, cfg, dt_coarse, t_end=1.0, refine=8):
     Returns (err_coarse, err_half, ratio); ratio ~ 16 for a 4th-order step.
     """
     def run(dtv):
-        c = _replace(cfg, dt=dtv, t_final=t_end, snap_t0=0.0,
-                     wrap_tol=1.0, growth_limit=10.0)
+        c = dataclasses.replace(cfg, dt=dtv, t_final=t_end, snap_t0=0.0,
+                                wrap_tol=1.0, growth_limit=10.0)
         tr = evolve(u0, c)
         return tr.snapshots[-1].u.values
 
@@ -368,9 +355,3 @@ def self_convergence(u0, cfg, dt_coarse, t_end=1.0, refine=8):
     e1 = float(np.max(np.abs(run(dt_coarse) - ref)))
     e2 = float(np.max(np.abs(run(dt_coarse / 2) - ref)))
     return e1, e2, e1 / e2
-
-
-def _replace(cfg, **kw):
-    import dataclasses
-
-    return dataclasses.replace(cfg, **kw)

@@ -46,9 +46,14 @@ class NormRecord:
     uxLinf: float
     SuL2: float
     wrapfrac: float
+    # the H1 flux identity d/dt ||u_x||^2 = 6 int u u_x^3, both sides;
+    # the stepper fills them in (see evolve.evolve), NaN until it does
+    h1_rate_fd: float = float("nan")
+    h1_rate_flux: float = float("nan")
 
     COLUMNS = ("t", "L2", "Hs", "Hm1", "JdxL2", "Xs",
-               "Linf", "uxLinf", "SuL2", "wrapfrac")
+               "Linf", "uxLinf", "SuL2", "wrapfrac",
+               "h1_rate_fd", "h1_rate_flux")
 
     def as_row(self):
         return [getattr(self, name) for name in self.COLUMNS]

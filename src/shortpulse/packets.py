@@ -194,26 +194,39 @@ def ode_residual_series(ts, gammas, v):
     return t_mid, gdot - model
 
 
+def _waves(grid, points):
+    """The synthesis rows exp(i xi x) at each point, one row per point."""
+    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    return np.exp(1j * np.outer(points, grid.xi))
+
+
+def _synthesize(waves, fh, real):
+    vals = waves @ fh.coeffs * (fh.grid.dxi / SQRT2PI)
+    return vals.real if real else vals
+
+
 def field_at(u, points):
     """Band-limited (trigonometric) interpolation of u at arbitrary points."""
-    fh = forward_transform(u)
-    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    waves = np.exp(1j * np.outer(points, u.grid.xi))
-    vals = waves @ fh.coeffs * (u.grid.dxi / SQRT2PI)
-    return vals.real if u.real else vals
+    return _synthesize(_waves(u.grid, points), forward_transform(u), u.real)
 
 
-def prop42_errors(snap, v, gam):
+def prop42_errors(snap, v, gam, spectra=None):
     """Ray errors of the packet approximation at x = v t.
 
     Returns |u(t,vt) - 2 t^{-1/2} Re(e^{i phi} gamma)| and the u_x
     analogue |u_x(t,vt) - 2 t^{-1/2} |v|^{-1/2} Re(i e^{i phi} gamma)|.
+    ``spectra`` is the pair of forward transforms of ``snap.u`` and
+    ``snap.u_x`` when the caller already holds them.
     """
+    if spectra is None:
+        spectra = forward_transform(snap.u), forward_transform(snap.u_x)
+    uh, uxh = spectra
     t = snap.t
     x_ray = v * t
     carrier = np.exp(1j * phase(t, x_ray))
-    u_ray = float(field_at(snap.u, x_ray)[0])
-    ux_ray = float(field_at(snap.u_x, x_ray)[0])
+    waves = _waves(snap.u.grid, x_ray)
+    u_ray = float(_synthesize(waves, uh, snap.u.real)[0])
+    ux_ray = float(_synthesize(waves, uxh, snap.u_x.real)[0])
     err_u = abs(u_ray - 2.0 * t ** -0.5 * (carrier * gam).real)
     err_ux = abs(ux_ray - 2.0 * t ** -0.5 * np.abs(v) ** -0.5
                  * (1j * carrier * gam).real)
@@ -227,13 +240,14 @@ def probe_snapshot(snap, params):
     skipped (the probe set is ray-dependent by design).  Residuals are
     filled in later by :func:`attach_residuals` once neighbors exist.
     """
+    spectra = forward_transform(snap.u), forward_transform(snap.u_x)
     records = []
     for v in params.velocities:
         try:
             gam = gamma(snap, v, params)
         except (OutOfBox, UnderResolved):
             continue
-        err_u, err_ux = prop42_errors(snap, v, gam)
+        err_u, err_ux = prop42_errors(snap, v, gam, spectra)
         records.append(ProbeRecord(
             t=float(snap.t), v=float(v),
             n_v=nearest_scale(abs(v) ** -0.5, params.band_delta),

@@ -4,11 +4,13 @@ One test per acceptance criterion, asserting the stated thresholds against
 a single shared reference run (n = 2^15, L = 800, eps = 0.1, T = 200).
 Each docstring quotes the threshold; comments carry the measured values.
 
-Three tests fail by design and are left failing on purpose: the
-phase-drift match (criterion 6), the profile-remainder decay (criterion
-8), and the scan's fitted-exponent window (criterion 9).  The blocking
-analysis lives in the decisions ledger; the thresholds are asserted as
-stated rather than loosened to force them green.
+Four tests fail and are left failing on purpose: the limit-ODE residual
+decay on the ray v = -sqrt(2) (criterion 5), the phase-drift match
+(criterion 6), the profile-remainder decay (criterion 8), and the scan's
+fitted-exponent window, whose runtime clause also breaks on a slow host
+(criterion 9).  README.md lists the numbers each one produces; the
+thresholds are asserted as stated rather than loosened to force them
+green.
 """
 
 import json
@@ -68,7 +70,7 @@ def series(records, v, t_lo=20.0, t_hi=200.0):
 def test_mass_and_mean_conservation(reference, rows):
     """L2 drift <= 1e-8 relative over [0, 200]; mean mode <= 1e-10."""
     l2 = np.array([r.L2 for r in rows])
-    assert np.max(np.abs(l2 - l2[0])) / l2[0] <= 1e-8    # measured 9.7e-15
+    assert np.max(np.abs(l2 - l2[0])) / l2[0] <= 1e-8    # measured 9.8e-15
     worst_mean = max(abs(mean_coefficient(s.u)) for s in reference.snapshots)
     assert worst_mean <= 1e-10                           # measured 7.8e-17
 
@@ -107,7 +109,7 @@ def test_limit_ode_residual_decay(records):
         ts = np.array([r.t for r in ray])
         ys = np.array([abs(r.ode_residual) for r in ray])
         slope = decay_fit(ts, ys)[0]
-        assert slope <= -1.0        # measured -1.38 / -1.60 / -1.19
+        assert slope <= -1.0        # measured -1.132 / -1.332 / -0.924
 
 
 def test_phase_drift_and_modulus(records):
@@ -120,7 +122,7 @@ def test_phase_drift_and_modulus(records):
         relerr = phase_drift_fit(ts, gams, v)[2]
         mods = np.abs(gams)
         drift = abs(np.log(mods[-1] / mods[0])) / np.log10(ts[-1] / ts[0])
-        # measured relerr 2.95 / 2.28 / 7.81, drift 0.132 / 0.060 / 0.038:
+        # measured relerr 3.18 / 2.27 / 5.89, drift 0.119 / 0.101 / 0.066:
         # the decay of |gamma| along rays breaks both clauses at eps = 0.1
         assert drift <= 0.05
         assert relerr <= 0.10
@@ -131,7 +133,7 @@ def test_final_state_stabilization(records):
     slope <= -0.05."""
     ts, sups = w_stability_series(records)
     slope = decay_fit(ts, sups, window=(20.0, 200.0))[0]
-    assert slope <= -0.05                                # measured -0.748
+    assert slope <= -0.05                                # measured -0.723
 
 
 def test_profile_remainder_decay(records):
@@ -139,7 +141,7 @@ def test_profile_remainder_decay(records):
     <= -0.05 over [20, 200]."""
     ts, sups = profile_remainder_series(records)
     slope = decay_fit(ts, sups, window=(20.0, 200.0))[0]
-    assert slope <= -0.05         # measured +0.586: gap sits at probe-
+    assert slope <= -0.05         # measured +0.665: gap sits at probe-
     #                               packet mismatch level and does not decay
 
 
@@ -149,7 +151,7 @@ def test_endpoint_estimate_scan():
     t0 = time.monotonic()
     rows, verdict = counterexample.failure_scan(0.25)
     elapsed = time.monotonic() - t0
-    assert elapsed <= 10.0                               # measured ~7.8 s
+    assert elapsed <= 10.0          # measured 7.0 s to 13.8 s, 2 cores
     assert verdict["first_crossing_N"] is not None
     assert verdict["original_unbounded"] is True
     assert verdict["corrected_exponent"] <= 0.05         # measured -0.497

@@ -1,4 +1,5 @@
-"""End-to-end runs of the command-line interface via subprocess."""
+"""End-to-end runs of the command-line interface via subprocess, and the
+load-time config checks the CLI relies on."""
 
 import json
 import math
@@ -8,6 +9,8 @@ import textwrap
 
 import pytest
 
+from shortpulse.config import load_config
+from shortpulse.errors import ConfigError
 from shortpulse.norms import MONITOR_COLUMNS, NormRecord
 from shortpulse.storage import read_csv
 
@@ -122,6 +125,7 @@ def test_norms_table_is_traceable_and_complete(tiny_run):
     ts = [row[0] for row in rows]
     assert ts == sorted(ts) and ts[0] == 0.0 and ts[-1] == 2.0
     i_mon = len(NormRecord.COLUMNS)
+    assert all(math.isfinite(c) for row in rows for c in row[:i_mon])
     assert all(math.isnan(c) for c in rows[0][i_mon:])     # t = 0: no bands
     assert all(math.isfinite(c) for c in rows[-1][i_mon:])
 
@@ -167,6 +171,25 @@ def test_scatter_needs_an_existing_trajectory(tmp_path):
                    "--out", str(tmp_path / "s"))
     assert proc.returncode == 1
     assert "no manifest.json" in proc.stderr
+
+
+@pytest.mark.parametrize("snap_h, ratio, loads", [
+    (0.125, 2.0 ** 0.125, True),            # the default cadence
+    (1.0 / 64.0, 2.0 ** (1.0 / 64.0), True),
+    (0.125, 2.0 ** 0.25, True),             # every second snapshot
+    (0.125, 1.1, False),
+    (0.125, 2.0 ** (1.0 / 16.0), False),    # between stored snapshots
+])
+def test_probe_cadence_must_land_on_stored_snapshots(tmp_path, snap_h, ratio,
+                                                     loads):
+    ini = tmp_path / "cadence.ini"
+    ini.write_text(f"[solver]\nsnap_h = {snap_h!r}\n"
+                   f"[probe]\ncadence_ratio = {ratio!r}\n")
+    if loads:
+        assert load_config(ini).probe.cadence_ratio == ratio
+    else:
+        with pytest.raises(ConfigError, match="probe.cadence_ratio"):
+            load_config(ini)
 
 
 def test_unknown_config_keys_fail_closed(tmp_path):

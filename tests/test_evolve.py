@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shortpulse._kernels import NonlinearKernel
 from shortpulse.errors import BlowUp, MeanDrift, StepRejected, WrapAround
 from shortpulse.evolve import (
     SolverConfig,
@@ -29,6 +30,12 @@ integrator_cross_tol = 1e-12      # ifrk4 vs etdrk4 at T=1 (measured 4.7e-14)
 richardson_window = (11.2, 20.8)  # 16 +- 30%; measured 16.164
 richardson_err_ceiling = 1e-10    # measured 1.09e-11
 snapshot_cache_tol = 1e-14        # measured 6.7e-16
+# The kernel and the oracle below compute the same band-limited quantity
+# through different transforms (scipy vs numpy, 2n/5n/2 vs 4n points) and
+# different powers (products vs **).  Each length <= 2^12 FFT costs about
+# eps log2(N) = 2.7e-15 of the peak; four per side, amplified up to p = 4
+# times by the power, bound the gap near 1e-13.
+kernel_oracle_tol = 1e-13         # measured 1.0e-15 .. 1.4e-15
 
 MODES = ([3, 17, 40, 77, 170], [0.4, 0.3, 0.2, 0.1, 0.05],
          [0.0, 1.0, 2.0, 3.0, 4.0])
@@ -95,6 +102,44 @@ def test_truncation_mode_equals_band_limited_padded_result():
     ph[np.arange(g.n // 2 + 1) > g.n // 4] = 0.0
     assert np.max(np.abs(np.fft.irfft(ph, g.n) - tr)) \
         / np.max(np.abs(tr)) < trunc_vs_pad_tol
+
+
+def padded_power_oracle(values, length, power, kmax):
+    """d/dx (u^p) kept to |k| <= kmax, with the input cut to the same band.
+
+    u^p is formed with ``**`` on a grid of 4n points, alias-free on the
+    kept band for every p <= 7.
+    """
+    n = values.size
+    rows = np.arange(n // 2 + 1)
+    vh = np.fft.rfft(values)
+    vh[rows > kmax] = 0.0
+    fine = np.fft.irfft(vh, 4 * n) * 4.0
+    ph = np.fft.rfft(fine ** power)[: n // 2 + 1] / 4.0
+    ph[rows > kmax] = 0.0
+    return np.fft.irfft(1j * (2.0 * np.pi / length) * rows * ph, n)
+
+
+@pytest.mark.parametrize("mode", ["pad", "truncate"])
+@pytest.mark.parametrize("power", [2, 3, 4])
+def test_kernel_matches_a_four_times_padded_power(power, mode):
+    # modes up to the last one below Nyquist, plus a Nyquist component
+    # that both sides must drop; pad mode keeps every mode under Nyquist
+    # (p = 4 needs its 5n/2 grid for that), truncate mode keeps n/(p+1)
+    ks = ([3, 17, 40, 200, 511, 512], [0.4, 0.3, 0.2, 0.1, 0.05, 0.07],
+          [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    g = Grid(1 << 10, 100.0)
+    u = mode_sum(g, *ks).values
+    kern = NonlinearKernel(g.n, g.length, power, mode)
+    kmax = g.n // 2 - 1 if mode == "pad" else g.n // (power + 1)
+    oracle = padded_power_oracle(u, g.length, power, kmax)
+    got = kern.values(u)
+    assert np.max(np.abs(got - oracle)) / np.max(np.abs(oracle)) \
+        < kernel_oracle_tol
+    # irfft drops the imaginary part of the mean and Nyquist rows; both
+    # must be exactly zero for the output to be the real field it claims
+    spec = kern.spectrum(np.fft.rfft(u))
+    assert spec[g.n // 2] == 0.0 and spec[0] == 0.0
 
 
 def test_zero_time_step_is_the_identity():

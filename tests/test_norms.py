@@ -83,9 +83,9 @@ def test_the_mean_mode_stays_empty(mini_traj):
     assert worst < mini_mean_ceiling
 
 
-def test_h1_growth_rate_matches_the_flux_identity(mini_traj):
-    fd = np.array([s.h1_rate_fd for s in mini_traj.snapshots[1:-1]])
-    flux = np.array([s.h1_rate_flux for s in mini_traj.snapshots[1:-1]])
+def test_h1_growth_rate_matches_the_flux_identity(mini_rows):
+    fd = np.array([r.h1_rate_fd for r in mini_rows[1:-1]])
+    flux = np.array([r.h1_rate_flux for r in mini_rows[1:-1]])
     scale = np.max(np.abs(flux))
     rel = np.abs(fd - flux) / np.maximum(np.abs(flux), 1e-12 * scale)
     assert np.max(rel) < mini_h1_identity_ceiling

@@ -229,6 +229,24 @@ def test_probe_records_carry_consistent_corrected_states(mini_probe_records):
     assert worst < 1e-15
 
 
+def test_shared_spectra_leave_probe_records_bit_identical(mini_traj):
+    # the last snapshot (t = 64) drops some rays, so the skip path runs too
+    snap = mini_traj.snapshots[-1]
+    params = PacketParams()
+    expected = {}
+    for v in params.velocities:
+        try:
+            gam = gamma(snap, v, params)
+        except (OutOfBox, UnderResolved):
+            continue
+        expected[v] = (gam, extract_w(snap.t, v, gam),
+                       *prop42_errors(snap, v, gam))
+    records = probe_snapshot(snap, params)
+    assert 0 < len(records) < len(params.velocities)
+    assert {r.v: (r.gamma, r.w, r.approx_err_u, r.approx_err_ux)
+            for r in records} == expected
+
+
 def test_residual_attachment_fills_only_the_interior(mini_probe_records):
     series = attach_residuals(list(mini_probe_records), -1.0)
     assert series[0].ode_residual is None
