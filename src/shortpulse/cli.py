@@ -16,6 +16,7 @@ code version; the manifest's ``metadata.created_utc`` is the one exception.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -330,9 +331,10 @@ def cmd_scatter(args):
 
 def cmd_appendix(args):
     cfg, out_dir = _load_experiment(args)
-    rho = args.rho if args.rho is not None else cfg.rho
-    n_min = args.n_min if args.n_min is not None else cfg.n_min
-    n_max = args.n_max if args.n_max is not None else cfg.n_max
+    overrides = {"rho": args.rho, "n_min": args.n_min, "n_max": args.n_max}
+    cfg = dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None})
+    rho, n_min, n_max = cfg.rho, cfg.n_min, cfg.n_max
     if not 0.0 < rho < 0.5:
         raise ConfigError(f"appendix.rho: must lie in (0, 1/2), got {rho}")
     for name, value in (("N_min", n_min), ("N_max", n_max)):
@@ -343,19 +345,11 @@ def cmd_appendix(args):
             )
     if n_min > n_max:
         raise ConfigError(f"appendix.N_min: {n_min} exceeds N_max = {n_max}")
-    scales = []
-    n = n_min
-    while n <= n_max:
-        scales.append(n)
-        n *= 2
+    scales = cfg.appendix_scales()
 
     chash = cfg.hash()
     _log(f"appendix: rho={rho:g}, N in {scales} [{chash}]")
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows, verdict = counterexample.failure_scan(rho, scales, mapper=pool.map)
-    else:
-        rows, verdict = counterexample.failure_scan(rho, scales)
+    rows, verdict = counterexample.failure_scan(rho, scales)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     storage.write_csv(
@@ -529,7 +523,8 @@ def build_parser():
     common.add_argument("--config", metavar="PATH", help="experiment config file (INI)")
     common.add_argument("--out", metavar="DIR", help="output directory (default: config output.dir)")
     common.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker threads for independent probes/bands/cases")
+                        help="worker threads for simulate's monitor rows and "
+                        "scatter's probed snapshots")
     common.add_argument("--force", action="store_true",
                         help="ignore config-hash mismatches on stored trajectories")
 

@@ -235,6 +235,16 @@ def test_endpoint_scan_rejects_an_out_of_range_weight(tmp_path):
     assert "(0, 1/2)" in proc.stderr
 
 
+def test_endpoint_scan_takes_its_range_from_the_command_line(tmp_path):
+    proc = run_cli("appendix", "--N-min", "64", "--N-max", "256",
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["scales"] == [64, 128, 256]
+    proc = run_cli("appendix", "--N-min", "48", "--out", str(tmp_path / "p"))
+    assert proc.returncode == 1
+    assert "appendix.N_min: must be a power of two" in proc.stderr
+
+
 def test_wrap_abort_exits_with_the_monitor_code(tmp_path):
     ini = tmp_path / "wrap.ini"
     ini.write_text(textwrap.dedent("""\
