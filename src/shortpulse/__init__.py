@@ -2,10 +2,11 @@
 u_tx = u + (u^3)_xx on a large periodic box.
 
 The package provides the spectral core (grids, transforms, multipliers,
-exact linear propagator), smooth dyadic band decompositions, a dealiased
-integrating-factor / exponential time stepper, weighted-norm diagnostics,
-moving wave-packet probes of the long-time asymptotics, a scan of a
-frequency-localized inequality family, and a CLI tying them together.
+exact linear propagator), smooth dyadic band decompositions, an
+integrating-factor RK4 time stepper with the cubic dealiased by 2n-point
+padding, weighted-norm diagnostics, moving wave-packet probes of the
+long-time asymptotics, a scan of a frequency-localized inequality family,
+and a CLI tying them together.
 """
 
 __version__ = "0.1.0"

@@ -16,16 +16,14 @@ code version; the manifest's ``metadata.created_utc`` is the one exception.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, bands, counterexample, norms, packets, storage
-from .config import default_config, load_config
+from .config import default_config, load_config, with_overrides
 from .errors import (
     BlowUp,
     ConfigError,
@@ -37,7 +35,7 @@ from .errors import (
     StepRejected,
     WrapAround,
 )
-from .evolve import Trajectory, evolve
+from .evolve import SolverConfig, Trajectory, evolve
 from .spectral import (
     Field,
     Grid,
@@ -79,14 +77,6 @@ def _jsonable(value):
     return value if np.isfinite(value) else None
 
 
-def _map(jobs, fn, items):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_experiment(args):
     cfg = load_config(args.config) if args.config else default_config()
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
@@ -122,7 +112,7 @@ def cmd_simulate(args):
             mon = dict.fromkeys(norms.MONITOR_COLUMNS, float("nan"))
         return base + [mon[c] for c in norms.MONITOR_COLUMNS]
 
-    rows = _map(args.jobs, monitor_row, traj.snapshots)
+    rows = [monitor_row(snap) for snap in traj.snapshots]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -204,8 +194,8 @@ def cmd_scatter(args):
     _log(f"scatter: probing {len(snaps)} snapshots x {len(cfg.probe.velocities)} "
          f"velocities from {traj_dir} [{chash}]")
 
-    per_snap = _map(args.jobs, lambda s: packets.probe_snapshot(s, cfg.probe), snaps)
-    records = [rec for group in per_snap for rec in group]
+    records = [rec for snap in snaps
+               for rec in packets.probe_snapshot(snap, cfg.probe)]
     for v in cfg.probe.velocities:
         try:
             packets.attach_residuals(records, v)
@@ -331,21 +321,9 @@ def cmd_scatter(args):
 
 def cmd_appendix(args):
     cfg, out_dir = _load_experiment(args)
-    overrides = {"rho": args.rho, "n_min": args.n_min, "n_max": args.n_max}
-    cfg = dataclasses.replace(
-        cfg, **{k: v for k, v in overrides.items() if v is not None})
-    rho, n_min, n_max = cfg.rho, cfg.n_min, cfg.n_max
-    if not 0.0 < rho < 0.5:
-        raise ConfigError(f"appendix.rho: must lie in (0, 1/2), got {rho}")
-    for name, value in (("N_min", n_min), ("N_max", n_max)):
-        if value < counterexample.MIN_SCALE or value & (value - 1):
-            raise ConfigError(
-                f"appendix.{name}: must be a power of two >= "
-                f"{counterexample.MIN_SCALE}, got {value}"
-            )
-    if n_min > n_max:
-        raise ConfigError(f"appendix.N_min: {n_min} exceeds N_max = {n_max}")
-    scales = cfg.appendix_scales()
+    cfg = with_overrides(cfg, "appendix",
+                         {"rho": args.rho, "N_min": args.n_min, "N_max": args.n_max})
+    rho, scales = cfg.rho, cfg.appendix_scales()
 
     chash = cfg.hash()
     _log(f"appendix: rho={rho:g}, N in {scales} [{chash}]")
@@ -468,20 +446,26 @@ def _selftest_checks(corrupt=""):
         1e-11,
     ))
 
-    from ._kernels import phi123
-
-    worst = 0.0
-    for radius in (0.49, 0.51):  # both sides of the series/closed-form switch
-        z = radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 33))
-        p1, p2, p3 = phi123(z)
-        ez = np.exp(z)
-        worst = max(
-            worst,
-            float(np.max(np.abs(z * p1 + 1.0 - ez) / np.abs(ez))),
-            float(np.max(np.abs(z ** 2 * p2 + 1.0 + z - ez) / np.abs(ez))),
-            float(np.max(np.abs(z ** 3 * p3 + 1.0 + z + z ** 2 / 2.0 - ez) / np.abs(ez))),
-        )
-    checks.append(("phi_function_identities", worst, 1e-13))
+    # H = int (u^4/4 - (dx^{-1} u)^2/2) dx is conserved exactly by the
+    # 2n-padded semi-discrete scheme, so its drift over a short run is IFRK4
+    # time-step error.  The exact linear flow keeps the quadratic part, so
+    # the drift is read against the quartic part.  For this pulse (eps = 0.5, n = 2^10, L = 64,
+    # T = 1) the drift measured -1.1e-6 / -3.5e-8 / -1.1e-9 at dt = 0.04 /
+    # 0.02 / 0.01.  The tolerance 1e-6 at dt = 0.02 sits 28x above that
+    # drift and below the 1.9e-6 .. 1.3e-5 of steppers with one stage input
+    # or weight wrong, and far below the 1.1e-3 at which the quartic part
+    # summed on the n grid, where u^4 aliases, stalls.
+    gh = Grid(n=1 << 10, length=64.0)
+    u0 = Field(gh, 0.5 * (-2.0 * gh.x) * np.exp(-gh.x ** 2), real=True)
+    run = evolve(u0, SolverConfig(n=gh.n, length=gh.length, dt=0.02,
+                                  t_final=1.0, snap_t0=0.0))
+    (q0, p0), (q1, p1) = (norms.hamiltonian(snap) for snap in
+                          (run.snapshots[0], run.snapshots[-1]))
+    checks.append((
+        "hamiltonian_conservation",
+        abs((q1 + p1) - (q0 + p0)) / abs(q0),
+        1e-6,
+    ))
 
     return checks
 
@@ -522,9 +506,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="experiment config file (INI)")
     common.add_argument("--out", metavar="DIR", help="output directory (default: config output.dir)")
-    common.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker threads for simulate's monitor rows and "
-                        "scatter's probed snapshots")
     common.add_argument("--force", action="store_true",
                         help="ignore config-hash mismatches on stored trajectories")
 

@@ -3,9 +3,9 @@
 INI-style files (``configparser`` flavour, ``key = value``), one section per
 concern::
 
-    [solver]         n, L, dt, T, integrator, dealias, and optional monitor
-                     knobs (power, mean_tol, wrap_tol, outer_frac, snap_t0,
-                     snap_h, growth_limit, max_halvings, blowup_factor)
+    [solver]         n, L, dt, T, and optional monitor knobs (mean_tol,
+                     wrap_tol, outer_frac, snap_t0, snap_h, growth_limit,
+                     max_halvings, blowup_factor)
     [initial]        kind = gaussian_derivative | file, epsilon, width, path
     [norms]          s
     [decomposition]  delta
@@ -15,9 +15,11 @@ concern::
 
 Unknown sections or keys are errors (fail-closed), and every module
 precondition that can be checked from the numbers alone is checked at load
-time, so a config that loads is a config that runs.  The effective values --
-defaults filled in -- are hashed (sha256, 16 hex digits) and that hash is
-stamped on every output file a run produces.
+time, so a config that loads is a config that runs.  The solver has one
+path -- IFRK4 with the 2n-padded cubic -- so there is no key selecting an
+integrator, a dealias mode or a power.  The effective values -- defaults and
+command-line overrides filled in -- are hashed (sha256, 16 hex digits) and
+that hash is stamped on every output file a run produces.
 """
 
 import configparser
@@ -29,13 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counterexample import MIN_SCALE
 from .errors import ConfigError
 from .evolve import SolverConfig
 from .packets import DEFAULT_VELOCITIES, PacketParams
 from .spectral import Field
 from . import storage
 
-_DEALIAS = {"pad2x": "pad", "pad": "pad", "two-thirds": "truncate", "truncate": "truncate"}
 _FORMATS = ("bin", "csv", "json")
 _INITIAL_KINDS = ("gaussian_derivative", "file")
 
@@ -80,9 +82,6 @@ _SCHEMA = {
         "L": (_parse_float, 800.0),
         "dt": (_parse_float, 0.01),
         "T": (_parse_float, 50.0),
-        "integrator": (_parse_str, "ifrk4"),
-        "dealias": (_parse_str, "pad2x"),
-        "power": (_parse_int, 3),
         "mean_tol": (_parse_float, 1e-10),
         "wrap_tol": (_parse_float, 0.005),
         "outer_frac": (_parse_float, 0.05),
@@ -198,12 +197,6 @@ def _validate(raw):
     for key in ("L", "dt", "T"):
         if sol[key] <= 0:
             bad(f"solver.{key}", f"must be positive, got {sol[key]}")
-    if sol["integrator"] not in ("ifrk4", "etdrk4"):
-        bad("solver.integrator", f"unknown integrator {sol['integrator']!r}")
-    if sol["dealias"] not in _DEALIAS:
-        bad("solver.dealias", f"unknown dealias mode {sol['dealias']!r}")
-    if sol["power"] not in (2, 3, 4):
-        bad("solver.power", f"must be 2, 3 or 4, got {sol['power']}")
     if not 0.0 < sol["outer_frac"] < 0.5:
         bad("solver.outer_frac", f"must lie in (0, 1/2), got {sol['outer_frac']}")
     if sol["snap_t0"] < 0 or sol["snap_t0"] > sol["T"]:
@@ -248,8 +241,8 @@ def _validate(raw):
         bad("appendix.rho", f"must lie in (0, 1/2), got {app['rho']}")
     for key in ("N_min", "N_max"):
         v = app[key]
-        if v < 16 or v & (v - 1):
-            bad(f"appendix.{key}", f"must be a power of two >= 16, got {v}")
+        if v < MIN_SCALE or v & (v - 1):
+            bad(f"appendix.{key}", f"must be a power of two >= {MIN_SCALE}, got {v}")
     if app["N_min"] > app["N_max"]:
         bad("appendix.N_min", "must not exceed N_max")
 
@@ -263,9 +256,6 @@ def _build(raw):
             length=sol["L"],
             dt=sol["dt"],
             t_final=sol["T"],
-            integrator=sol["integrator"],
-            dealias=_DEALIAS[sol["dealias"]],
-            power=sol["power"],
             mean_tol=sol["mean_tol"],
             snap_t0=sol["snap_t0"],
             snap_h=sol["snap_h"],
@@ -307,6 +297,16 @@ def _build(raw):
 def default_config():
     """The effective config when no file is given."""
     return _build(_raw_defaults())
+
+
+def with_overrides(cfg, section, values):
+    """``cfg`` with the non-None ``values`` set in ``section``, re-validated.
+
+    The overrides land in ``raw``, so the config hash covers them.
+    """
+    raw = {name: dict(keys) for name, keys in cfg.raw.items()}
+    raw[section].update({k: v for k, v in values.items() if v is not None})
+    return _build(raw)
 
 
 def load_config(path):

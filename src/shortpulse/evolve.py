@@ -1,12 +1,9 @@
-"""Time integration of u_t = dx^{-1} u + dx(u^p) with exponential
-integrators around the exact linear flow.
+"""Time integration of u_t = dx^{-1} u + dx(u^3) by the integrating-factor
+RK4 method around the exact linear flow.
 
 The linear symbol 1/(i xi) is bounded on the grid (|xi| >= 2 pi / L), so
-no stiffness treatment is needed; the integrating-factor RK4 advances the
-linear part exactly and is the default.  ETDRK4 is offered as a
-cross-check — its phi-functions are evaluated exactly on the imaginary
-axis (series switch near 0), not by the contour-averaging shortcut, which
-silently assumes a real spectrum.
+no stiffness treatment is needed: the integrating factor advances the
+linear part exactly, and the cubic is dealiased by 2n-point padding.
 
 The stepper works on raw rfft half-spectra of the real solution; fields
 are materialized only at snapshot times.
@@ -35,9 +32,6 @@ class SolverConfig:
     length: float
     dt: float = DEFAULT_DT
     t_final: float = 200.0
-    integrator: str = "ifrk4"      # "ifrk4" | "etdrk4"
-    dealias: str = "pad"           # "pad" | "truncate"
-    power: int = 3
     mean_tol: float = 1e-10
     snap_t0: float = 1.0           # first geometric snapshot time (0 = none)
     snap_h: float = 0.125          # snapshots at t0 * 2^{m h}
@@ -55,12 +49,6 @@ class SolverConfig:
             raise ValueError(
                 f"need T >= t0 >= 0, got T={self.t_final}, t0={self.snap_t0}"
             )
-        if self.power not in (2, 3, 4):
-            raise ValueError(f"power must be 2, 3 or 4, got {self.power}")
-        if self.integrator not in ("ifrk4", "etdrk4"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.dealias not in ("pad", "truncate"):
-            raise ValueError(f"unknown dealias mode {self.dealias!r}")
         if self.snap_h <= 0.0:
             raise ValueError(f"snap_h must be positive, got {self.snap_h}")
 
@@ -126,7 +114,7 @@ class Trajectory:
 
 
 class Stepper:
-    """IFRK4 / ETDRK4 on raw rfft spectra."""
+    """IFRK4 on raw rfft spectra."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -137,7 +125,7 @@ class Stepper:
         lam = np.zeros(self.nyq + 1, dtype=np.complex128)
         lam[1:] = 1.0 / (1j * xi[1:])
         self.lam = lam
-        self.kern = _kernels.NonlinearKernel(n, cfg.length, cfg.power, cfg.dealias)
+        self.kern = _kernels.NonlinearKernel(n, cfg.length)
         # H1 weights on the half-spectrum (|c_k| counted twice off the axis)
         mult = np.full(self.nyq + 1, 2.0)
         mult[0] = 1.0
@@ -167,46 +155,27 @@ class Stepper:
     def _coefficients(self, dt):
         c = self._coef.get(dt)
         if c is None:
-            z = self.lam * dt
-            if self.cfg.integrator == "ifrk4":
-                e_half = np.exp(0.5 * z)
-                c = (e_half, e_half * e_half)
-            else:
-                e_half = np.exp(0.5 * z)
-                e_full = e_half * e_half
-                p1h, _, _ = _kernels.phi123(0.5 * z)
-                p1, p2, p3 = _kernels.phi123(z)
-                q = 0.5 * dt * p1h
-                f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
-                f2 = dt * (p2 - 2.0 * p3)
-                f3 = dt * (4.0 * p3 - p2)
-                c = (e_half, e_full, q, f1, f2, f3)
-            self._coef[dt] = c
+            # the last step before each snapshot has a one-off size; a
+            # bounded cache keeps those from piling up over the run
+            if len(self._coef) >= 8:
+                self._coef.clear()
+            e_half = np.exp(0.5 * (self.lam * dt))
+            c = self._coef[dt] = (e_half, e_half * e_half)
         return c
 
-    def step_raw(self, vh, dt, nonlinear=True):
+    def step_raw(self, vh, dt):
         """One integrator step; no monitors."""
-        nl = self.kern.spectrum if nonlinear else (lambda w: np.zeros_like(w))
-        if self.cfg.integrator == "ifrk4":
-            e, e2 = self._coefficients(dt)
-            a = dt * nl(vh)
-            b = dt * nl(e * (vh + 0.5 * a))
-            c = dt * nl(e * vh + 0.5 * b)
-            d = dt * nl(e2 * vh + e * c)
-            return e2 * vh + (e2 * a + 2.0 * e * (b + c) + d) / 6.0
-        e2, e, q, f1, f2, f3 = self._coefficients(dt)
-        nv = nl(vh)
-        a = e2 * vh + q * nv
-        na = nl(a)
-        b = e2 * vh + q * na
-        nb = nl(b)
-        c = e2 * a + q * (2.0 * nb - nv)
-        nc = nl(c)
-        return e * vh + nv * f1 + 2.0 * (na + nb) * f2 + nc * f3
+        nl = self.kern.spectrum
+        e, e2 = self._coefficients(dt)
+        a = dt * nl(vh)
+        b = dt * nl(e * (vh + 0.5 * a))
+        c = dt * nl(e * vh + 0.5 * b)
+        d = dt * nl(e2 * vh + e * c)
+        return e2 * vh + (e2 * a + 2.0 * e * (b + c) + d) / 6.0
 
-    def step_checked(self, vh, dt, nonlinear=True):
+    def step_checked(self, vh, dt):
         """Step with rejection on non-finite output or >10% H1 growth."""
-        out = self.step_raw(vh, dt, nonlinear)
+        out = self.step_raw(vh, dt)
         if not np.all(np.isfinite(out)):
             raise StepRejected(f"non-finite state after step at dt={dt:g}")
         h_old = self.h1_norm(vh)
@@ -231,11 +200,11 @@ class Stepper:
         return Snapshot(t=float(t), u=u, u_x=ux, u_anti=anti)
 
 
-def nonlinearity(u, power=3, dealias="pad"):
-    """d/dx (u^p), dealiased; exact zero mean (it is a derivative)."""
+def nonlinearity(u):
+    """d/dx (u^3), dealiased; exact zero mean (it is a derivative)."""
     if not u.real:
         raise ValueError("nonlinearity expects a real field")
-    kern = _kernels.NonlinearKernel(u.grid.n, u.grid.length, power, dealias)
+    kern = _kernels.NonlinearKernel(u.grid.n, u.grid.length)
     return Field(u.grid, kern.values(np.asarray(u.values, dtype=np.float64)))
 
 
@@ -293,8 +262,7 @@ def evolve(u0, cfg, monitors=None):
     def emit(t_now, vh_now):
         snap = stepper.make_snapshot(t_now, vh_now)
         rec = snap.norms = norms.compute_record(
-            snap, s=cfg.sobolev_s, power=cfg.power, dealias=cfg.dealias,
-            outer_frac=cfg.outer_frac,
+            snap, s=cfg.sobolev_s, outer_frac=cfg.outer_frac,
         )
         # d/dt ||u_x||^2 probed by a quarter-step centered difference;
         # the shorter spacing keeps the O(h^2) truncation error of the

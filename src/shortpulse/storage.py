@@ -217,7 +217,13 @@ def load_trajectory(traj_dir, mean_tol=None):
     node values.
     """
     manifest = load_manifest(traj_dir)
-    solver = dict(manifest["solver"])
+    solver = manifest["solver"]
+    unknown = sorted(set(solver) - set(SolverConfig.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(
+            f"{traj_dir}: unknown solver key(s) in {MANIFEST_NAME}: "
+            f"{', '.join(unknown)}; re-simulate"
+        )
     cfg = SolverConfig(**solver)
     grid = cfg.grid()
     if mean_tol is None:

@@ -3,13 +3,14 @@ load-time config checks the CLI relies on."""
 
 import json
 import math
+import shutil
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from shortpulse.config import load_config
+from shortpulse.config import default_config, load_config
 from shortpulse.errors import ConfigError
 from shortpulse.norms import MONITOR_COLUMNS, NormRecord
 from shortpulse.storage import read_csv
@@ -25,8 +26,8 @@ TINY_INI = textwrap.dedent("""\
     epsilon = 0.1
 """)
 
-TINY_HASH = "abafb6ff9033a553"
-RETUNED_HASH = "08bfa44a141c0131"   # same run with dt = 0.01
+TINY_HASH = "c73aad00c6a1dc47"
+RETUNED_HASH = "2b06b494ab24b0c4"   # same run with dt = 0.01
 
 tiny_final_norms = {"L2": 0.11195151349202641, "Linf": 0.08519106086423486,
                     "Xs": 11.759277264378559, "wrapfrac": 0.0017995627998332472}
@@ -35,7 +36,7 @@ SELFTEST_NAMES = {
     "transform_round_trip", "parseval", "propagator_unitarity",
     "propagator_group_law", "vector_field_conjugation", "scaling_selftest",
     "lp_partition_of_unity", "hyp_ell_recomposition",
-    "antiderivative_inverse", "phi_function_identities",
+    "antiderivative_inverse", "hamiltonian_conservation",
 }
 
 FIT_KEYS = ("linf_slope", "ode_residual_slope", "W_stability_slope",
@@ -162,6 +163,22 @@ def test_scatter_refuses_a_mismatched_config_hash(tiny_run, tmp_path):
     assert json.loads(forced.stdout)["records"] == 153
 
 
+def test_scatter_rejects_a_manifest_with_a_retired_solver_key(tiny_run,
+                                                              tmp_path):
+    ini, out, _ = tiny_run
+    old = tmp_path / "old"
+    shutil.copytree(out, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    manifest["solver"]["integrator"] = "ifrk4"
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli("scatter", "--config", str(ini), "--traj", str(old),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 1
+    assert "unknown solver key(s) in manifest.json: integrator" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ConfigError"
+
+
 def test_scatter_needs_an_existing_trajectory(tmp_path):
     ini = tmp_path / "tiny.ini"
     ini.write_text(TINY_INI)
@@ -192,12 +209,19 @@ def test_probe_cadence_must_land_on_stored_snapshots(tmp_path, snap_h, ratio,
             load_config(ini)
 
 
-def test_unknown_config_keys_fail_closed(tmp_path):
+# the last three selected the retired ETDRK4, two-thirds and p = 2 paths
+@pytest.mark.parametrize("key, value", [
+    ("bogus_knob", "3"),
+    ("integrator", "etdrk4"),
+    ("dealias", "two-thirds"),
+    ("power", "2"),
+])
+def test_unknown_config_keys_fail_closed(tmp_path, key, value):
     ini = tmp_path / "bad.ini"
-    ini.write_text("[solver]\nn = 0x400\nbogus_knob = 3\n")
+    ini.write_text(f"[solver]\nn = 0x400\n{key} = {value}\n")
     proc = run_cli("simulate", "--config", str(ini), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
-    assert "unknown config key solver.bogus_knob" in proc.stderr
+    assert f"unknown config key solver.{key}" in proc.stderr
 
 
 def test_unknown_subcommand_exits_with_the_config_code():
@@ -239,7 +263,13 @@ def test_endpoint_scan_takes_its_range_from_the_command_line(tmp_path):
     proc = run_cli("appendix", "--N-min", "64", "--N-max", "256",
                    "--out", str(tmp_path / "o"))
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["scales"] == [64, 128, 256]
+    summary = json.loads(proc.stdout)
+    assert summary["scales"] == [64, 128, 256]
+    # the overrides are part of the hashed config, as if set in the file
+    ini = tmp_path / "range.ini"
+    ini.write_text("[appendix]\nN_min = 64\nN_max = 256\n")
+    assert summary["config_hash"] == load_config(ini).hash()
+    assert summary["config_hash"] != default_config().hash()
     proc = run_cli("appendix", "--N-min", "48", "--out", str(tmp_path / "p"))
     assert proc.returncode == 1
     assert "appendix.N_min: must be a power of two" in proc.stderr
