@@ -20,11 +20,18 @@ elliptic remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Field, apply_multiplier, forward_transform, inverse_transform
+from .spectral import (
+    Field,
+    SpectralField,
+    apply_multiplier,
+    forward_transform,
+    inverse_transform,
+)
 
 
 def smoothstep(s):
@@ -153,17 +160,6 @@ def _multiplier_field(u, symbol_values, real_out):
 # traveling / elliptic splitting
 
 @dataclass
-class BandSplit:
-    """One frequency band's split into traveling and elliptic parts."""
-
-    scale: float
-    plus: Field        # P_N P^+ u  (complex)
-    traveling: Field   # window * plus (complex)
-    elliptic: Field    # plus - traveling (complex)
-    window: np.ndarray = None  # the spatial window used
-
-
-@dataclass
 class Decomposition:
     """Result of :func:`hyp_ell_decompose` at one time.
 
@@ -175,7 +171,6 @@ class Decomposition:
 
     t: float
     delta: float
-    bands: list = field(default_factory=list)  # list[BandSplit], N ascending
     u_plus: Field = None
     hyp_plus: Field = None
     ell_plus: Field = None
@@ -191,9 +186,41 @@ class Decomposition:
 def hyp_window(grid, t, scale, spec):
     """Spatial window selecting x ~ -t/N^2: the stationary region of the
     band's group lines.  Supported in {x < 0}, smooth, values in [0, 1]."""
+    support, w = _window_on_support(grid, t, scale, spec)
+    full = np.zeros(grid.n)
+    full[support] = w
+    return full
+
+
+def _window_on_support(grid, t, scale, spec):
+    """(slice, values) of :func:`hyp_window` on the nodes strictly between
+    its edges -3 center 2^delta and -center / (3 2^delta), center = t/N^2;
+    the window is exactly zero on every other node.  The slice is empty
+    when the inner edge lies at or beyond the box edge -L/2."""
     center = t / scale ** 2
-    w = spec.sigma_range(np.abs(grid.x), center / 3.0, 3.0 * center)
-    return w * (grid.x < 0.0)
+    lo, hi = center / 3.0, 3.0 * center
+    support = slice(
+        int(np.searchsorted(grid.x, -hi * 2.0 ** spec.delta, side="right")),
+        int(np.searchsorted(grid.x, -lo * 2.0 ** -spec.delta, side="left")))
+    return support, spec.sigma_range(np.abs(grid.x[support]), lo, hi)
+
+
+@lru_cache(maxsize=64)
+def _plus_band_symbol(grid, delta, scale):
+    """(slice, values) of the symbol sigma_band(xi, N) 1[xi > 0] of
+    P_N P^+ on the FFT rows 0 < xi_k < n/2 dxi strictly inside its support
+    (N 2^-delta, N 2^delta); it is exactly zero on every other row.
+
+    It does not depend on t, so the per-snapshot decomposition looks it up
+    instead of rebuilding it.
+    """
+    xi_plus = grid.xi[: grid.n // 2]
+    support = slice(
+        int(np.searchsorted(xi_plus, scale * 2.0 ** -delta, side="right")),
+        int(np.searchsorted(xi_plus, scale * 2.0 ** delta, side="left")))
+    sym = CutoffSpec(delta).sigma_band(xi_plus[support], scale)
+    sym.setflags(write=False)
+    return support, sym
 
 
 def hyp_ell_decompose(u, t, spec):
@@ -203,6 +230,8 @@ def hyp_ell_decompose(u, t, spec):
     Requires t >= 1.  The traveling part is 2 Re sum_{N <= t} w_N P_N P^+ u
     over lattice scales with grid content; the elliptic part is defined as
     u minus the traveling part, so recomposition is exact by construction.
+    Bands whose window misses every node add nothing and are not
+    transformed.
     """
     if not t >= 1.0:
         raise ValueError(f"decomposition needs t >= 1, got t = {t}")
@@ -211,26 +240,25 @@ def hyp_ell_decompose(u, t, spec):
     xi_max = g.dxi * (g.n // 2)
     lo = xi_min * 2.0 ** (-spec.delta)
     hi = min(float(t), xi_max * 2.0 ** spec.delta)
-    result = Decomposition(t=float(t), delta=spec.delta)
     total = np.zeros(g.n, dtype=np.complex128)
     uh = forward_transform(u)
-    plus_mask = (np.sign(g.xi) == 1.0).astype(np.float64)
     if lo <= hi:
         for scale in spec.lattice(lo, hi):
             if scale > t:
                 continue
-            sym = spec.sigma_band(g.xi, scale) * plus_mask
-            band_plus = inverse_transform(apply_multiplier(uh, sym), real=False)
-            w = hyp_window(g, t, scale, spec)
-            trav = band_plus.with_values(w * band_plus.values, real=False)
-            ell = band_plus.with_values(band_plus.values - trav.values, real=False)
-            result.bands.append(BandSplit(scale, band_plus, trav, ell, window=w))
-            total += trav.values
+            support, w = _window_on_support(g, t, scale, spec)
+            if not w.size:
+                continue
+            rows, sym = _plus_band_symbol(g, spec.delta, scale)
+            band_h = np.zeros(g.n, dtype=np.complex128)
+            band_h[rows] = sym * uh.coeffs[rows]
+            band_plus = inverse_transform(SpectralField(g, band_h), real=False)
+            total[support] += w * band_plus.values[support]
+    plus_mask = (np.sign(g.xi) == 1.0).astype(np.float64)
     u_plus = inverse_transform(apply_multiplier(uh, plus_mask), real=False)
-    result.u_plus = u_plus
-    result.hyp_plus = Field(g, total, real=False)
-    result.ell_plus = Field(g, u_plus.values - total, real=False)
-    return result
+    return Decomposition(t=float(t), delta=spec.delta, u_plus=u_plus,
+                         hyp_plus=Field(g, total, real=False),
+                         ell_plus=Field(g, u_plus.values - total, real=False))
 
 
 def window_count_bound(spec):

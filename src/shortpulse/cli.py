@@ -18,6 +18,7 @@ code version; the manifest's ``metadata.created_utc`` is the one exception.
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -194,8 +195,15 @@ def cmd_scatter(args):
     _log(f"scatter: probing {len(snaps)} snapshots x {len(cfg.probe.velocities)} "
          f"velocities from {traj_dir} [{chash}]")
 
+    skipped = Counter()
     records = [rec for snap in snaps
-               for rec in packets.probe_snapshot(snap, cfg.probe)]
+               for rec in packets.probe_snapshot(snap, cfg.probe, skipped)]
+    skipped_probes = [{"v": v, "reason": reason, "count": count}
+                      for (v, reason), count in sorted(skipped.items())]
+    _log(f"scatter: {len(records)} probe records, {sum(skipped.values())} "
+         f"(t, v) skipped" + "".join(
+             f"; v={row['v']:.4g} {row['reason']} x{row['count']}"
+             for row in skipped_probes))
     for v in cfg.probe.velocities:
         try:
             packets.attach_residuals(records, v)
@@ -260,6 +268,7 @@ def cmd_scatter(args):
         "code_version": __version__,
         "trajectory": str(traj_dir),
         "records": len(records),
+        "skipped_probes": skipped_probes,
         "velocities": sorted({r.v for r in records}),
         "linf_slope": _jsonable(_fit_or_none(linf_slope, degenerate, "linf_slope")),
         "ode_residual_slope": _jsonable(

@@ -165,9 +165,15 @@ class Stepper:
 
     def step_raw(self, vh, dt):
         """One integrator step; no monitors."""
+        return self._step_from(vh, dt, self.kern.spectrum(vh))
+
+    def _step_from(self, vh, dt, nl_vh):
+        """:meth:`step_raw` given nl_vh = nl(vh), the first stage's
+        nonlinear term, so that steps of several sizes from one state
+        evaluate it once."""
         nl = self.kern.spectrum
         e, e2 = self._coefficients(dt)
-        a = dt * nl(vh)
+        a = dt * nl_vh
         b = dt * nl(e * (vh + 0.5 * a))
         c = dt * nl(e * vh + 0.5 * b)
         d = dt * nl(e2 * vh + e * c)
@@ -268,8 +274,9 @@ def evolve(u0, cfg, monitors=None):
         # the shorter spacing keeps the O(h^2) truncation error of the
         # difference quotient well below the identity's own tolerance
         probe = 0.25 * cfg.dt
-        up = stepper.step_raw(vh_now, probe)
-        um = stepper.step_raw(vh_now, -probe)
+        nl_now = stepper.kern.spectrum(vh_now)
+        up = stepper._step_from(vh_now, probe, nl_now)
+        um = stepper._step_from(vh_now, -probe, nl_now)
         rec.h1_rate_fd = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * probe)
         uv, uxv = snap.u.values, snap.u_x.values
         rec.h1_rate_flux = 6.0 * g.dx * float(np.sum(uv * (uxv * uxv * uxv)))

@@ -227,12 +227,15 @@ def decomposition_monitors(snap, spec, s=4.5, taper_frac=0.02):
 
     The constants are reported, not asserted; boundedness along a
     trajectory (no growth trend) is what the property tests check.
-    All entries are 0.0 for a zero field.
+    All entries are 0.0 for a zero field.  ||u||_{X^s} is read from the
+    snapshot's :class:`NormRecord` when it has one (``evolve`` computes
+    it at the solver's ``sobolev_s``), and computed here otherwise.
     """
     t = float(snap.t)
     u = snap.u
     g = u.grid
-    xs = xs_norm(snap, s, taper_frac)
+    record = getattr(snap, "norms", None)
+    xs = record.Xs if record is not None else xs_norm(snap, s, taper_frac)
     if xs == 0.0:
         return dict.fromkeys(MONITOR_COLUMNS, 0.0)
     dec = hyp_ell_decompose(u, t, spec)

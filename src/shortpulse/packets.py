@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.integrate import quad
 
 from .bands import bump, project_plus_range
@@ -134,6 +135,18 @@ def packet(t, v, params, grid):
     (dx <= pi sqrt|v| / 4 required: >= 8 points per wavelength) and
     OutOfBox when the chi support leaves the box interior.
     """
+    support, vals = _packet_on_support(t, v, params, grid)
+    full = np.zeros(grid.n, dtype=np.complex128)
+    full[support] = vals
+    return Field(grid, full, real=False)
+
+
+def _packet_on_support(t, v, params, grid):
+    """(slice, values) of Psi_v(t, .) on the nodes inside its support.
+
+    chi vanishes outside (vt - a w, vt + a w), so the packet is exactly
+    zero on every node the slice leaves out.
+    """
     if not t >= 1.0:
         raise ValueError(f"packet needs t >= 1, got {t}")
     if not v < 0.0:
@@ -150,16 +163,19 @@ def packet(t, v, params, grid):
         raise OutOfBox(
             f"packet support [{left:.4g}, {right:.4g}] leaves the box "
             f"[{-half:.4g}, {half:.4g}] at t = {t}, v = {v}")
-    vals = np.abs(v) ** -0.75 * params.chi((grid.x - v * t) / width) \
-        * np.exp(1j * phase(t, grid.x))
-    return Field(grid, vals, real=False)
+    support = slice(int(np.searchsorted(grid.x, left, side="right")),
+                    int(np.searchsorted(grid.x, right, side="left")))
+    x = grid.x[support]
+    vals = np.abs(v) ** -0.75 * params.chi((x - v * t) / width) \
+        * np.exp(1j * phase(t, x))
+    return support, vals
 
 
 def gamma(snap, v, params):
     """The probe amplitude gamma(t,v) by rectangle-rule quadrature."""
-    psi = packet(snap.t, v, params, snap.u.grid)
-    return complex(snap.u.grid.dx * np.sum(
-        np.asarray(snap.u.values) * np.conj(psi.values)))
+    support, psi = _packet_on_support(snap.t, v, params, snap.u.grid)
+    u = np.asarray(snap.u.values)[support]
+    return complex(snap.u.grid.dx * np.sum(u * np.conj(psi)))
 
 
 def extract_w(t, v, gam):
@@ -194,60 +210,86 @@ def ode_residual_series(ts, gammas, v):
     return t_mid, gdot - model
 
 
-def _waves(grid, points):
-    """The synthesis rows exp(i xi x) at each point, one row per point."""
-    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    return np.exp(1j * np.outer(points, grid.xi))
-
-
-def _synthesize(waves, fh, real):
-    vals = waves @ fh.coeffs * (fh.grid.dxi / SQRT2PI)
-    return vals.real if real else vals
-
-
 def field_at(u, points):
     """Band-limited (trigonometric) interpolation of u at arbitrary points."""
-    return _synthesize(_waves(u.grid, points), forward_transform(u), u.real)
+    g = u.grid
+    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    vals = np.exp(1j * np.outer(points, g.xi)) @ forward_transform(u).coeffs \
+        * (g.dxi / SQRT2PI)
+    return vals.real if u.real else vals
 
 
-def prop42_errors(snap, v, gam, spectra=None):
-    """Ray errors of the packet approximation at x = v t.
+def _ray_coefficients(snap):
+    """Half-spectrum series of the real fields u and u_x of a snapshot, one
+    row each: f(x) = Re sum_k a_k e^{i xi_k x} over k = 0 .. n/2 is the
+    band-limited interpolant :func:`field_at` sums over all n modes.
+
+    With x_j = -L/2 + j dx, a_k = w_k (-1)^k rfft(f)_k / n, where w_k = 2
+    counts the conjugate mode -k, except at k = 0 and at the Nyquist row,
+    which have no partner in the half-spectrum.
+    """
+    g = snap.u.grid
+    nyq = g.n // 2
+    a = sfft.rfft(np.stack([snap.u.values, snap.u_x.values])) \
+        * (g.phase[: nyq + 1] / g.n)
+    a[:, 1:nyq] *= 2.0
+    return a
+
+
+def _half_waves(grid, x):
+    """exp(i xi_k x) for k = 0 .. n/2, as products of two exponentials.
+
+    With k = m q + r and m ~ sqrt(n/2), the m values exp(i r dxi x) and the
+    n/(2m) + 1 values exp(i q m dxi x) give every row from about 2 sqrt(n/2)
+    exponentials instead of n/2 + 1, at one more rounding per row.
+    """
+    nyq = grid.n // 2
+    m = 1 << (nyq.bit_length() // 2)
+    d = grid.dxi * x
+    low = np.exp(1j * d * np.arange(m))
+    high = np.exp(1j * (d * m) * np.arange(nyq // m + 1))
+    return np.outer(high, low).ravel()[: nyq + 1]
+
+
+def prop42_errors(snap, v, gam, coeffs=None):
+    """Ray errors of the packet approximation at x = v t of a real snapshot.
 
     Returns |u(t,vt) - 2 t^{-1/2} Re(e^{i phi} gamma)| and the u_x
     analogue |u_x(t,vt) - 2 t^{-1/2} |v|^{-1/2} Re(i e^{i phi} gamma)|.
-    ``spectra`` is the pair of forward transforms of ``snap.u`` and
-    ``snap.u_x`` when the caller already holds them.
+    ``coeffs`` is :func:`_ray_coefficients` of the snapshot when the
+    caller already holds it.
     """
-    if spectra is None:
-        spectra = forward_transform(snap.u), forward_transform(snap.u_x)
-    uh, uxh = spectra
+    if coeffs is None:
+        coeffs = _ray_coefficients(snap)
     t = snap.t
     x_ray = v * t
     carrier = np.exp(1j * phase(t, x_ray))
-    waves = _waves(snap.u.grid, x_ray)
-    u_ray = float(_synthesize(waves, uh, snap.u.real)[0])
-    ux_ray = float(_synthesize(waves, uxh, snap.u_x.real)[0])
+    u_ray, ux_ray = (coeffs @ _half_waves(snap.u.grid, x_ray)).real
     err_u = abs(u_ray - 2.0 * t ** -0.5 * (carrier * gam).real)
     err_ux = abs(ux_ray - 2.0 * t ** -0.5 * np.abs(v) ** -0.5
                  * (1j * carrier * gam).real)
-    return err_u, err_ux
+    return float(err_u), float(err_ux)
 
 
-def probe_snapshot(snap, params):
+def probe_snapshot(snap, params, skipped=None):
     """Probe one snapshot at every configured velocity.
 
     Velocities whose packet does not fit the box or the resolution are
-    skipped (the probe set is ray-dependent by design).  Residuals are
-    filled in later by :func:`attach_residuals` once neighbors exist.
+    skipped (the probe set is ray-dependent by design); when ``skipped`` is
+    a Counter, each skip adds one to its ``(v, reason)`` entry, with the
+    reason the exception's class name.  Residuals are filled in later by
+    :func:`attach_residuals` once neighbors exist.
     """
-    spectra = forward_transform(snap.u), forward_transform(snap.u_x)
+    coeffs = _ray_coefficients(snap)
     records = []
     for v in params.velocities:
         try:
             gam = gamma(snap, v, params)
-        except (OutOfBox, UnderResolved):
+        except (OutOfBox, UnderResolved) as exc:
+            if skipped is not None:
+                skipped[(float(v), type(exc).__name__)] += 1
             continue
-        err_u, err_ux = prop42_errors(snap, v, gam, spectra)
+        err_u, err_ux = prop42_errors(snap, v, gam, coeffs)
         records.append(ProbeRecord(
             t=float(snap.t), v=float(v),
             n_v=nearest_scale(abs(v) ** -0.5, params.band_delta),

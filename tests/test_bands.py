@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from shortpulse.bands import (
-    BandSplit,
     CutoffSpec,
     build_cutoff,
     bump,
@@ -20,7 +19,14 @@ from shortpulse.bands import (
     smoothstep,
     window_count_bound,
 )
-from shortpulse.spectral import Field, Grid, forward_transform, l2_norm
+from shortpulse.spectral import (
+    Field,
+    Grid,
+    apply_multiplier,
+    forward_transform,
+    inverse_transform,
+    l2_norm,
+)
 
 partition_tol = 1e-12
 split_tol = 1e-12
@@ -142,6 +148,66 @@ def test_band_windows_sit_on_their_group_lines(cutoff):
         assert np.min(w[plateau]) == 1.0
         far = (np.abs(g.x) >= 6.0 * center) | (np.abs(g.x) <= center / 6.0)
         assert np.max(w[far]) == 0.0
+
+
+def decompose_band_by_band(u, t, spec):
+    """The decomposition as a Field per lattice band, every band
+    transformed and windowed on the whole grid: the oracle for the cached
+    symbols, the skipped empty-window bands, the windows evaluated on their
+    support and the summation into one total.  Returns
+    (u_plus, hyp_plus, ell_plus, the number of empty-window bands)."""
+    g = u.grid
+    lo = g.dxi * 2.0 ** (-spec.delta)
+    hi = min(float(t), g.dxi * (g.n // 2) * 2.0 ** spec.delta)
+    uh = forward_transform(u)
+    plus_mask = (np.sign(g.xi) == 1.0).astype(np.float64)
+    total = np.zeros(g.n, dtype=np.complex128)
+    empty = 0
+    for scale in spec.lattice(lo, hi):
+        if scale > t:
+            continue
+        sym = spec.sigma_band(g.xi, scale) * plus_mask
+        band_plus = inverse_transform(apply_multiplier(uh, sym), real=False)
+        center = t / scale ** 2
+        w = spec.sigma_range(np.abs(g.x), center / 3.0, 3.0 * center) \
+            * (g.x < 0.0)
+        assert np.array_equal(hyp_window(g, t, scale, spec), w)
+        trav = band_plus.with_values(w * band_plus.values, real=False)
+        total += trav.values
+        empty += not np.any(w)
+    u_plus = inverse_transform(apply_multiplier(uh, plus_mask), real=False)
+    return u_plus.values, total, u_plus.values - total, empty
+
+
+def noise_field(grid, seed=7):
+    """Zero-mean white noise with the top octave removed."""
+    fh = np.fft.rfft(np.random.default_rng(seed).standard_normal(grid.n))
+    fh[0] = 0.0
+    fh[grid.n // 4:] = 0.0
+    return Field(grid, np.fft.irfft(fh, grid.n))
+
+
+# (n, L, t, whether some lattice band's window misses every node); the
+# L = 8 and L = 1/4 boxes are small enough that every window reaches in
+@pytest.mark.parametrize("n, length, t, some_empty", [
+    (1 << 10, 256.0, 1.0, True),
+    (1 << 10, 256.0, 16.0, True),
+    (1 << 10, 256.0, 30.0, True),
+    (1 << 6, 8.0, 1.0, False),
+    (1 << 8, 0.25, 16.0, False),
+    (1 << 8, 0.25, 30.0, False),
+])
+def test_decomposition_is_bit_identical_to_the_band_by_band_split(
+        cutoff, n, length, t, some_empty):
+    u = noise_field(Grid(n, length))
+    u_plus, hyp, ell, empty = decompose_band_by_band(u, t, cutoff)
+    assert (empty > 0) == some_empty
+    for _ in range(2):  # the second pass reads the cached band symbols
+        dec = hyp_ell_decompose(u, t, cutoff)
+        assert np.array_equal(dec.u_plus.values, u_plus)
+        assert np.array_equal(dec.hyp_plus.values, hyp)
+        assert np.array_equal(dec.ell_plus.values, ell)
+    assert np.max(np.abs(hyp)) > 0.0
 
 
 def test_decomposition_needs_unit_time(cutoff):

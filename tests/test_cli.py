@@ -8,12 +8,15 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from shortpulse.config import default_config, load_config
 from shortpulse.errors import ConfigError
+from shortpulse.evolve import Trajectory
 from shortpulse.norms import MONITOR_COLUMNS, NormRecord
-from shortpulse.storage import read_csv
+from shortpulse.packets import DEFAULT_VELOCITIES, PacketParams
+from shortpulse.storage import read_csv, save_trajectory
 
 TINY_INI = textwrap.dedent("""\
     [solver]
@@ -146,6 +149,34 @@ def test_scatter_on_a_zero_field_reports_degenerate_fits(zero_run):
         assert (scat_out / name).exists()
     stored = json.loads((scat_out / "scatter_summary.json").read_text())
     assert stored == summary
+
+
+def test_scatter_counts_the_probes_it_skips(mini_traj, tmp_path):
+    # the mini run's t = 64 snapshot alone, probed at t = 64 only
+    ini = tmp_path / "last.ini"
+    ini.write_text("[solver]\nn = 0x2000\nL = 256\ndt = 0.02\nT = 64\n"
+                   "wrap_tol = 0.02\nsnap_t0 = 64\n")
+    cfg = load_config(ini)
+    traj = Trajectory(config=cfg.solver)
+    traj.append(mini_traj.snapshots[-1])
+    save_trajectory(tmp_path / "traj", traj, experiment=cfg.raw,
+                    config_hash=cfg.hash())
+    proc = run_cli("scatter", "--config", str(ini), "--traj",
+                   str(tmp_path / "traj"), "--out", str(tmp_path / "s"))
+    assert proc.returncode == 0
+    # rays whose packet support [vt - a w, vt + a w] reaches x = -L/2
+    t, a = 64.0, PacketParams().half_width
+    out = sorted(v for v in DEFAULT_VELOCITIES
+                 if v * t - a * np.sqrt(t) * abs(v) ** 0.75 <= -128.0)
+    assert len(out) == 5
+    summary = json.loads(proc.stdout)
+    assert summary["records"] == len(DEFAULT_VELOCITIES) - len(out)
+    assert summary["skipped_probes"] == [
+        {"v": v, "reason": "OutOfBox", "count": 1} for v in out]
+    stored = json.loads((tmp_path / "s" / "scatter_summary.json").read_text())
+    assert stored["skipped_probes"] == summary["skipped_probes"]
+    assert "12 probe records, 5 (t, v) skipped; v=-4 OutOfBox x1" \
+        in proc.stderr
 
 
 def test_scatter_refuses_a_mismatched_config_hash(tiny_run, tmp_path):

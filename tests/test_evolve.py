@@ -158,6 +158,34 @@ def test_step_coefficient_cache_stays_bounded():
     assert len(stepper._coef) <= 8
 
 
+def test_snapshot_rate_probe_shares_its_first_stage(monkeypatch):
+    cfg = SolverConfig(n=1 << 8, length=64.0, dt=0.05, t_final=1.0,
+                       snap_t0=0.0)
+    states, calls = [], []
+    make_snapshot, spectrum = Stepper.make_snapshot, NonlinearKernel.spectrum
+
+    def keep_state(self, t, vh):
+        states.append(vh.copy())
+        return make_snapshot(self, t, vh)
+
+    def count(self, vh):
+        calls.append(1)
+        return spectrum(self, vh)
+
+    monkeypatch.setattr(Stepper, "make_snapshot", keep_state)
+    monkeypatch.setattr(NonlinearKernel, "spectrum", count)
+    traj = evolve(gaussian_pulse(cfg.grid()), cfg)
+    # 20 steps of 4 stages; per snapshot, S u in the record plus the
+    # +-h pair of probe steps, which share nl(vh): 1 + 2 * 3, not 2 * 4
+    assert len(traj.snapshots) == 2
+    assert len(calls) == 20 * 4 + 2 * (1 + 1 + 2 * 3)
+    stepper, h = Stepper(cfg), 0.25 * cfg.dt
+    for snap, vh in zip(traj.snapshots, states):
+        up, um = stepper.step_raw(vh, h), stepper.step_raw(vh, -h)
+        rate = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * h)
+        assert snap.norms.h1_rate_fd == rate
+
+
 def test_halving_the_step_divides_the_error_by_sixteen():
     cfg = SolverConfig(n=1 << 12, length=200.0, dt=0.02, t_final=1.0)
     u0 = gaussian_pulse(cfg.grid())

@@ -162,6 +162,15 @@ def test_decomposition_monitors_stay_bounded(mini_traj, cutoff):
     assert np.max(series["c34_jwt"]) <= c34_bounded_ceiling
 
 
+def test_monitors_take_the_weighted_norm_from_the_record(mini_traj, cutoff):
+    snap = mini_traj.snapshots[-1]
+    bare = PlainSnap(snap.t, snap.u)        # no record: Xs via xs_norm
+    assert snap.norms.Xs == pytest.approx(xs_norm(bare), rel=1e-14)
+    got, want = (decomposition_monitors(s, cutoff) for s in (snap, bare))
+    for name in MONITOR_COLUMNS:
+        assert got[name] == pytest.approx(want[name], rel=1e-13), name
+
+
 def test_band_split_norms_are_equivalent_to_the_whole(mini_traj, cutoff):
     def ratio(snap):
         total = sum(

@@ -34,6 +34,12 @@ gamma_linearity_tol = 1e-12    # measured 2.1e-16
 ode_residual_tol = 1e-6        # measured 7.0e-8 (pure finite-difference error)
 phase_fit_tol = 1e-12          # measured 4.4e-15
 w_stability_tol = 1e-15        # measured 1.5e-17
+support_sum_tol = 1e-14        # slice-local vs whole-grid gamma; measured 3.9e-16
+# half- vs full-spectrum ray values over max|f|; measured 8.6e-15 / 1.5e-14
+# (u / u_x) on the mini t=64 snapshot and 3.6e-14 / 4.3e-14 on white noise,
+# where every mode up to the Nyquist row carries the rounding of its phase
+# argument xi_k x (up to 1.6e3 rad at t = 4)
+ray_sum_tol = 1e-13
 freeflow_drift_ceiling = 0.05  # measured 0.012 per decade
 
 # packet spectral-mass leak outside the matched band, frozen at t=25/100/200
@@ -345,3 +351,69 @@ def test_free_flow_amplitude_modulus_is_steady():
             for t in ts]
     drift = abs(np.log(mods[-1] / mods[0])) / np.log10(ts[-1] / ts[0])
     assert drift < freeflow_drift_ceiling
+
+
+def whole_grid_packet(t, v, params, grid):
+    """Psi_v(t, .) with chi and the carrier evaluated at every node."""
+    width = np.sqrt(t) * np.abs(v) ** 0.75
+    return np.abs(v) ** -0.75 * params.chi((grid.x - v * t) / width) \
+        * np.exp(1j * phase(t, grid.x))
+
+
+def time_of_left_edge(v, params, grid, left):
+    """The t at which the packet support's left end v t - a w sits at left."""
+    # |v| s^2 + a |v|^{3/4} s + left = 0 with s = sqrt(t)
+    a, b = abs(v), params.half_width * abs(v) ** 0.75
+    s = (-b + np.sqrt(b * b - 4.0 * a * left)) / (2.0 * a)
+    return s * s
+
+
+def test_packet_on_its_support_matches_the_whole_grid_packet(mini_traj):
+    params = PacketParams()
+    g = mini_traj.config.grid()
+    snaps = [s for s in mini_traj.snapshots if s.t >= 1.0]
+    # the support of this ray starts half a node spacing inside the box
+    t_edge = time_of_left_edge(-1.0, params, g, -g.length / 2 + 0.5 * g.dx)
+    assert -g.length / 2 < -t_edge - params.half_width * np.sqrt(t_edge) \
+        < -g.length / 2 + g.dx
+    edge = PlainSnap(t_edge, mini_traj.snapshots[-1].u)
+    checked = set()
+    for snap in snaps + [edge]:
+        u = np.asarray(snap.u.values)
+        for v in params.velocities:
+            try:
+                got = gamma(snap, v, params)
+                psi = packet(snap.t, v, params, g).values
+            except (OutOfBox, UnderResolved):
+                continue
+            whole = whole_grid_packet(snap.t, v, params, g)
+            assert np.max(np.abs(psi - whole)) <= 1e-15 * np.max(np.abs(whole))
+            want = complex(g.dx * np.sum(u * np.conj(whole)))
+            assert abs(got - want) <= support_sum_tol * abs(want)
+            checked.add((snap.t, v))
+    assert (t_edge, -1.0) in checked
+    assert len(checked) > 0.9 * len(snaps) * len(params.velocities)
+
+
+@pytest.mark.parametrize("which", ["mini t=64", "noise t=4"])
+def test_half_spectrum_ray_values_match_the_full_spectrum(mini_traj, which):
+    # white noise fills the Nyquist row, which the snapshots leave empty
+    g = mini_traj.config.grid()
+    noise = Field(g, np.random.default_rng(11).standard_normal(g.n))
+    snap = mini_traj.snapshots[-1] if which == "mini t=64" \
+        else PlainSnap(4.0, noise)
+    params = PacketParams()
+    gam = 0.01 + 0.02j
+    t = snap.t
+    for v in params.velocities:
+        x_ray = v * t
+        carrier = np.exp(1j * phase(t, x_ray))
+        u_ray = field_at(snap.u, x_ray)[0]
+        ux_ray = field_at(snap.u_x, x_ray)[0]
+        want_u = abs(u_ray - 2.0 * t ** -0.5 * (carrier * gam).real)
+        want_ux = abs(ux_ray - 2.0 * t ** -0.5 * abs(v) ** -0.5
+                      * (1j * carrier * gam).real)
+        err_u, err_ux = prop42_errors(snap, v, gam)
+        assert abs(err_u - want_u) <= ray_sum_tol * np.max(np.abs(snap.u.values))
+        assert abs(err_ux - want_ux) \
+            <= ray_sum_tol * np.max(np.abs(snap.u_x.values))
