@@ -7,6 +7,8 @@ field-level wrapper lives in :mod:`shortpulse.evolve`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import fft as sfft
 
@@ -14,6 +16,21 @@ from scipy import fft as sfft
 def rfft_xi(n, length):
     """Nonnegative frequencies 2 pi k / L, k = 0 .. n/2, for rfft spectra."""
     return (2.0 * np.pi / length) * np.arange(n // 2 + 1)
+
+
+@lru_cache(maxsize=16)
+def derivative_symbols(n, length):
+    """The rfft symbols i xi of d/dx and 1/(i xi) of its inverse (pinned
+    to 0 at xi = 0), both zeroed on the Nyquist row so that real fields
+    map to exactly real fields."""
+    xi = rfft_xi(n, length)
+    ik = 1j * xi
+    inv = np.zeros_like(ik)
+    inv[1:] = 1.0 / ik[1:]
+    ik[-1] = inv[-1] = 0.0
+    for arr in (ik, inv):
+        arr.setflags(write=False)
+    return ik, inv
 
 
 class NonlinearKernel:
@@ -30,9 +47,7 @@ class NonlinearKernel:
         self.length = float(length)
         self.nyq = self.n // 2
         self.m = 2 * self.n
-        ik = 1j * rfft_xi(self.n, self.length)
-        ik[self.nyq] = 0.0  # odd derivative: keep real fields exactly real
-        self.ik = ik
+        self.ik = derivative_symbols(self.n, self.length)[0]
 
     def spectrum(self, vh):
         """rfft spectrum of d/dx(u^3) from the rfft spectrum of u.

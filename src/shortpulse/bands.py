@@ -50,8 +50,8 @@ def smoothstep(s):
 def bump(y, half_width=1.0):
     """C-infinity bump exp(-1/(1-(y/a)^2)) on |y| < a, zero outside.
 
-    Unnormalized (peak value e^{-1}); callers that need a unit integral
-    divide by the quadrature of this function.
+    Unnormalized (peak value e^{-1}); its integral is half_width times
+    :data:`shortpulse.packets.BUMP_INTEGRAL`.
     """
     scalar = np.isscalar(y) or np.ndim(y) == 0
     y = np.atleast_1d(np.asarray(y, dtype=np.float64)) / half_width
@@ -167,6 +167,7 @@ class Decomposition:
     ``ell_plus`` is defined as u^+ - hyp_plus, so the aggregates recompose
     u^+ exactly by construction.  The real-field counterparts are
     2 Re(part), consistent with u = 2 Re u^+ for real zero-mean u.
+    ``u_hat`` is the transform of u that the split was made from.
     """
 
     t: float
@@ -174,6 +175,7 @@ class Decomposition:
     u_plus: Field = None
     hyp_plus: Field = None
     ell_plus: Field = None
+    u_hat: SpectralField = None
 
     def hyp_real(self):
         return Field(self.hyp_plus.grid, 2.0 * np.real(self.hyp_plus.values))
@@ -258,7 +260,8 @@ def hyp_ell_decompose(u, t, spec):
     u_plus = inverse_transform(apply_multiplier(uh, plus_mask), real=False)
     return Decomposition(t=float(t), delta=spec.delta, u_plus=u_plus,
                          hyp_plus=Field(g, total, real=False),
-                         ell_plus=Field(g, u_plus.values - total, real=False))
+                         ell_plus=Field(g, u_plus.values - total, real=False),
+                         u_hat=uh)
 
 
 def window_count_bound(spec):

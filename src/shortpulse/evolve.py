@@ -194,12 +194,7 @@ class Stepper:
 
     def make_snapshot(self, t, vh):
         g = self.grid
-        xi = _kernels.rfft_xi(self.cfg.n, self.cfg.length)
-        ik = 1j * xi
-        ik[self.nyq] = 0.0
-        inv = np.zeros_like(ik)
-        inv[1:] = 1.0 / (1j * xi[1:])
-        inv[self.nyq] = 0.0
+        ik, inv = _kernels.derivative_symbols(self.cfg.n, self.cfg.length)
         u = Field(g, self.values_of(vh))
         ux = Field(g, self.values_of(ik * vh))
         anti = Field(g, self.values_of(inv * vh))

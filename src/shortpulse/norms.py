@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields as dc_fields
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft as sfft
 
 from . import _kernels
 from .bands import hyp_ell_decompose, smoothstep
@@ -25,10 +26,13 @@ from .errors import InsufficientData
 from .spectral import (
     Field,
     antiderivative,
+    apply_multiplier,
     derivative,
     forward_transform,
+    inverse_transform,
     l2_norm,
     linf_norm,
+    refined_sup,
 )
 
 
@@ -187,11 +191,22 @@ def xs_norm(snap, s=4.5, taper_frac=0.02):
 
 
 def compute_record(snap, s=4.5, outer_frac=0.05, taper_frac=0.02):
-    """Assemble the full :class:`NormRecord` for a snapshot."""
+    """Assemble the full :class:`NormRecord` for a snapshot.
+
+    Hs, Hm1 and both sup norms come from one rfft of u: u_x's half-spectrum
+    is i xi times u's, with the Nyquist row zeroed.
+    """
     u = snap.u
+    g = u.grid
+    uh = sfft.rfft(u.values)
+    xi = _kernels.rfft_xi(g.n, g.length)
+    # |c_k|^2 dxi on the half-spectrum; conjugate rows count twice
+    power = np.abs(uh) ** 2 * (g.dx ** 2 / g.length)
+    power[1:-1] *= 2.0
+    hs = float(np.sqrt(np.sum((1.0 + xi ** 2) ** s * power)))
+    hm1 = float(np.sqrt(np.sum(power[1:] / xi[1:] ** 2)))
+    ik = _kernels.derivative_symbols(g.n, g.length)[0]
     jn = l2_norm(j_field(snap, taper_frac))
-    hs = hs_norm(u, s)
-    hm1 = hm1_norm(u)
     return NormRecord(
         t=float(snap.t),
         L2=l2_norm(u),
@@ -199,8 +214,8 @@ def compute_record(snap, s=4.5, outer_frac=0.05, taper_frac=0.02):
         Hm1=hm1,
         JdxL2=jn,
         Xs=float(np.sqrt(hs ** 2 + hm1 ** 2 + jn ** 2)),
-        Linf=linf_norm(u),
-        uxLinf=linf_norm(snap.u_x),
+        Linf=refined_sup(u.values, uh),
+        uxLinf=refined_sup(snap.u_x.values, ik * uh),
         SuL2=l2_norm(s_field(snap)),
         wrapfrac=wrap_fraction(u, outer_frac),
     )
@@ -251,9 +266,19 @@ def decomposition_monitors(snap, spec, s=4.5, taper_frac=0.02):
     ell_decay = t ** (-(2 * s - 1) / (2 * s + 2)) * (1 + np.log(t))
     ellx_decay = t ** (-(2 * s - 3) / (2 * s + 2)) * (1 + np.log(t))
     ell = 2.0 * np.real(dec.ell_plus.values)
-    ell_x = 2.0 * np.real(derivative(dec.ell_plus).values)
-    jwt = jplus_field(snap, hyp_x)
-    weighted = np.sqrt(np.abs(g.x)) * jwt.values
+    # dx u^{ell,+} = P^+ u_x - dx u^{hyp,+}, with P^+ u_x from the same u^
+    ux_plus = inverse_transform(
+        apply_multiplier(dec.u_hat, np.where(g.xi > 0.0, 1j * g.xi, 0.0)))
+    ell_x = 2.0 * np.real(ux_plus.values - hyp_x.values)
+    # dx^{-1} hyp_x is hyp without its xi = 0 and Nyquist rows: its mean
+    # and its projection on the alternating mode (-1)^j (the FFT phase
+    # (-1)^k, since k and j share parity)
+    alt = g.phase
+    hyp_anti = hyp.values - np.mean(hyp.values) \
+        - np.mean(alt * hyp.values) * alt
+    root_x = np.sqrt(np.abs(g.x))
+    jwt = root_x * hyp_x.values - 1j * np.sqrt(t) * hyp_anti    # J_+ hyp_x
+    weighted = root_x * jwt
     return {
         "p32_hyp": hyp_sup(hyp.values, s / 4 - 0.5, 0.75),
         "p32_hyp_x": hyp_sup(hyp_x.values, s / 4 - 1.0, 1.25),

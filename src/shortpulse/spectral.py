@@ -22,9 +22,12 @@ the propagator) and the mean is checked against ``MEAN_TOL`` first.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import fft as sfft
 
+from . import _kernels
 from .errors import MeanNotZero, NonFiniteSymbol
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -164,29 +167,88 @@ def l2_norm(f):
 
 
 def linf_norm(f, refine=8):
-    """Sup norm of the band-limited interpolant.
+    """Sup norm of the band-limited interpolant of a real field.
 
     The plain grid max undersamples peaks that fall between nodes (the
     error is O((dx xi_peak)^2) relative, large enough to spoil
     resolution-independence checks), so the trigonometric interpolant is
-    evaluated on a lattice ``refine`` times finer first.  ``refine=1``
-    gives the plain grid max.
+    maximized over a lattice ``refine`` times finer (see
+    :func:`refined_sup`).  ``refine=1`` gives the plain grid max.
     """
+    if not f.real:
+        raise ValueError("linf_norm expects a real field")
     vals = f.values
-    n = vals.size
     if refine <= 1:
         return float(np.max(np.abs(vals)))
+    return refined_sup(vals, sfft.rfft(vals), refine)
+
+
+def refined_sup(values, half, refine=8):
+    """Maximum of |f| over the nodes and the ``refine - 1`` equispaced
+    points inside each cell, for the real node values ``values`` and their
+    rfft ``half``.
+
+    Over the half-spectrum, f(x_0 + y) = Re sum_k b_k exp(i xi_k y) with
+    b_k = w_k half_k / n, where w_k = 2 counts the conjugate mode except at
+    k = 0 and at the Nyquist row, which are counted once (as
+    :func:`shortpulse.packets.field_at` does).  On the cell [x_j, x_{j+1}],
+    linear interpolation bounds |f| by max(|f_j|, |f_{j+1}|) +
+    (dx^2 / 8) sum_k xi_k^2 |b_k|; the lattice maximum is at least the grid
+    maximum m0, so only cells whose bound (plus a summation-rounding
+    margin) reaches m0 can hold it, the wrap cell n-1 -> 0 included.  The
+    interior points of those cells are summed directly, unless there are
+    so many that the inverse transform of the whole lattice is cheaper.
+    """
+    n = values.size
+    nyq = n // 2
+    b = half / n
+    b[1:nyq] *= 2.0
+    nodes = np.abs(values)
+    m0 = float(np.max(nodes))
+    curv, shifts, roots = _lattice_tables(n, refine)
+    mag = np.abs(b)
+    slack = float(curv @ mag)
+    margin = n * np.finfo(np.float64).eps * float(np.sum(mag))
+    bound = np.maximum(nodes, np.roll(nodes, -1)) + (slack + margin)
+    cells = np.flatnonzero(bound >= m0)
+    if cells.size > _max_direct_cells(n, refine):
+        return max(m0, _lattice_sup(half, refine))
+    twiddled = roots[np.outer(cells, np.arange(nyq + 1)) & (n - 1)] * b
+    inner = (twiddled @ shifts.T).real
+    return max(m0, float(np.max(np.abs(inner))))
+
+
+def _max_direct_cells(n, refine):
+    """Cell count above which the whole-lattice transform is cheaper:
+    it costs about (m/2) log2 m complex operations for m = refine n, and
+    each cell's interior sums (refine - 1)(n/2 + 1) terms."""
     m = refine * n
-    if f.real:
-        fine = np.fft.irfft(np.fft.rfft(vals), m) * refine
-    else:
-        fh = np.fft.fft(vals)
-        pad = np.zeros(m, dtype=np.complex128)
-        half = n // 2
-        pad[:half] = fh[:half]
-        pad[m - half:] = fh[half:]
-        fine = np.fft.ifft(pad) * refine
-    return float(np.max(np.abs(fine)))
+    return (m / 2) * np.log2(m) / ((refine - 1) * (n // 2 + 1))
+
+
+def _lattice_sup(half, refine):
+    """Maximum of |f| over the whole refined lattice by one inverse
+    transform of m = refine n points; the Nyquist row, an interior row of
+    the padded spectrum, is halved so that it is counted once."""
+    n = 2 * (half.size - 1)
+    pad = np.zeros(refine * n // 2 + 1, dtype=np.complex128)
+    pad[: n // 2 + 1] = half
+    pad[n // 2] *= 0.5
+    return float(np.max(np.abs(sfft.irfft(pad, refine * n)))) * refine
+
+
+@lru_cache(maxsize=8)
+def _lattice_tables(n, refine):
+    """The cell-bound weights (dx xi_k)^2 / 8, the (refine - 1) x (n/2 + 1)
+    shift rows exp(i xi_k q dx / refine), q = 1 .. refine - 1, and the n-th
+    roots of unity exp(i xi_k j dx) = exp(2 pi i (j k mod n) / n)."""
+    k = np.arange(n // 2 + 1)
+    curv = (2.0 * np.pi / n * k) ** 2 / 8.0
+    shifts = np.exp(2j * np.pi / (n * refine) * np.outer(np.arange(1, refine), k))
+    roots = np.exp(2j * np.pi / n * np.arange(n))
+    for arr in (curv, shifts, roots):
+        arr.setflags(write=False)
+    return curv, shifts, roots
 
 
 def spectral_l2_norm(fh):
@@ -297,6 +359,20 @@ def antiderivative(f, mean_tol=MEAN_TOL):
         m = 1.0 / (1j * g.xi)
     m[g.k == -g.n // 2] = 0.0
     return multiply_symbol(f, m, at_zero=0.0)
+
+
+def derivative_pair(f, mean_tol=MEAN_TOL):
+    """(:func:`derivative` (f), :func:`antiderivative` (f)) of a real field
+    from one rfft and two inverse rffts.
+
+    Raises :class:`MeanNotZero` as :func:`antiderivative` does.
+    """
+    _check_zero_mean(f, mean_tol, "antiderivative")
+    g = f.grid
+    ik, inv = _kernels.derivative_symbols(g.n, g.length)
+    fh = sfft.rfft(f.values)
+    return (Field(g, sfft.irfft(ik * fh, g.n)),
+            Field(g, sfft.irfft(inv * fh, g.n)))
 
 
 def free_propagate(f, t, mean_tol=MEAN_TOL):

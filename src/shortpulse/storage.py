@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, MissingSnapshots
 from .evolve import Snapshot, SolverConfig, Trajectory
-from .spectral import Field, Grid, antiderivative, derivative
+from .spectral import Field, Grid, derivative_pair
 
 MAGIC = b"SPFLD01\x00"
 _HEADER = struct.Struct("<8sQd")
@@ -242,13 +242,8 @@ def load_trajectory(traj_dir, mean_tol=None):
             raise CorruptSnapshot(
                 f"{path}: header t={t} disagrees with manifest t={entry['t']}"
             )
-        snap = Snapshot(
-            t=t,
-            u=u,
-            u_x=derivative(u),
-            u_anti=antiderivative(u, mean_tol=mean_tol),
-        )
-        traj.append(snap)
+        u_x, u_anti = derivative_pair(u, mean_tol=mean_tol)
+        traj.append(Snapshot(t=t, u=u, u_x=u_x, u_anti=u_anti))
     return traj, manifest
 
 

@@ -16,7 +16,7 @@ from shortpulse.errors import ConfigError
 from shortpulse.evolve import Trajectory
 from shortpulse.norms import MONITOR_COLUMNS, NormRecord
 from shortpulse.packets import DEFAULT_VELOCITIES, PacketParams
-from shortpulse.storage import read_csv, save_trajectory
+from shortpulse.storage import read_csv, read_field, save_trajectory, write_field
 
 TINY_INI = textwrap.dedent("""\
     [solver]
@@ -208,6 +208,22 @@ def test_scatter_rejects_a_manifest_with_a_retired_solver_key(tiny_run,
     assert "unknown solver key(s) in manifest.json: integrator" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["status"] == "ConfigError"
+
+
+def test_scatter_reports_a_stored_snapshot_with_a_nonzero_mean(tiny_run,
+                                                               tmp_path):
+    ini, out, _ = tiny_run
+    bad = tmp_path / "bad"
+    shutil.copytree(out, bad)
+    entry = json.loads((bad / "manifest.json").read_text())["snapshots"][-1]
+    t, u = read_field(bad / entry["file"])
+    write_field(bad / entry["file"], u.with_values(u.values + 1e-3), t)
+    proc = run_cli("scatter", "--config", str(ini), "--traj", str(bad),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["status"] == "MeanNotZero"
+    assert "antiderivative needs a zero-mean field" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_scatter_needs_an_existing_trajectory(tmp_path):

@@ -8,7 +8,7 @@ tolerance leaves room only for FFT rounding, not for behavior changes.
 import numpy as np
 import pytest
 
-from shortpulse.bands import project_band
+from shortpulse.bands import hyp_ell_decompose, project_band
 from shortpulse.errors import InsufficientData
 from shortpulse.norms import (
     MONITOR_COLUMNS,
@@ -61,6 +61,8 @@ monitor_ceilings = {
 c34_bounded_ceiling = 1.0             # measured max 0.246 (trend recorded)
 
 # ---- frozen synthetic-oracle readings --------------------------------
+record_rounding_tol = 1e-14           # measured 3.4e-15 (uxLinf)
+monitor_rounding_tol = 1e-14          # measured 4.3e-15 (p32_ell_x)
 jconj_tol = 1e-8                      # measured 5.6e-10
 jplus_tol = 1e-6                      # measured 6.1e-12
 scaling_tol = 1e-10
@@ -169,6 +171,37 @@ def test_monitors_take_the_weighted_norm_from_the_record(mini_traj, cutoff):
     got, want = (decomposition_monitors(s, cutoff) for s in (snap, bare))
     for name in MONITOR_COLUMNS:
         assert got[name] == pytest.approx(want[name], rel=1e-13), name
+
+
+def test_record_norms_match_their_full_transform_forms(mini_traj):
+    for snap in mini_traj.snapshots[::4]:
+        rec = snap.norms
+        for got, want in ((rec.Hs, hs_norm(snap.u, 4.5)),
+                          (rec.Hm1, hm1_norm(snap.u)),
+                          (rec.Linf, linf_norm(snap.u)),
+                          (rec.uxLinf, linf_norm(snap.u_x))):
+            assert abs(got - want) <= record_rounding_tol * want
+
+
+def test_monitors_match_their_transform_pair_forms(mini_traj, cutoff):
+    # dx u^{ell,+} and dx^{-1} dx u^{hyp,+} by derivative / antiderivative
+    # transform pairs, as the monitors' definitions read
+    s = 4.5
+    for snap in [snap for snap in mini_traj.snapshots if snap.t >= 1.0][::4]:
+        t, g, xs = snap.t, snap.u.grid, snap.norms.Xs
+        got = decomposition_monitors(snap, cutoff, s=s)
+        dec = hyp_ell_decompose(snap.u, t, cutoff)
+        ell_x = 2.0 * np.real(derivative(dec.ell_plus).values)
+        decay = t ** (-(2 * s - 3) / (2 * s + 2)) * (1 + np.log(t))
+        jwt = jplus_field(snap, derivative(dec.hyp_plus))
+        weighted = np.sqrt(np.abs(g.x)) * jwt.values
+        want = {
+            "p32_ell_x": np.max(np.abs(ell_x)) / (decay * xs),
+            "c34_jwt": np.sqrt(g.dx * np.sum(np.abs(weighted) ** 2)) / xs,
+        }
+        for name, value in want.items():
+            assert abs(got[name] - value) <= monitor_rounding_tol * value, \
+                (name, t)
 
 
 def test_band_split_norms_are_equivalent_to_the_whole(mini_traj, cutoff):

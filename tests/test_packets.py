@@ -1,12 +1,17 @@
 """Packet probes, the limit ODE, and the long-time profile."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shortpulse.bands import bump
 from shortpulse.errors import InsufficientData, OutOfBox, UnderResolved
 from shortpulse.packets import (
+    BUMP_INTEGRAL,
     DEFAULT_VELOCITIES,
     PacketParams,
     ProbeRecord,
@@ -35,6 +40,7 @@ ode_residual_tol = 1e-6        # measured 7.0e-8 (pure finite-difference error)
 phase_fit_tol = 1e-12          # measured 4.4e-15
 w_stability_tol = 1e-15        # measured 1.5e-17
 support_sum_tol = 1e-14        # slice-local vs whole-grid gamma; measured 3.9e-16
+bump_integral_tol = 1e-15      # closed form vs quad; measured 5.0e-16
 # half- vs full-spectrum ray values over max|f|; measured 8.6e-15 / 1.5e-14
 # (u / u_x) on the mini t=64 snapshot and 3.6e-14 / 4.3e-14 on white noise,
 # where every mode up to the Nyquist row carries the rounding of its phase
@@ -205,6 +211,32 @@ def test_velocity_window_boundaries():
     root2 = 2.0 ** 0.5
     assert not params.in_window(5792.0, -root2)
     assert params.in_window(5793.0, -root2)
+
+
+@pytest.mark.parametrize("half_width", [0.5, 0.75, 1.0 - 2.0 ** -0.5,
+                                        1.0 - 2.0 ** -3, 0.3, 1.0])
+def test_bump_integral_has_the_closed_form(half_width):
+    from scipy.integrate import quad
+    val, _ = quad(lambda y: bump(y, half_width), -half_width, half_width,
+                  epsabs=1e-14, epsrel=1e-14)
+    assert abs(half_width * BUMP_INTEGRAL - val) <= bump_integral_tol * val
+
+
+@pytest.mark.parametrize("delta_p", [0.5, 1.0, 2.0, 3.0])
+def test_packet_profile_has_unit_integral(delta_p):
+    from scipy.integrate import quad
+    params = PacketParams(delta_p=delta_p)
+    a = params.half_width
+    val, _ = quad(params.chi, -a, a, epsabs=1e-13, epsrel=1e-13)
+    assert abs(val - 1.0) <= bump_integral_tol
+
+
+def test_the_cli_import_path_leaves_out_scipy_integrate():
+    code = "import shortpulse.cli, sys; " \
+        "assert 'scipy.integrate' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_window_exponent_respects_the_regularity_ceiling():

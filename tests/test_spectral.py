@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shortpulse import spectral
 from shortpulse.errors import MeanNotZero, NonFiniteSymbol
 from shortpulse.spectral import (
     Grid,
@@ -31,6 +32,7 @@ calculus_tol = 1e-10
 weight_identity_tol = 1e-12
 propagator_tol = 1e-12
 linf_oversample_tol = 1e-8
+linf_oracle_tol = 1e-14               # measured 1.3e-15 on the mini snapshots
 freeflow_leak_ratio = 0.05
 
 
@@ -217,3 +219,76 @@ def test_free_propagation_is_unitary_for_any_time(seed, t):
     g = Grid(1 << 8, 64.0)
     u = smooth_random_field(g, seed=seed)
     assert abs(l2_norm(free_propagate(u, t)) - l2_norm(u)) < 1e-10
+
+
+# ---- the refined-lattice sup norm against its whole-lattice oracle ----
+
+def lattice_oracle(values, refine=8):
+    """max |f| over the lattice refine times finer, by the zero-padded
+    (refine n)-point inverse transform of the whole lattice; the Nyquist
+    row, interior to the padded spectrum, is halved so it counts once."""
+    n = values.size
+    half = np.fft.rfft(values)
+    half[n // 2] *= 0.5
+    return float(np.max(np.abs(np.fft.irfft(half, refine * n)))) * refine
+
+
+def gaussian_bump(grid, center, width, height=1.0):
+    """Periodized Gaussian; band-limited to rounding once width >= 4 dx."""
+    d = (grid.x - center + 0.5 * grid.length) % grid.length - 0.5 * grid.length
+    return height * np.exp(-(d / width) ** 2)
+
+
+def assert_matches_oracle(values, refine=8):
+    g = Grid(values.size, 64.0)
+    got = linf_norm(Field(g, values), refine=refine)
+    want = lattice_oracle(values, refine)
+    assert abs(got - want) <= linf_oracle_tol * want
+    assert got >= np.max(np.abs(values))
+
+
+def test_sup_norm_matches_the_oracle_on_every_mini_snapshot(mini_traj):
+    for snap in mini_traj.snapshots:
+        for f in (snap.u, snap.u_x):
+            assert_matches_oracle(f.values)
+
+
+def test_sup_norm_finds_the_higher_of_two_distant_peaks():
+    # the grid maximum sits on peak A's node; peak B, centered mid-cell on
+    # the far side of the box, is higher between its nodes
+    g = Grid(512, 64.0)
+    vals = gaussian_bump(g, g.x[100], 0.5) \
+        + gaussian_bump(g, g.x[400] + 0.5 * g.dx, 0.5, height=1.005)
+    assert int(np.argmax(vals)) == 100
+    assert_matches_oracle(vals)
+    assert linf_norm(Field(g, vals)) > 1.004
+
+
+@pytest.mark.parametrize("cell", [200, 511])    # 511: the wrap cell
+@pytest.mark.parametrize("refine", [4, 8])
+def test_sup_norm_finds_a_peak_in_the_middle_of_a_cell(cell, refine):
+    g = Grid(512, 64.0)
+    vals = gaussian_bump(g, g.x[cell] + 0.5 * g.dx, 0.5, height=-1.0)
+    assert_matches_oracle(vals, refine)
+    assert linf_norm(Field(g, vals), refine=refine) \
+        == pytest.approx(1.0, abs=1e-12)
+
+
+def test_white_noise_takes_the_whole_lattice_transform(monkeypatch):
+    calls = []
+    whole = spectral._lattice_sup
+    monkeypatch.setattr(spectral, "_lattice_sup",
+                        lambda *a: calls.append(a) or whole(*a))
+    vals = np.random.default_rng(3).normal(size=1 << 10)
+    assert_matches_oracle(vals)
+    assert len(calls) == 1
+    # a single smooth peak has a handful of candidate cells: no transform
+    assert_matches_oracle(gaussian_bump(Grid(1 << 10, 64.0), 1.0, 0.5))
+    assert len(calls) == 1
+
+
+def test_nyquist_row_counts_once_in_the_sup_norm():
+    g = Grid(64, 8.0)
+    u = Field(g, (-1.0) ** np.arange(g.n))
+    assert linf_norm(u) == pytest.approx(1.0, abs=1e-14)
+    assert linf_norm(u) >= np.max(np.abs(u.values))

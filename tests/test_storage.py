@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from shortpulse import storage
-from shortpulse.errors import ConfigError, MissingSnapshots
+from shortpulse.errors import ConfigError, MeanNotZero, MissingSnapshots
 from shortpulse.evolve import SolverConfig, evolve
-from shortpulse.spectral import Field, Grid
+from shortpulse.spectral import Field, Grid, antiderivative, derivative
 from shortpulse.storage import (CorruptSnapshot, format_cell, load_trajectory,
                                 read_csv, read_field, require_times,
                                 save_trajectory, write_csv, write_field,
@@ -150,6 +150,29 @@ def test_trajectory_directory_roundtrip(tmp_path, tiny_traj):
         assert copy.t == orig.t
         assert np.array_equal(copy.u.values, orig.u.values)
         assert copy.u_x is not None and copy.u_anti is not None
+
+
+def test_loaded_derived_fields_match_the_spectral_operators(tmp_path,
+                                                           tiny_traj):
+    save_trajectory(tmp_path / "run", tiny_traj)
+    back, _ = load_trajectory(tmp_path / "run")
+    for snap in back.snapshots:
+        for got, want in ((snap.u_x, derivative(snap.u)),
+                          (snap.u_anti, antiderivative(snap.u))):
+            scale = np.max(np.abs(want.values))
+            assert got.real
+            assert np.max(np.abs(got.values - want.values)) <= 1e-14 * scale
+
+
+def test_loading_a_snapshot_with_a_nonzero_mean_fails(tmp_path, tiny_traj):
+    out = tmp_path / "run"
+    save_trajectory(out, tiny_traj)
+    entry = json.loads((out / "manifest.json").read_text())["snapshots"][-1]
+    u = tiny_traj.snapshots[-1].u
+    write_field(out / entry["file"], u.with_values(u.values + 1e-3),
+                entry["t"])
+    with pytest.raises(MeanNotZero, match="antiderivative"):
+        load_trajectory(out)
 
 
 def test_save_without_timestamp_is_byte_deterministic(tmp_path, tiny_traj):
