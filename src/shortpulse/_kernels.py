@@ -63,14 +63,14 @@ class NonlinearKernel:
         ph[self.nyq] = 0.0
         return self.ik * ph
 
-    def quartic_integral(self, u_values):
-        """The integral of u^4 / 4 over the box from node values of u.
+    def quartic_integral(self, vh):
+        """The integral of u^4 / 4 over the box from the rfft spectrum of u.
 
         The 2n-point rule is exact for the band-limited u, since u^4 has no
         mode at or above 2n; an n-point sum would alias modes n .. 2n - 4
         onto the mean.
         """
-        fine = self._fine(sfft.rfft(u_values))
+        fine = self._fine(vh)
         sq = fine * fine
         return float(np.sum(sq * sq)) * (self.length / self.m) / 4.0
 
@@ -82,6 +82,9 @@ class NonlinearKernel:
         big[self.nyq] = 0.0
         return sfft.irfft(big, self.m) * (self.m / self.n)
 
-    def values(self, u_values):
-        """Node values of d/dx(u^3) from node values of u."""
-        return sfft.irfft(self.spectrum(sfft.rfft(u_values)), self.n)
+
+@lru_cache(maxsize=16)
+def nonlinear_kernel(n, length):
+    """The :class:`NonlinearKernel` of one grid, shared by the stepper and
+    the per-snapshot diagnostics."""
+    return NonlinearKernel(n, length)

@@ -47,7 +47,6 @@ from .spectral import (
     free_propagate,
     inverse_transform,
     l2_norm,
-    linf_norm,
     spectral_l2_norm,
 )
 
@@ -215,7 +214,7 @@ def cmd_scatter(args):
 
     def linf_slope():
         ts = np.array([s.t for s in snaps])
-        ys = np.array([linf_norm(s.u) + linf_norm(s.u_x) for s in snaps])
+        ys = np.array([sum(norms.sup_norms(s, s.u_x)) for s in snaps])
         return norms.decay_fit(ts, ys, window=(10.0, t_max))[0]
 
     fit_vs = [v for v in SUMMARY_VELOCITIES if v in cfg.probe.velocities]

@@ -25,13 +25,13 @@ from .bands import hyp_ell_decompose, smoothstep
 from .errors import InsufficientData
 from .spectral import (
     Field,
+    Snapshot,
     antiderivative,
     apply_multiplier,
     derivative,
     forward_transform,
     inverse_transform,
     l2_norm,
-    linf_norm,
     refined_sup,
 )
 
@@ -51,7 +51,7 @@ class NormRecord:
     SuL2: float
     wrapfrac: float
     # the H1 flux identity d/dt ||u_x||^2 = 6 int u u_x^3, both sides;
-    # the stepper fills them in (see evolve.evolve), NaN until it does
+    # the stepper fills in the rate (see evolve.evolve), NaN until it does
     h1_rate_fd: float = float("nan")
     h1_rate_flux: float = float("nan")
 
@@ -123,19 +123,13 @@ def wrap_fraction(u, outer_frac=0.05):
 # ----------------------------------------------------------------------
 # vector fields
 
-def j_field(snap, taper_frac=0.02):
-    """J dx u = x u_x - t dx^{-1} u, with the x-weight tapered at the seam.
-
-    Uses the snapshot's cached u_x and dx^{-1} u when present (any object
-    with attributes t, u, u_x, u_anti works); recomputes them otherwise.
-    """
-    u = snap.u
-    g = u.grid
-    ux = getattr(snap, "u_x", None) or derivative(u)
-    anti = getattr(snap, "u_anti", None) or antiderivative(u)
+def j_field(snap, taper_frac=0.02, ux=None):
+    """J dx u = x u_x - t dx^{-1} u, with the x-weight tapered at the seam;
+    ``ux`` is the snapshot's u_x when the caller already derived it."""
+    g = snap.u.grid
+    ux = snap.u_x if ux is None else ux
     tap = edge_taper(g, taper_frac)
-    vals = tap * g.x * ux.values - snap.t * anti.values
-    return Field(g, vals, real=u.real)
+    return Field(g, tap * g.x * ux.values - snap.t * snap.u_anti.values)
 
 
 def jplus_field(snap, target, mean_tol=None):
@@ -148,14 +142,18 @@ def jplus_field(snap, target, mean_tol=None):
     return Field(g, vals, real=False)
 
 
-def s_field(snap):
-    """Su = -t dx(u^3) + J dx u - u, evaluated through the equation."""
-    u = snap.u
-    kern = _get_kernel(u.grid.n, u.grid.length)
-    nl = kern.values(np.asarray(u.values, dtype=np.float64)) if u.real \
-        else kern.values(u.values.real) + 1j * kern.values(u.values.imag)
-    vals = -snap.t * nl + j_field(snap).values - u.values
-    return Field(u.grid, vals, real=u.real)
+def s_field(snap, j=None, nl=None):
+    """Su = -t dx(u^3) + J dx u - u, evaluated through the equation.
+
+    ``j`` (J dx u) and ``nl`` (the rfft of dx(u^3)) are used when the
+    caller already holds them, and computed from the snapshot otherwise.
+    """
+    g = snap.u.grid
+    if j is None:
+        j = j_field(snap)
+    if nl is None:
+        nl = _kernels.nonlinear_kernel(g.n, g.length).spectrum(snap.uh)
+    return Field(g, -snap.t * sfft.irfft(nl, g.n) + j.values - snap.u.values)
 
 
 def hamiltonian(snap):
@@ -167,46 +165,45 @@ def hamiltonian(snap):
     the drift is best read against the quartic part.
     """
     g = snap.u.grid
-    quartic = _get_kernel(g.n, g.length).quartic_integral(snap.u.values)
+    quartic = _kernels.nonlinear_kernel(g.n, g.length).quartic_integral(snap.uh)
     anti = snap.u_anti.values
     return quartic, -0.5 * g.dx * float(np.sum(anti * anti))
 
 
-@lru_cache(maxsize=16)
-def _get_kernel(n, length):
-    return _kernels.NonlinearKernel(n, length)
+def sup_norms(snap, ux):
+    """(||u||_inf, ||u_x||_inf) of a snapshot by :func:`refined_sup`, given
+    its derivative ``ux``; u_x's half-spectrum is i xi times the held one."""
+    g = snap.u.grid
+    ik = _kernels.derivative_symbols(g.n, g.length)[0]
+    return (refined_sup(snap.u.values, snap.uh),
+            refined_sup(ux.values, ik * snap.uh))
 
 
 def xs_norm(snap, s=4.5, taper_frac=0.02):
-    """Single-pass evaluation of ||u||_{X^s} on the Fourier side."""
-    u = snap.u
-    g = u.grid
-    fh = forward_transform(u)
-    c2 = np.abs(fh.coeffs) ** 2
-    nz = g.k != 0
-    hs2 = np.sum((1.0 + g.xi ** 2) ** s * c2)
-    hm12 = np.sum(c2[nz] / g.xi[nz] ** 2)
-    j2 = np.sum(np.abs(forward_transform(j_field(snap, taper_frac)).coeffs) ** 2)
-    return float(np.sqrt(g.dxi * (hs2 + hm12 + j2)))
+    """||u||_{X^s} of a snapshot, as its :class:`NormRecord` reads it."""
+    return compute_record(snap, s, taper_frac=taper_frac).Xs
 
 
-def compute_record(snap, s=4.5, outer_frac=0.05, taper_frac=0.02):
+def compute_record(snap, s=4.5, outer_frac=0.05, taper_frac=0.02, nl=None):
     """Assemble the full :class:`NormRecord` for a snapshot.
 
-    Hs, Hm1 and both sup norms come from one rfft of u: u_x's half-spectrum
-    is i xi times u's, with the Nyquist row zeroed.
+    Hs, Hm1 and both sup norms come from the snapshot's half-spectrum; u_x
+    and J dx u are derived once and shared.  ``nl`` is passed on to
+    :func:`s_field` (the stepper holds it for its rate probe).
     """
     u = snap.u
     g = u.grid
-    uh = sfft.rfft(u.values)
     xi = _kernels.rfft_xi(g.n, g.length)
     # |c_k|^2 dxi on the half-spectrum; conjugate rows count twice
-    power = np.abs(uh) ** 2 * (g.dx ** 2 / g.length)
+    power = np.abs(snap.uh) ** 2 * (g.dx ** 2 / g.length)
     power[1:-1] *= 2.0
     hs = float(np.sqrt(np.sum((1.0 + xi ** 2) ** s * power)))
     hm1 = float(np.sqrt(np.sum(power[1:] / xi[1:] ** 2)))
-    ik = _kernels.derivative_symbols(g.n, g.length)[0]
-    jn = l2_norm(j_field(snap, taper_frac))
+    ux = snap.u_x
+    j = j_field(snap, taper_frac, ux)
+    jn = l2_norm(j)
+    linf, uxlinf = sup_norms(snap, ux)
+    uv, uxv = u.values, ux.values
     return NormRecord(
         t=float(snap.t),
         L2=l2_norm(u),
@@ -214,10 +211,11 @@ def compute_record(snap, s=4.5, outer_frac=0.05, taper_frac=0.02):
         Hm1=hm1,
         JdxL2=jn,
         Xs=float(np.sqrt(hs ** 2 + hm1 ** 2 + jn ** 2)),
-        Linf=refined_sup(u.values, uh),
-        uxLinf=refined_sup(snap.u_x.values, ik * uh),
-        SuL2=l2_norm(s_field(snap)),
+        Linf=linf,
+        uxLinf=uxlinf,
+        SuL2=l2_norm(s_field(snap, j, nl)),
         wrapfrac=wrap_fraction(u, outer_frac),
+        h1_rate_flux=6.0 * g.dx * float(np.sum(uv * (uxv * uxv * uxv))),
     )
 
 
@@ -249,7 +247,7 @@ def decomposition_monitors(snap, spec, s=4.5, taper_frac=0.02):
     t = float(snap.t)
     u = snap.u
     g = u.grid
-    record = getattr(snap, "norms", None)
+    record = snap.norms
     xs = record.Xs if record is not None else xs_norm(snap, s, taper_frac)
     if xs == 0.0:
         return dict.fromkeys(MONITOR_COLUMNS, 0.0)
@@ -316,24 +314,15 @@ def decay_fit(ts, ys, window=None):
     return float(slope), float(intercept), resid
 
 
-class _SnapView:
-    __slots__ = ("t", "u", "u_x", "u_anti")
-
-    def __init__(self, t, u):
-        self.t = t
-        self.u = u
-        self.u_x = None
-        self.u_anti = None
-
-
 def scaling_invariant(u, t, taper_frac=0.02):
     """Q(u, t) = t^{1/2} ||u_x||_inf / (||u||_{Hdot4}^{1/2} ||J dx u||^{1/2})."""
-    ux = derivative(u)
-    view = _SnapView(t, u)
-    den = hdot_norm(u, 4.0) ** 0.5 * l2_norm(j_field(view, taper_frac)) ** 0.5
+    snap = Snapshot(t, u)
+    ux = snap.u_x
+    jn = l2_norm(j_field(snap, taper_frac, ux))
+    den = hdot_norm(u, 4.0) ** 0.5 * jn ** 0.5
     if den == 0.0:
         return 0.0, True
-    return float(np.sqrt(t) * linf_norm(ux) / den), False
+    return float(np.sqrt(t) * sup_norms(snap, ux)[1] / den), False
 
 
 def scaling_selftest(u, t, lam, taper_frac=0.02):

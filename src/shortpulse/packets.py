@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
+from ._kernels import derivative_symbols
 from .bands import bump, project_plus_range
 from .errors import InsufficientData, OutOfBox, UnderResolved
 from .spectral import SQRT2PI, Field, forward_transform, l2_norm
@@ -218,14 +218,15 @@ def _ray_coefficients(snap):
     row each: f(x) = Re sum_k a_k e^{i xi_k x} over k = 0 .. n/2 is the
     band-limited interpolant :func:`field_at` sums over all n modes.
 
-    With x_j = -L/2 + j dx, a_k = w_k (-1)^k rfft(f)_k / n, where w_k = 2
-    counts the conjugate mode -k, except at k = 0 and at the Nyquist row,
-    which have no partner in the half-spectrum.
+    With x_j = -L/2 + j dx, a_k = w_k (-1)^k fh_k / n for the rfft fh of f
+    (the snapshot's ``uh``, and i xi times it for u_x), where w_k = 2 counts
+    the conjugate mode -k, except at k = 0 and at the Nyquist row, which
+    have no partner in the half-spectrum.
     """
     g = snap.u.grid
     nyq = g.n // 2
-    a = sfft.rfft(np.stack([snap.u.values, snap.u_x.values])) \
-        * (g.phase[: nyq + 1] / g.n)
+    ik = derivative_symbols(g.n, g.length)[0]
+    a = np.stack([snap.uh, ik * snap.uh]) * (g.phase[: nyq + 1] / g.n)
     a[:, 1:nyq] *= 2.0
     return a
 

@@ -139,6 +139,39 @@ class Field:
         return f"Field({self.grid!r}, {tag}, max={np.max(np.abs(self.values)):.3e})"
 
 
+class Snapshot:
+    """The real solution at one time: node values ``u``, their rfft ``uh``
+    (as given, else ``scipy.fft.rfft(u)`` with its Nyquist row) and, once
+    computed, its :class:`shortpulse.norms.NormRecord`.  ``u_x`` and
+    ``u_anti`` (dx^{-1} u) are not stored: each access is one inverse rfft
+    of ``uh`` times the symbol, so a caller that needs one twice keeps it.
+    """
+
+    __slots__ = ("t", "u", "uh", "norms")
+
+    def __init__(self, t, u, uh=None):
+        if not u.real:
+            raise ValueError("a snapshot holds a real field")
+        self.t = float(t)
+        self.u = u
+        self.uh = sfft.rfft(u.values) if uh is None else uh
+        self.uh.setflags(write=False)
+        self.norms = None
+
+    @property
+    def u_x(self):
+        return self._derived(0)
+
+    @property
+    def u_anti(self):
+        return self._derived(1)
+
+    def _derived(self, which):
+        g = self.u.grid
+        symbol = _kernels.derivative_symbols(g.n, g.length)[which]
+        return Field(g, sfft.irfft(symbol * self.uh, g.n))
+
+
 class SpectralField:
     """Immutable Fourier coefficients of a field, in FFT order."""
 
@@ -326,7 +359,9 @@ def multiply_symbol(f, symbol, at_zero=None, real_out=None):
     )
 
 
-def _check_zero_mean(f, mean_tol, what):
+def check_zero_mean(f, mean_tol, what):
+    """Raise :class:`MeanNotZero`, naming ``what``, when
+    |c_0| > mean_tol * ||f||_L2."""
     c0 = abs(mean_coefficient(f))
     bound = mean_tol * l2_norm(f)
     if c0 > bound:
@@ -353,26 +388,12 @@ def antiderivative(f, mean_tol=MEAN_TOL):
 
     Raises :class:`MeanNotZero` when |c_0| > mean_tol * ||f||_L2.
     """
-    _check_zero_mean(f, mean_tol, "antiderivative")
+    check_zero_mean(f, mean_tol, "antiderivative")
     g = f.grid
     with np.errstate(divide="ignore", invalid="ignore"):
         m = 1.0 / (1j * g.xi)
     m[g.k == -g.n // 2] = 0.0
     return multiply_symbol(f, m, at_zero=0.0)
-
-
-def derivative_pair(f, mean_tol=MEAN_TOL):
-    """(:func:`derivative` (f), :func:`antiderivative` (f)) of a real field
-    from one rfft and two inverse rffts.
-
-    Raises :class:`MeanNotZero` as :func:`antiderivative` does.
-    """
-    _check_zero_mean(f, mean_tol, "antiderivative")
-    g = f.grid
-    ik, inv = _kernels.derivative_symbols(g.n, g.length)
-    fh = sfft.rfft(f.values)
-    return (Field(g, sfft.irfft(ik * fh, g.n)),
-            Field(g, sfft.irfft(inv * fh, g.n)))
 
 
 def free_propagate(f, t, mean_tol=MEAN_TOL):
@@ -382,7 +403,7 @@ def free_propagate(f, t, mean_tol=MEAN_TOL):
     1 pinned at xi = 0 (where the coefficient is checked to be ~0 first).
     Preserves every |c_k|, hence the L2 norm, exactly.
     """
-    _check_zero_mean(f, mean_tol, "free_propagate")
+    check_zero_mean(f, mean_tol, "free_propagate")
     g = f.grid
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.exp(-1j * float(t) / g.xi)

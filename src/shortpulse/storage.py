@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, MissingSnapshots
-from .evolve import Snapshot, SolverConfig, Trajectory
-from .spectral import Field, Grid, derivative_pair
+from .evolve import SolverConfig, Trajectory
+from .spectral import Field, Grid, Snapshot, check_zero_mean
 
 MAGIC = b"SPFLD01\x00"
 _HEADER = struct.Struct("<8sQd")
@@ -210,11 +210,11 @@ def load_manifest(traj_dir):
 
 
 def load_trajectory(traj_dir, mean_tol=None):
-    """Rebuild a Trajectory (with derived fields recomputed) from a directory.
+    """Rebuild a Trajectory from a directory.
 
-    Snapshot norms are left unset; derivative and antiderivative are cheap to
-    recompute spectrally and doing so keeps the file format down to the bare
-    node values.
+    Snapshot norms are left unset.  The file format holds the bare node
+    values; each snapshot recomputes its spectrum, from which derivative and
+    antiderivative follow, so every stored field must have zero mean.
     """
     manifest = load_manifest(traj_dir)
     solver = manifest["solver"]
@@ -242,8 +242,8 @@ def load_trajectory(traj_dir, mean_tol=None):
             raise CorruptSnapshot(
                 f"{path}: header t={t} disagrees with manifest t={entry['t']}"
             )
-        u_x, u_anti = derivative_pair(u, mean_tol=mean_tol)
-        traj.append(Snapshot(t=t, u=u, u_x=u_x, u_anti=u_anti))
+        check_zero_mean(u, mean_tol, "antiderivative")
+        traj.append(Snapshot(t, u))
     return traj, manifest
 
 

@@ -2,8 +2,8 @@
 
 The mini run (n=2^13, L=256, T=64) is big enough to show the decay laws
 and the periodic-box artifacts the tests freeze, but cheap enough
-(~15 s) to share session-wide.  Tests that need a field at one instant
-build a PlainSnap instead of evolving.
+(~15 s) to share session-wide.  Tests that need a real field at one
+instant build a Snapshot instead of evolving.
 """
 
 import numpy as np
@@ -12,16 +12,17 @@ import pytest
 from shortpulse.bands import build_cutoff
 from shortpulse.evolve import SolverConfig, evolve
 from shortpulse.packets import PacketParams, probe_snapshot
-from shortpulse.spectral import Field, derivative
+from shortpulse.spectral import Field
 
 
 class PlainSnap:
-    """Minimal snapshot view (t, u, u_x) for norm/probe helpers."""
+    """A (t, u) pair for the probe helpers that read nothing else
+    (:func:`gamma`, :func:`jplus_field`), which also take complex u; a
+    Snapshot holds real fields only."""
 
     def __init__(self, t, u):
         self.t = t
         self.u = u
-        self.u_x = derivative(u)
 
 
 def gaussian_pulse(grid, eps=0.1, width=1.0):

@@ -112,7 +112,7 @@ def test_kernel_matches_a_four_times_padded_power():
     u = mode_sum(g, *ks).values
     kern = NonlinearKernel(g.n, g.length)
     oracle = padded_cube_oracle(u, g.length)
-    got = kern.values(u)
+    got = nonlinearity(Field(g, u)).values
     assert np.max(np.abs(got - oracle)) / np.max(np.abs(oracle)) \
         < kernel_oracle_tol
     # irfft drops the imaginary part of the mean and Nyquist rows; both
@@ -175,10 +175,10 @@ def test_snapshot_rate_probe_shares_its_first_stage(monkeypatch):
     monkeypatch.setattr(Stepper, "make_snapshot", keep_state)
     monkeypatch.setattr(NonlinearKernel, "spectrum", count)
     traj = evolve(gaussian_pulse(cfg.grid()), cfg)
-    # 20 steps of 4 stages; per snapshot, S u in the record plus the
-    # +-h pair of probe steps, which share nl(vh): 1 + 2 * 3, not 2 * 4
+    # 20 steps of 4 stages; per snapshot, one nl(vh) that S u in the record
+    # and the +-h pair of probe steps share: 1 + 2 * 3, not 1 + 2 * 4
     assert len(traj.snapshots) == 2
-    assert len(calls) == 20 * 4 + 2 * (1 + 1 + 2 * 3)
+    assert len(calls) == 20 * 4 + 2 * (1 + 2 * 3)
     stepper, h = Stepper(cfg), 0.25 * cfg.dt
     for snap, vh in zip(traj.snapshots, states):
         up, um = stepper.step_raw(vh, h), stepper.step_raw(vh, -h)

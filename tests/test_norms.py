@@ -32,6 +32,7 @@ from shortpulse.packets import phase
 from shortpulse.spectral import (
     Field,
     Grid,
+    Snapshot,
     derivative,
     free_propagate,
     l2_norm,
@@ -166,7 +167,7 @@ def test_decomposition_monitors_stay_bounded(mini_traj, cutoff):
 
 def test_monitors_take_the_weighted_norm_from_the_record(mini_traj, cutoff):
     snap = mini_traj.snapshots[-1]
-    bare = PlainSnap(snap.t, snap.u)        # no record: Xs via xs_norm
+    bare = Snapshot(snap.t, snap.u)         # no record: Xs via xs_norm
     assert snap.norms.Xs == pytest.approx(xs_norm(bare), rel=1e-14)
     got, want = (decomposition_monitors(s, cutoff) for s in (snap, bare))
     for name in MONITOR_COLUMNS:
@@ -207,9 +208,9 @@ def test_monitors_match_their_transform_pair_forms(mini_traj, cutoff):
 def test_band_split_norms_are_equivalent_to_the_whole(mini_traj, cutoff):
     def ratio(snap):
         total = sum(
-            xs_norm(PlainSnap(snap.t, project_band(snap.u, scale, cutoff))) ** 2
+            xs_norm(Snapshot(snap.t, project_band(snap.u, scale, cutoff))) ** 2
             for scale in cutoff.lattice(2.0 ** -6, 2.0 ** 6))
-        return np.sqrt(total) / xs_norm(PlainSnap(snap.t, snap.u))
+        return np.sqrt(total) / xs_norm(Snapshot(snap.t, snap.u))
     lo, hi = mini_band_equivalence
     first = mini_traj.snapshots[0]
     mid = min(mini_traj.snapshots, key=lambda s: abs(s.t - 16.0))
@@ -247,7 +248,7 @@ def test_wrap_fraction_reads_edge_mass():
 def test_weighted_field_at_time_zero_is_the_x_weighted_derivative():
     g = Grid(1 << 11, 256.0)
     u = gaussian_pulse(g)
-    snap = PlainSnap(0.0, u)
+    snap = Snapshot(0.0, u)
     expected = g.x * snap.u_x.values  # the taper only touches empty tails
     got = j_field(snap).values
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -258,7 +259,7 @@ def test_weighted_field_commutes_with_free_propagation():
     # L2 norm is time-invariant; a steep datum keeps every mode in the box
     g = Grid(1 << 13, 800.0)
     u0 = derivative(Field(g, 0.1 * np.exp(-g.x ** 2)), order=8)
-    moved = l2_norm(j_field(PlainSnap(10.0, free_propagate(u0, 10.0))))
+    moved = l2_norm(j_field(Snapshot(10.0, free_propagate(u0, 10.0))))
     frozen = l2_norm(Field(g, g.x * derivative(u0).values))
     assert abs(moved - frozen) / frozen < jconj_tol
 
@@ -284,7 +285,7 @@ def test_half_weighted_field_matches_the_conjugated_derivative():
 def test_equation_action_at_time_zero_reduces_to_the_stationary_form():
     g = Grid(1 << 11, 256.0)
     u = gaussian_pulse(g)
-    snap = PlainSnap(0.0, u)
+    snap = Snapshot(0.0, u)
     expected = g.x * snap.u_x.values - u.values
     got = s_field(snap).values
     scale = np.max(np.abs(expected))

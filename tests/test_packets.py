@@ -31,7 +31,7 @@ from shortpulse.packets import (
     spectrum_concentration,
     w_stability_series,
 )
-from shortpulse.spectral import Field, Grid, free_propagate, linf_norm
+from shortpulse.spectral import Field, Grid, Snapshot, free_propagate, linf_norm
 from conftest import PlainSnap, gaussian_pulse
 
 gamma_phase_tol = 1e-12        # measured 3.6e-13 on the n=2^15 box
@@ -123,7 +123,7 @@ def test_probe_amplitude_is_linear():
                * np.exp(-((g.x + 25.0) / 10.0) ** 2), real=False)
     u2 = Field(g, np.cos(g.x) * np.exp(-((g.x + 30.0) / 15.0) ** 2))
     g1 = gamma(PlainSnap(t, u1), v, params)
-    g2 = gamma(PlainSnap(t, u2), v, params)
+    g2 = gamma(Snapshot(t, u2), v, params)
     combo = Field(g, 2.0 * u1.values + 3.0 * u2.values, real=False)
     g12 = gamma(PlainSnap(t, combo), v, params)
     assert abs(g12 - (2.0 * g1 + 3.0 * g2)) / abs(g12) < gamma_linearity_tol
@@ -131,7 +131,7 @@ def test_probe_amplitude_is_linear():
 
 def test_probe_amplitude_of_zero_is_zero():
     g = Grid(1 << 13, 800.0)
-    snap = PlainSnap(4.0, Field(g, np.zeros(g.n)))
+    snap = Snapshot(4.0, Field(g, np.zeros(g.n)))
     assert gamma(snap, -1.0, PacketParams()) == 0.0
 
 
@@ -142,7 +142,7 @@ def test_probe_amplitude_obeys_the_sup_bound():
     t = 25.0
     u = Field(g, 0.1 * np.exp(1j * phase(t, g.x)).real
               * np.exp(-((g.x + 25.0) / 30.0) ** 2))
-    gm = gamma(PlainSnap(t, u), -1.0, PacketParams())
+    gm = gamma(Snapshot(t, u), -1.0, PacketParams())
     assert abs(gm) <= np.sqrt(t) * linf_norm(u) * (1.0 + 1e-9)
 
 
@@ -363,7 +363,7 @@ def test_masked_carrier_ray_errors_shrink_with_time(cutoff):
     for t in (16.0, 36.0, 64.0):
         mask = cutoff.sigma_range(np.abs(g.x), t / 3.0, 200.0) * (g.x < 0.0)
         vals = 2.0 * t ** -0.5 * (np.exp(1j * phase(t, g.x)) * c0).real * mask
-        snap = PlainSnap(t, Field(g, vals))
+        snap = Snapshot(t, Field(g, vals))
         gm = gamma(snap, -1.0, params)
         eu, eux = prop42_errors(snap, -1.0, gm)
         errs_u.append(eu)
@@ -379,7 +379,7 @@ def test_free_flow_amplitude_modulus_is_steady():
     u0 = Field(g, 0.05 * np.cos(g.x) * np.exp(-(g.x / 12.0) ** 2))
     params = PacketParams()
     ts = 100.0 * 2.0 ** (np.arange(28) / 8.0)
-    mods = [abs(gamma(PlainSnap(t, free_propagate(u0, t)), -1.0, params))
+    mods = [abs(gamma(Snapshot(t, free_propagate(u0, t)), -1.0, params))
             for t in ts]
     drift = abs(np.log(mods[-1] / mods[0])) / np.log10(ts[-1] / ts[0])
     assert drift < freeflow_drift_ceiling
@@ -408,7 +408,7 @@ def test_packet_on_its_support_matches_the_whole_grid_packet(mini_traj):
     t_edge = time_of_left_edge(-1.0, params, g, -g.length / 2 + 0.5 * g.dx)
     assert -g.length / 2 < -t_edge - params.half_width * np.sqrt(t_edge) \
         < -g.length / 2 + g.dx
-    edge = PlainSnap(t_edge, mini_traj.snapshots[-1].u)
+    edge = Snapshot(t_edge, mini_traj.snapshots[-1].u)
     checked = set()
     for snap in snaps + [edge]:
         u = np.asarray(snap.u.values)
@@ -433,7 +433,7 @@ def test_half_spectrum_ray_values_match_the_full_spectrum(mini_traj, which):
     g = mini_traj.config.grid()
     noise = Field(g, np.random.default_rng(11).standard_normal(g.n))
     snap = mini_traj.snapshots[-1] if which == "mini t=64" \
-        else PlainSnap(4.0, noise)
+        else Snapshot(4.0, noise)
     params = PacketParams()
     gam = 0.01 + 0.02j
     t = snap.t

@@ -10,6 +10,7 @@ import pytest
 from shortpulse import storage
 from shortpulse.errors import ConfigError, MeanNotZero, MissingSnapshots
 from shortpulse.evolve import SolverConfig, evolve
+from shortpulse.norms import NormRecord, compute_record
 from shortpulse.spectral import Field, Grid, antiderivative, derivative
 from shortpulse.storage import (CorruptSnapshot, format_cell, load_trajectory,
                                 read_csv, read_field, require_times,
@@ -162,6 +163,35 @@ def test_loaded_derived_fields_match_the_spectral_operators(tmp_path,
             scale = np.max(np.abs(want.values))
             assert got.real
             assert np.max(np.abs(got.values - want.values)) <= 1e-14 * scale
+
+
+def test_reloaded_snapshots_match_the_in_run_ones(tmp_path, mini_traj):
+    # the in-run snapshot holds the stepper's spectrum, the reloaded one
+    # the rfft of the stored node values; each quantity is compared over
+    # the whole trajectory against its largest magnitude there (measured
+    # 5.5e-16 for uh, 7.6e-15 for u_x, 2.8e-16 for u_anti, at most 3.0e-15
+    # for a record column), and the in-run record's h1_rate_fd, which only
+    # the stepper can fill in, is left out
+    save_trajectory(tmp_path / "run", mini_traj)
+    back, _ = load_trajectory(tmp_path / "run")
+    assert back.times == mini_traj.times
+    pairs = list(zip(mini_traj.snapshots, back.snapshots))
+    quantities = {
+        "uh": lambda snap: snap.uh,
+        "u_x": lambda snap: snap.u_x.values,
+        "u_anti": lambda snap: snap.u_anti.values,
+    }
+    for name, get in quantities.items():
+        diff = max(np.max(np.abs(get(a) - get(b))) for a, b in pairs)
+        scale = max(np.max(np.abs(get(b))) for _, b in pairs)
+        assert diff <= 1e-14 * scale, name
+    columns = [c for c in NormRecord.COLUMNS if c != "h1_rate_fd"]
+    run = np.array([[getattr(a.norms, c) for c in columns] for a, _ in pairs])
+    loaded = np.array([[getattr(compute_record(b), c) for c in columns]
+                       for _, b in pairs])
+    scale = np.max(np.abs(loaded), axis=0)
+    worst = np.max(np.abs(run - loaded), axis=0)
+    assert np.all(worst <= 1e-14 * scale), dict(zip(columns, worst / scale))
 
 
 def test_loading_a_snapshot_with_a_nonzero_mean_fails(tmp_path, tiny_traj):
