@@ -3,8 +3,8 @@ u_tx = u + (u^3)_xx on a large periodic box.
 
 The package provides the spectral core (grids, transforms, multipliers,
 exact linear propagator), smooth dyadic band decompositions, an
-integrating-factor RK4 time stepper with the cubic dealiased by 2n-point
-padding, weighted-norm diagnostics, moving wave-packet probes of the
+integrating-factor RK4 time stepper with the cubic dealiased by padding on
+an active band of modes, weighted-norm diagnostics, moving wave-packet probes of the
 long-time asymptotics, a scan of a frequency-localized inequality family,
 and a CLI tying them together.
 """

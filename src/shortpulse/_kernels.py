@@ -34,57 +34,62 @@ def derivative_symbols(n, length):
 
 
 class NonlinearKernel:
-    """Computes d/dx (u^3) on the grid without aliasing.
+    """Computes d/dx (u^3) on the grid without aliasing, on an active band.
 
-    The spectrum is zero-padded to 2n points, which makes the pointwise cube
-    exact on the kept band once the input Nyquist row is empty; the cube is
-    formed on the fine grid, truncated back to n points and differentiated
-    spectrally.
+    Only the modes |k| < K of the input enter (K = ``band``, n/2 by
+    default).  Their spectrum is zero-padded to M = 4K points, which makes
+    the pointwise cube exact on the kept modes: the cube reaches mode 3K - 3,
+    whose alias lands at M - (3K - 3) = K + 3 >= K.  The cube is truncated
+    back to the modes below K and differentiated spectrally; every row at or
+    above K of the output is an exact zero.  K = n/2 is the full grid
+    (M = 2n, the input Nyquist row dropped).
     """
 
-    def __init__(self, n, length):
+    def __init__(self, n, length, band=None):
         self.n = int(n)
         self.length = float(length)
         self.nyq = self.n // 2
-        self.m = 2 * self.n
-        self.ik = derivative_symbols(self.n, self.length)[0]
+        self.band = self.nyq if band is None else int(band)
+        self.m = 4 * self.band
+        self.ik = derivative_symbols(self.n, self.length)[0][: self.band]
 
     def spectrum(self, vh):
-        """rfft spectrum of d/dx(u^3) from the rfft spectrum of u.
+        """rfft rows of d/dx(u^3) from the rfft rows of u, as many as given.
 
-        The cube is formed by products: numpy hands ``**`` with an integer
-        exponent above 2 to libm pow(), which costs two orders of magnitude
-        more.
+        Rows at or above the band are zero on output and ignored on input,
+        so a band-K state may be held as its first K + 1 rows.  The cube is
+        formed by products: numpy hands ``**`` with an integer exponent
+        above 2 to libm pow(), which costs two orders of magnitude more.
         """
         fine = self._fine(vh)
         cube = fine * fine
         cube *= fine
-        ph = sfft.rfft(cube)[: self.nyq + 1] * (self.n / self.m)
-        ph[self.nyq] = 0.0
-        return self.ik * ph
+        ph = sfft.rfft(cube)[: self.band] * (self.n / self.m)
+        out = np.zeros(len(vh), dtype=np.complex128)
+        np.multiply(self.ik, ph, out=out[: self.band])
+        return out
 
     def quartic_integral(self, vh):
         """The integral of u^4 / 4 over the box from the rfft spectrum of u.
 
-        The 2n-point rule is exact for the band-limited u, since u^4 has no
-        mode at or above 2n; an n-point sum would alias modes n .. 2n - 4
-        onto the mean.
+        The M-point rule is exact for u on the band, since u^4 has no mode
+        at or above 4K - 3; an n-point sum at K = n/2 would alias the modes
+        at +-n onto the mean.
         """
         fine = self._fine(vh)
         sq = fine * fine
         return float(np.sum(sq * sq)) * (self.length / self.m) / 4.0
 
     def _fine(self, vh):
-        """Node values on the 2n-point grid of the band-limited u, Nyquist
-        row dropped, from its rfft spectrum on n points."""
+        """Node values on the M-point grid of u cut to the band, from its
+        rfft rows on n points."""
         big = np.zeros(self.m // 2 + 1, dtype=np.complex128)
-        big[: self.nyq + 1] = vh
-        big[self.nyq] = 0.0
+        big[: self.band] = vh[: self.band]
         return sfft.irfft(big, self.m) * (self.m / self.n)
 
 
 @lru_cache(maxsize=16)
-def nonlinear_kernel(n, length):
-    """The :class:`NonlinearKernel` of one grid, shared by the stepper and
-    the per-snapshot diagnostics."""
-    return NonlinearKernel(n, length)
+def nonlinear_kernel(n, length, band=None):
+    """The :class:`NonlinearKernel` of one grid and band (n/2 when None),
+    shared by the stepper and the per-snapshot diagnostics."""
+    return NonlinearKernel(n, length, band)

@@ -102,6 +102,9 @@ def cmd_simulate(args):
         status, message, code = type(exc).__name__, str(exc), EXIT_MONITOR
         _log(f"simulate: aborted by monitor: {status}: {message}")
 
+    widened = ", ".join(f"{t:g}" for t in traj.band_widenings) or "never"
+    _log(f"simulate: stepped band K={traj.band} of {cfg.solver.n // 2}, "
+         f"widened at t={widened}")
     cut = bands.build_cutoff(cfg.delta)
 
     def monitor_row(snap):
@@ -136,6 +139,9 @@ def cmd_simulate(args):
         "snapshots": len(traj.snapshots),
         "final_t": _jsonable(traj.snapshots[-1].t) if traj.snapshots else None,
         "halvings": traj.halvings,
+        "band": traj.band,
+        "band_widenings": traj.band_widenings,
+        "tail_headroom": _jsonable(traj.tail_headroom),
         "final_norms": None
         if last is None
         else {
@@ -455,7 +461,7 @@ def _selftest_checks(corrupt=""):
     ))
 
     # H = int (u^4/4 - (dx^{-1} u)^2/2) dx is conserved exactly by the
-    # 2n-padded semi-discrete scheme, so its drift over a short run is IFRK4
+    # exactly padded semi-discrete scheme on each band, so its drift over a short run is IFRK4
     # time-step error.  The exact linear flow keeps the quadratic part, so
     # the drift is read against the quartic part.  For this pulse (eps = 0.5, n = 2^10, L = 64,
     # T = 1) the drift measured -1.1e-6 / -3.5e-8 / -1.1e-9 at dt = 0.04 /

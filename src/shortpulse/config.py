@@ -16,7 +16,7 @@ concern::
 Unknown sections or keys are errors (fail-closed), and every module
 precondition that can be checked from the numbers alone is checked at load
 time, so a config that loads is a config that runs.  The solver has one
-path -- IFRK4 with the 2n-padded cubic -- so there is no key selecting an
+path -- IFRK4 with the exactly padded cubic -- so there is no key selecting an
 integrator, a dealias mode or a power.  The effective values -- defaults and
 command-line overrides filled in -- are hashed (sha256, 16 hex digits) and
 that hash is stamped on every output file a run produces.

@@ -17,6 +17,11 @@ class StepRejected(ShortPulseError):
     """A time step produced implausible growth or non-finite values."""
 
 
+class BandExceeded(ShortPulseError):
+    """A step's spectral tail rose above tolerance at the top of the
+    stepper's active band; the band must widen."""
+
+
 class BlowUp(ShortPulseError):
     """The solution norm doubled (or became non-finite) during evolution."""
 

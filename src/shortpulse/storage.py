@@ -90,31 +90,41 @@ def read_field(path, grid=None):
 # CSV tables
 
 
-def format_cell(value):
-    """One CSV cell: floats at 17 significant digits, bools as 0/1."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _conversion(value):
+    """The %-conversion of one CSV cell: floats at 17 significant digits,
+    bools as 0/1."""
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return "%d"
     if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    return str(value)
+        return "%.17g"
+    return "%s"
+
+
+def format_cell(value):
+    """One CSV cell, as :func:`write_csv` writes it."""
+    return _conversion(value) % (value,)
 
 
 def write_csv(path, header, rows, config_hash=""):
-    """Write a table; returns the row count (excluding the header)."""
+    """Write a table; returns the row count (excluding the header).
+
+    Each column keeps the cell type of the first row: one format string,
+    built from that row, writes every row.
+    """
     count = 0
+    line = None
     with open(path, "w", newline="") as fh:
         if config_hash:
             fh.write(f"# config_hash={config_hash} code_version={__version__}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [format_cell(v) for v in row]
-            if len(cells) != len(header):
+            if len(row) != len(header):
                 raise ValueError(
-                    f"row has {len(cells)} cells for {len(header)} columns"
+                    f"row has {len(row)} cells for {len(header)} columns"
                 )
-            fh.write(",".join(cells) + "\n")
+            if line is None:
+                line = ",".join(_conversion(v) for v in row) + "\n"
+            fh.write(line % tuple(row))
             count += 1
     return count
 
@@ -190,6 +200,9 @@ def save_trajectory(out_dir, traj, experiment=None, config_hash=None, timestamp=
             "code_version": traj.code_version,
             "status": traj.status,
             "halvings": traj.halvings,
+            "band": traj.band,
+            "band_widenings": traj.band_widenings,
+            "tail_headroom": traj.tail_headroom,
         },
         "snapshots": index,
         "metadata": {
@@ -228,12 +241,16 @@ def load_trajectory(traj_dir, mean_tol=None):
     grid = cfg.grid()
     if mean_tol is None:
         mean_tol = cfg.mean_tol
+    prov = manifest["provenance"]
     traj = Trajectory(
         config=cfg,
-        config_hash=manifest["provenance"]["config_hash"],
-        code_version=manifest["provenance"]["code_version"],
-        status=manifest["provenance"].get("status", "completed"),
-        halvings=manifest["provenance"].get("halvings", 0),
+        config_hash=prov["config_hash"],
+        code_version=prov["code_version"],
+        status=prov.get("status", "completed"),
+        halvings=prov.get("halvings", 0),
+        band=prov.get("band"),
+        band_widenings=prov.get("band_widenings", []),
+        tail_headroom=prov.get("tail_headroom"),
     )
     for entry in manifest["snapshots"]:
         path = os.path.join(traj_dir, entry["file"])

@@ -110,6 +110,12 @@ def test_simulate_reports_and_stores_the_run(tiny_run):
     assert summary["snapshots"] == 10
     assert summary["final_t"] == 2.0
     assert summary["halvings"] == 0
+    # the datum starts on n/4 and widens to n/2 on the step from t = 0.02
+    assert summary["band"] == 512 and summary["band_widenings"] == [0.02]
+    assert 0.0 < summary["tail_headroom"] <= 1.0
+    provenance = json.loads((out / "manifest.json").read_text())["provenance"]
+    for key in ("band", "band_widenings", "tail_headroom"):
+        assert provenance[key] == summary[key]
     assert sorted(summary["files"]) == ["manifest.json", "norms.csv"]
     for key, frozen in tiny_final_norms.items():
         assert summary["final_norms"][key] == pytest.approx(frozen, rel=1e-9)

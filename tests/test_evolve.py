@@ -6,6 +6,7 @@ import pytest
 from shortpulse._kernels import NonlinearKernel
 from shortpulse.errors import BlowUp, MeanDrift, StepRejected, WrapAround
 from shortpulse.evolve import (
+    TAIL_TOL,
     SolverConfig,
     Stepper,
     evolve,
@@ -33,6 +34,13 @@ snapshot_cache_tol = 1e-14        # measured 6.7e-16
 # eps log2(N) = 2.7e-15 of the peak; four per side, amplified up to 3 times
 # by the cube, bound the gap near 1e-13.
 kernel_oracle_tol = 1e-13         # measured 1.0e-15
+# Both kernels form the exact cube of the same band-limited input; only
+# their FFT lengths (4K against 2n points) and so their rounding differ.
+band_kernel_tol = 1e-15           # measured 7.1e-16 (n/4), 5.3e-16 (n/8)
+# A band drops rows whose level sits below the TAIL_TOL it keeps at its
+# top quarter, so a run that starts narrow may move the state by about
+# that much of max|u| before it widens, and no more.
+band_run_tol = 10.0 * TAIL_TOL    # measured 1.4e-14
 
 MODES = ([3, 17, 40, 77, 170], [0.4, 0.3, 0.2, 0.1, 0.05],
          [0.0, 1.0, 2.0, 3.0, 4.0])
@@ -119,6 +127,45 @@ def test_kernel_matches_a_four_times_padded_power():
     # must be exactly zero for the output to be the real field it claims
     spec = kern.spectrum(np.fft.rfft(u))
     assert spec[g.n // 2] == 0.0 and spec[0] == 0.0
+
+
+@pytest.mark.parametrize("band", [1 << 8, 1 << 7])
+def test_band_kernel_matches_the_full_grid_below_its_band(band):
+    g = Grid(1 << 10, 100.0)
+    u = mode_sum(g, [3, 17, 40, 77, 127], *MODES[1:]).values
+    vh = np.fft.rfft(u)
+    vh[band:] = 0.0
+    full = NonlinearKernel(g.n, g.length).spectrum(vh)
+    got = NonlinearKernel(g.n, g.length, band).spectrum(vh)
+    assert got.shape == full.shape
+    assert np.max(np.abs(got[:band] - full[:band])) / np.max(np.abs(full)) \
+        < band_kernel_tol
+    assert np.all(got[band:] == 0.0)
+
+
+def test_a_tail_crossing_the_tolerance_widens_the_band_once(monkeypatch):
+    cfg = SolverConfig(n=1 << 10, length=64.0, dt=0.02, t_final=1.0)
+    u0 = gaussian_pulse(cfg.grid(), eps=0.03)
+    traj = evolve(u0, cfg)
+    # starts on n/4, then one rejected step doubles the band mid-run
+    assert len(traj.band_widenings) == 1
+    assert 0.0 < traj.band_widenings[0] < cfg.t_final
+    assert traj.band == cfg.n // 2
+    assert 0.0 < traj.tail_headroom <= 1.0
+    monkeypatch.setattr(Stepper, "start_band", lambda self, vh: self.nyq)
+    full = evolve(u0, cfg)
+    assert full.band_widenings == [] and full.tail_headroom is None
+    a, b = traj.snapshots[-1].u.values, full.snapshots[-1].u.values
+    assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < band_run_tol
+
+
+def test_a_broad_datum_starts_on_the_full_grid():
+    cfg = SolverConfig(n=1 << 10, length=64.0, dt=0.02, t_final=1.0)
+    u0 = gaussian_pulse(cfg.grid(), eps=0.05, width=0.2)
+    stepper = Stepper(cfg)
+    assert stepper.start_band(stepper.spectrum_of(u0.values)) == cfg.n // 2
+    smooth = gaussian_pulse(cfg.grid(), eps=0.05, width=1.0)
+    assert stepper.start_band(stepper.spectrum_of(smooth.values)) < cfg.n // 2
 
 
 def test_zero_time_step_is_the_identity():

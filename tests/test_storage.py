@@ -96,6 +96,17 @@ def test_csv_cells_keep_full_float_precision():
     assert format_cell(7) == "7"
 
 
+def test_csv_rows_match_the_cell_by_cell_format(tmp_path):
+    rows = [(True, np.int64(7), 0.1 + 0.2, "v=-1", np.float64(-1e-300)),
+            (np.bool_(False), -3, float("nan"), "ray", 2.5)]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["b", "i", "x", "s", "y"], rows)
+    lines = path.read_text().splitlines()[1:]
+    assert lines == [",".join(format_cell(v) for v in row) for row in rows]
+    assert lines == ["1,7,0.30000000000000004,v=-1,-1e-300",
+                     "0,-3,nan,ray,2.5"]
+
+
 def test_csv_roundtrip_including_nan_and_comment(tmp_path):
     path = tmp_path / "table.csv"
     rows = [[1.0, math.pi, float("nan")], [2.0, -1e-300, 3.5]]
@@ -151,6 +162,22 @@ def test_trajectory_directory_roundtrip(tmp_path, tiny_traj):
         assert copy.t == orig.t
         assert np.array_equal(copy.u.values, orig.u.values)
         assert copy.u_x is not None and copy.u_anti is not None
+
+
+def test_band_telemetry_roundtrips_and_may_be_absent(tmp_path, tiny_traj):
+    out = tmp_path / "run"
+    save_trajectory(out, tiny_traj)
+    back, manifest = load_trajectory(out)
+    assert manifest["provenance"]["band"] == tiny_traj.band
+    assert (back.band, back.band_widenings, back.tail_headroom) == (
+        tiny_traj.band, tiny_traj.band_widenings, tiny_traj.tail_headroom)
+    # manifests written before the stepper had an active band
+    for key in ("band", "band_widenings", "tail_headroom"):
+        del manifest["provenance"][key]
+    write_json(out / "manifest.json", manifest)
+    old, _ = load_trajectory(out)
+    assert (old.band, old.band_widenings, old.tail_headroom) == (None, [], None)
+    assert len(old.snapshots) == len(tiny_traj.snapshots)
 
 
 def test_loaded_derived_fields_match_the_spectral_operators(tmp_path,
