@@ -119,44 +119,6 @@ def build_cutoff(delta=1.0):
 
 
 # ----------------------------------------------------------------------
-# frequency-side projections
-
-def project_band(u, scale, spec):
-    """P_N u: smooth frequency annulus at scale N (kills the zero mode)."""
-    return _multiplier_field(u, spec.sigma_band(u.grid.xi, scale), real_out=u.real)
-
-
-def project_low(u, scale, spec):
-    """P_{<= N} u: smooth low-pass (keeps the zero mode: sigma(0) = 1)."""
-    return _multiplier_field(u, spec.sigma_le(u.grid.xi, scale), real_out=u.real)
-
-
-def project_sign(u, sign):
-    """P^{+-} u: sharp restriction to positive/negative frequencies.
-
-    The zero mode is dropped; the Nyquist row follows its FFT sign (it
-    belongs to the negative frequencies).  For real u this gives
-    P^+ u = conj(P^- u) wherever the Nyquist row is empty.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    ind = (np.sign(u.grid.xi) == sign).astype(np.float64)
-    return _multiplier_field(u, ind, real_out=False)
-
-
-def project_plus_range(u, lo, hi, spec):
-    """P^+_{R1 <= . <= R2} u: smooth positive-frequency range restriction."""
-    sym = spec.sigma_range(u.grid.xi, lo, hi) \
-        * (np.sign(u.grid.xi) == 1.0).astype(np.float64)
-    return _multiplier_field(u, sym, real_out=False)
-
-
-def _multiplier_field(u, symbol_values, real_out):
-    fh = apply_multiplier(forward_transform(u), symbol_values)
-    return inverse_transform(fh, real=real_out)
-
-
-# ----------------------------------------------------------------------
 # traveling / elliptic splitting
 
 @dataclass
@@ -185,20 +147,13 @@ class Decomposition:
                      real=u.real)
 
 
-def hyp_window(grid, t, scale, spec):
-    """Spatial window selecting x ~ -t/N^2: the stationary region of the
-    band's group lines.  Supported in {x < 0}, smooth, values in [0, 1]."""
-    support, w = _window_on_support(grid, t, scale, spec)
-    full = np.zeros(grid.n)
-    full[support] = w
-    return full
-
-
 def _window_on_support(grid, t, scale, spec):
-    """(slice, values) of :func:`hyp_window` on the nodes strictly between
-    its edges -3 center 2^delta and -center / (3 2^delta), center = t/N^2;
-    the window is exactly zero on every other node.  The slice is empty
-    when the inner edge lies at or beyond the box edge -L/2."""
+    """The spatial window of band N at time t, selecting x ~ -t/N^2 (the
+    stationary region of the band's group lines): (slice, values) on the
+    nodes strictly between its edges -3 center 2^delta and
+    -center / (3 2^delta), center = t/N^2.  The window is smooth, takes
+    values in [0, 1] and is exactly zero on every other node.  The slice is
+    empty when the inner edge lies at or beyond the box edge -L/2."""
     center = t / scale ** 2
     lo, hi = center / 3.0, 3.0 * center
     support = slice(
@@ -262,54 +217,3 @@ def hyp_ell_decompose(u, t, spec):
                          hyp_plus=Field(g, total, real=False),
                          ell_plus=Field(g, u_plus.values - total, real=False),
                          u_hat=uh)
-
-
-def window_count_bound(spec):
-    """Max number of band windows that may overlap at one point."""
-    return math.ceil(5.0 / spec.delta)
-
-
-# ----------------------------------------------------------------------
-# localization check
-
-def localization_check(u, scale, a, b, c, r_spatial, spec):
-    """Measure how well a spatially-localized piece of a frequency band
-    stays inside (a neighborhood of) the band.
-
-    Computes
-
-        num = || (1 - P^+_{N 2^-delta <= . <= 2^delta N})
-                 |dx|^a ( |x|^b sigma_R(x) P_N P^+ u ) ||_{L2}
-        den = N^{-c} R^{-a + b - c} || P_N P^+ u ||_{L2}
-
-    and returns ``(num / den, degenerate)``.  When the band carries no
-    content (den = 0 and num = 0) the ratio is reported as 0.0 with the
-    degenerate flag set.
-    """
-    for name, val in (("a", a), ("b", b), ("c", c)):
-        if val < 0:
-            raise ValueError(f"{name} must be >= 0, got {val}")
-    g = u.grid
-    uh = forward_transform(u)
-    plus_mask = (np.sign(g.xi) == 1.0).astype(np.float64)
-    band_sym = spec.sigma_band(g.xi, scale) * plus_mask
-    band_plus = inverse_transform(apply_multiplier(uh, band_sym), real=False)
-    band_norm = _l2(band_plus.values, g.dx)
-
-    weight = np.abs(g.x) ** b * spec.sigma_band(np.abs(g.x), r_spatial)
-    localized = weight * band_plus.values
-    lh = forward_transform(Field(g, localized, real=False))
-    frac = apply_multiplier(lh, np.abs(g.xi) ** a if a > 0 else np.ones(g.n))
-    keep = spec.sigma_range(g.xi, scale * 2.0 ** (-spec.delta),
-                            scale * 2.0 ** spec.delta) * plus_mask
-    leak = apply_multiplier(frac, 1.0 - keep)
-    num = _l2(inverse_transform(leak, real=False).values, g.dx)
-
-    den = scale ** (-c) * r_spatial ** (-a + b - c) * band_norm
-    if den == 0.0:
-        return 0.0, True
-    return num / den, False
-
-
-def _l2(values, dx):
-    return float(np.sqrt(dx * np.sum(np.abs(values) ** 2)))

@@ -15,11 +15,16 @@ concern::
 
 Unknown sections or keys are errors (fail-closed), and every module
 precondition that can be checked from the numbers alone is checked at load
-time, so a config that loads is a config that runs.  The solver has one
+time, so a config that loads is a config that runs.  Each range check lives
+on the type that holds the value (:class:`SolverConfig`,
+:class:`PacketParams`, :class:`ExperimentConfig`), so a stored trajectory's
+solver settings pass the same checks; :func:`_validate` adds only the
+checks that span two sections or read the file system.  The solver has one
 path -- IFRK4 with the exactly padded cubic -- so there is no key selecting an
 integrator, a dealias mode or a power.  The effective values -- defaults and
-command-line overrides filled in -- are hashed (sha256, 16 hex digits) and
-that hash is stamped on every output file a run produces.
+command-line overrides filled in -- are hashed (sha256, 16 hex digits) by
+:meth:`ExperimentConfig.hash`, the one identity of a run, and that hash is
+stamped on every output file a run produces.
 """
 
 import configparser
@@ -32,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counterexample import MIN_SCALE
-from .errors import ConfigError
+from .errors import ConfigError, check_ranges
 from .evolve import SolverConfig
-from .packets import DEFAULT_VELOCITIES, PacketParams
+from .packets import DEFAULT_VELOCITIES, PacketParams, alpha_ceiling
 from .spectral import Field
 from . import storage
 
@@ -116,6 +121,31 @@ _SCHEMA = {
     },
 }
 
+# (section, key) of each constructor argument of the three config types; a
+# range error a type raises names its field, and is reported by this key
+_SOLVER_ARGS = dict(
+    {name: ("solver", name) for name in (
+        "n", "dt", "mean_tol", "wrap_tol", "outer_frac", "snap_t0", "snap_h",
+        "growth_limit", "max_halvings", "blowup_factor")},
+    length=("solver", "L"), t_final=("solver", "T"), sobolev_s=("norms", "s"))
+_PROBE_ARGS = dict(
+    {name: ("probe", name) for name in (
+        "delta_p", "alpha", "velocities", "cadence_ratio")},
+    band_delta=("decomposition", "delta"))
+_EXPERIMENT_ARGS = {
+    "initial_kind": ("initial", "kind"), "epsilon": ("initial", "epsilon"),
+    "width": ("initial", "width"), "initial_path": ("initial", "path"),
+    "sobolev_s": ("norms", "s"), "delta": ("decomposition", "delta"),
+    "rho": ("appendix", "rho"), "n_min": ("appendix", "N_min"),
+    "n_max": ("appendix", "N_max"), "output_dir": ("output", "dir"),
+    "formats": ("output", "formats"),
+}
+_KEYS = {**_SOLVER_ARGS, **_PROBE_ARGS, **_EXPERIMENT_ARGS}
+
+
+def _dyadic_scale(n):
+    return n >= MIN_SCALE and n & (n - 1) == 0
+
 
 @dataclass
 class ExperimentConfig:
@@ -135,6 +165,16 @@ class ExperimentConfig:
     output_dir: str
     formats: tuple
     raw: dict
+
+    def __post_init__(self):
+        check_ranges(self, (
+            ("initial_kind", lambda v: v in _INITIAL_KINDS,
+             f"be one of {_INITIAL_KINDS}"),
+            ("width", lambda v: v > 0.0, "be positive"),
+            ("rho", lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"),
+            ("n_min", _dyadic_scale, f"be a power of two >= {MIN_SCALE}"),
+            ("n_max", _dyadic_scale, f"be a power of two >= {MIN_SCALE}"),
+        ))
 
     def hash(self):
         blob = json.dumps(self.raw, sort_keys=True).encode()
@@ -183,115 +223,46 @@ def _read_ini(path):
     return parser
 
 
-def _validate(raw):
-    """Cross-field checks; raises ConfigError naming the offending key."""
-    sol = raw["solver"]
-    ini = raw["initial"]
-
-    def bad(key, message):
-        raise ConfigError(f"{key}: {message}")
-
-    n = sol["n"]
-    if n < 2 or n & (n - 1):
-        bad("solver.n", f"must be a power of two >= 2, got {n}")
-    for key in ("L", "dt", "T"):
-        if sol[key] <= 0:
-            bad(f"solver.{key}", f"must be positive, got {sol[key]}")
-    if not 0.0 < sol["outer_frac"] < 0.5:
-        bad("solver.outer_frac", f"must lie in (0, 1/2), got {sol['outer_frac']}")
-    if sol["snap_t0"] < 0 or sol["snap_t0"] > sol["T"]:
-        bad("solver.snap_t0", f"must lie in [0, T], got {sol['snap_t0']}")
-    if sol["snap_h"] <= 0:
-        bad("solver.snap_h", f"must be positive, got {sol['snap_h']}")
-
-    if ini["kind"] not in _INITIAL_KINDS:
-        bad("initial.kind", f"must be one of {_INITIAL_KINDS}, got {ini['kind']!r}")
-    if ini["kind"] == "file":
-        if not ini["path"]:
-            bad("initial.path", "required when initial.kind = file")
-        if not os.path.exists(ini["path"]):
-            bad("initial.path", f"no such file: {ini['path']}")
-    if ini["width"] <= 0:
-        bad("initial.width", f"must be positive, got {ini['width']}")
-
-    s = raw["norms"]["s"]
-    if s < 3.0:
-        bad("norms.s", f"must be >= 3, got {s}")
-    if raw["decomposition"]["delta"] <= 0:
-        bad("decomposition.delta", "must be positive")
-
-    prb = raw["probe"]
-    if prb["delta_p"] <= 0:
-        bad("probe.delta_p", "must be positive")
-    if prb["cadence_ratio"] <= 1.0:
-        bad("probe.cadence_ratio", f"must exceed 1, got {prb['cadence_ratio']}")
+def _validate(cfg):
+    """The checks that span two sections or read the file system; raises
+    ConfigError naming the offending key."""
+    sol, prb = cfg.solver, cfg.probe
     # scatter probes t0 * r^j and needs a stored snapshot at each, so r must
     # step a whole number of snapshot intervals 2^snap_h; the slack is far
     # below the 1e-9 relative time matching of storage.require_times
-    steps = math.log2(prb["cadence_ratio"]) / sol["snap_h"]
+    steps = math.log2(prb.cadence_ratio) / sol.snap_h
     if abs(steps - round(steps)) > 1e-12 * max(1.0, steps):
-        bad("probe.cadence_ratio",
+        raise ConfigError(
             f"must be an integer power of 2 ** solver.snap_h = "
-            f"{2.0 ** sol['snap_h']!r}, got {prb['cadence_ratio']!r}")
-    if any(v >= 0 for v in prb["velocities"]):
-        bad("probe.velocities", "all probe velocities must be negative")
-
-    app = raw["appendix"]
-    if not 0.0 < app["rho"] < 0.5:
-        bad("appendix.rho", f"must lie in (0, 1/2), got {app['rho']}")
-    for key in ("N_min", "N_max"):
-        v = app[key]
-        if v < MIN_SCALE or v & (v - 1):
-            bad(f"appendix.{key}", f"must be a power of two >= {MIN_SCALE}, got {v}")
-    if app["N_min"] > app["N_max"]:
-        bad("appendix.N_min", "must not exceed N_max")
+            f"{2.0 ** sol.snap_h!r}, got {prb.cadence_ratio!r}",
+            "probe.cadence_ratio")
+    ceiling = alpha_ceiling(sol.sobolev_s)
+    if not prb.alpha < ceiling:
+        raise ConfigError(
+            f"must be below min(2/45, 2/(2s+1), 2(s-4)/(3(s+1))) = "
+            f"{ceiling:.6g} for norms.s = {sol.sobolev_s}, got {prb.alpha}",
+            "probe.alpha")
+    if cfg.n_min > cfg.n_max:
+        raise ConfigError("must not exceed N_max", "appendix.N_min")
+    if cfg.initial_kind == "file":
+        if not cfg.initial_path:
+            raise ConfigError("required when initial.kind = file", "initial.path")
+        if not os.path.exists(cfg.initial_path):
+            raise ConfigError(f"no such file: {cfg.initial_path}", "initial.path")
 
 
 def _build(raw):
-    _validate(raw)
-    sol = raw["solver"]
+    def args(table):
+        return {name: raw[section][key] for name, (section, key) in table.items()}
+
     try:
-        solver = SolverConfig(
-            n=sol["n"],
-            length=sol["L"],
-            dt=sol["dt"],
-            t_final=sol["T"],
-            mean_tol=sol["mean_tol"],
-            snap_t0=sol["snap_t0"],
-            snap_h=sol["snap_h"],
-            growth_limit=sol["growth_limit"],
-            max_halvings=sol["max_halvings"],
-            blowup_factor=sol["blowup_factor"],
-            wrap_tol=sol["wrap_tol"],
-            outer_frac=sol["outer_frac"],
-            sobolev_s=raw["norms"]["s"],
-        )
-        probe = PacketParams(
-            delta_p=raw["probe"]["delta_p"],
-            alpha=raw["probe"]["alpha"],
-            velocities=tuple(raw["probe"]["velocities"]),
-            cadence_ratio=raw["probe"]["cadence_ratio"],
-            band_delta=raw["decomposition"]["delta"],
-        )
-        probe.validate_alpha(raw["norms"]["s"])
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        solver=solver,
-        initial_kind=raw["initial"]["kind"],
-        epsilon=raw["initial"]["epsilon"],
-        width=raw["initial"]["width"],
-        initial_path=raw["initial"]["path"],
-        sobolev_s=raw["norms"]["s"],
-        delta=raw["decomposition"]["delta"],
-        probe=probe,
-        rho=raw["appendix"]["rho"],
-        n_min=raw["appendix"]["N_min"],
-        n_max=raw["appendix"]["N_max"],
-        output_dir=raw["output"]["dir"],
-        formats=raw["output"]["formats"],
-        raw=raw,
-    )
+        cfg = ExperimentConfig(solver=SolverConfig(**args(_SOLVER_ARGS)),
+                               probe=PacketParams(**args(_PROBE_ARGS)),
+                               raw=raw, **args(_EXPERIMENT_ARGS))
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, ".".join(_KEYS[exc.key])) from None
+    _validate(cfg)
+    return cfg
 
 
 def default_config():
@@ -323,6 +294,7 @@ def load_config(path):
             try:
                 raw[section][key] = parse(text)
             except ValueError as exc:
-                raise ConfigError(f"{section}.{key}: bad value {text!r} ({exc})") from exc
+                raise ConfigError(f"bad value {text!r} ({exc})",
+                                  f"{section}.{key}") from exc
     return _build(raw)
 

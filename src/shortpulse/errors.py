@@ -55,4 +55,24 @@ class MissingSnapshots(ShortPulseError):
 
 
 class ConfigError(ShortPulseError):
-    """Malformed, unknown, or out-of-range configuration input."""
+    """Malformed, unknown, or out-of-range configuration input.
+
+    ``key`` names the offending setting, when there is one, and leads the
+    message; ``reason`` is the message without it.
+    """
+
+    def __init__(self, message, key=None):
+        super().__init__(f"{key}: {message}" if key else message)
+        self.key = key
+        self.reason = message
+
+
+def check_ranges(obj, rules):
+    """Raise :class:`ConfigError`, keyed by the field name, for the first
+    ``(field, admissible, range)`` rule whose predicate rejects that field
+    of ``obj``; ``range`` completes "must ...".  Every config type checks
+    its own fields this way, whichever path constructs it."""
+    for name, admissible, text in rules:
+        value = getattr(obj, name)
+        if not admissible(value):
+            raise ConfigError(f"must {text}, got {value!r}", key=name)

@@ -16,16 +16,14 @@ pad the band back to the full grid, so diagnostics never see K.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import fft as sfft
 
 from . import __version__, _kernels, norms
-from .errors import BandExceeded, BlowUp, MeanDrift, StepRejected, WrapAround
+from .errors import (BandExceeded, BlowUp, MeanDrift, StepRejected, WrapAround,
+                     check_ranges)
 from .spectral import SQRT2PI, Field, Grid, Snapshot, l2_norm
 
 DEFAULT_DT = 0.01
@@ -61,14 +59,21 @@ class SolverConfig:
     sobolev_s: float = 4.5
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (self.t_final >= self.snap_t0 >= 0.0):
-            raise ValueError(
-                f"need T >= t0 >= 0, got T={self.t_final}, t0={self.snap_t0}"
-            )
-        if self.snap_h <= 0.0:
-            raise ValueError(f"snap_h must be positive, got {self.snap_h}")
+        check_ranges(self, (
+            ("n", lambda n: n >= 2 and n & (n - 1) == 0, "be a power of two >= 2"),
+            ("length", lambda v: v > 0.0, "be positive"),
+            ("dt", lambda v: v > 0.0, "be positive"),
+            ("t_final", lambda v: v > 0.0, "be positive"),
+            ("mean_tol", lambda v: v > 0.0, "be positive"),
+            ("snap_t0", lambda v: 0.0 <= v <= self.t_final, "lie in [0, T]"),
+            ("snap_h", lambda v: v > 0.0, "be positive"),
+            ("growth_limit", lambda v: v > 1.0, "exceed 1"),
+            ("max_halvings", lambda v: v >= 0, "be >= 0"),
+            ("blowup_factor", lambda v: v > 1.0, "exceed 1"),
+            ("wrap_tol", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+            ("outer_frac", lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"),
+            ("sobolev_s", lambda v: v >= 3.0, "be >= 3"),
+        ))
 
     def grid(self):
         return Grid(self.n, self.length)
@@ -92,25 +97,19 @@ class SolverConfig:
                 out.append(t)
         return out
 
-    def config_hash(self):
-        blob = json.dumps(
-            {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)},
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
 
 @dataclass
 class Trajectory:
     config: SolverConfig
     snapshots: list = dc_field(default_factory=list)
-    config_hash: str = ""
     code_version: str = __version__
     status: str = "completed"
     halvings: int = 0
     band: int = None               # the active band K at the end of the run
     band_widenings: list = dc_field(default_factory=list)  # t of each doubling
-    tail_headroom: float = None    # max top-quarter level / TAIL_TOL, K < n/2
+    # max top-quarter level / TAIL_TOL over the steps on the final band;
+    # None when that band is n/2, which has no top quarter to watch
+    tail_headroom: float = None
 
     def append(self, snap):
         if self.snapshots and snap.t <= self.snapshots[-1].t:
@@ -149,7 +148,7 @@ class Stepper:
         self.h1w = mult * (1.0 + xi ** 2) * (dx ** 2 / (2.0 * np.pi)) \
             * (2.0 * np.pi / cfg.length)
         self._coef = {}
-        self.tail_peak = None  # largest accepted tail level while K < n/2
+        self.tail_peak = None  # largest accepted tail level on this band < n/2
 
     def spectrum_of(self, values):
         vh = sfft.rfft(np.asarray(values, dtype=np.float64))
@@ -256,15 +255,6 @@ class Stepper:
         return Snapshot(t, Field(self.grid, self.values_of(full)), full)
 
 
-def nonlinearity(u):
-    """d/dx (u^3), dealiased; exact zero mean (it is a derivative)."""
-    if not u.real:
-        raise ValueError("nonlinearity expects a real field")
-    n = u.grid.n
-    kern = _kernels.nonlinear_kernel(n, u.grid.length)
-    return Field(u.grid, sfft.irfft(kern.spectrum(sfft.rfft(u.values)), n))
-
-
 def _default_monitors(cfg):
     def wrap_monitor(snap):
         frac = snap.norms.wrapfrac
@@ -311,7 +301,7 @@ def evolve(u0, cfg, monitors=None):
     vh[0] = 0.0
     vh = vh[: stepper.start_band(vh) + 1]
 
-    traj = Trajectory(config=cfg, config_hash=cfg.config_hash())
+    traj = Trajectory(config=cfg)
     if monitors is None:
         monitors = _default_monitors(cfg)
     h1_init = stepper.h1_norm(vh)
@@ -355,6 +345,7 @@ def evolve(u0, cfg, monitors=None):
                     vh = stepper.step_checked(vh, h)
                 except BandExceeded:
                     vh = stepper.widen(vh, 2 * (len(vh) - 1))
+                    stepper.tail_peak = None
                     traj.band_widenings.append(t)
                     continue
                 except StepRejected:
@@ -375,20 +366,3 @@ def evolve(u0, cfg, monitors=None):
         if stepper.tail_peak is not None:
             traj.tail_headroom = stepper.tail_peak / TAIL_TOL
     return traj
-
-
-def self_convergence(u0, cfg, dt_coarse, t_end=1.0, refine=8):
-    """Richardson check: errors of dt and dt/2 runs against a dt/refine run.
-
-    Returns (err_coarse, err_half, ratio); ratio ~ 16 for a 4th-order step.
-    """
-    def run(dtv):
-        c = dataclasses.replace(cfg, dt=dtv, t_final=t_end, snap_t0=0.0,
-                                wrap_tol=1.0, growth_limit=10.0)
-        tr = evolve(u0, c)
-        return tr.snapshots[-1].u.values
-
-    ref = run(dt_coarse / refine)
-    e1 = float(np.max(np.abs(run(dt_coarse) - ref)))
-    e2 = float(np.max(np.abs(run(dt_coarse / 2) - ref)))
-    return e1, e2, e1 / e2

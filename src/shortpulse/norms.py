@@ -7,9 +7,10 @@ The composite norm tracked throughout is
 
 with Hm1 the homogeneous negative-order norm (zero mode excluded) and
 J dx u = x u_x - t dx^{-1} u.  Multiplications by x near the periodic seam
-are tapered smoothly to zero over the outer 2% of the box; the wrap-around
-monitor is what certifies the field is negligible there, so the taper bias
-is below measurement tolerance exactly when the monitor is quiet.
+are tapered smoothly to zero over the outer :data:`TAPER_FRAC` = 2% of the
+box on each side; the wrap-around monitor is what certifies the field is
+negligible there, so the taper bias is below measurement tolerance exactly
+when the monitor is quiet.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import InsufficientData
 from .spectral import (
     Field,
     Snapshot,
-    antiderivative,
     apply_multiplier,
     derivative,
     forward_transform,
@@ -34,6 +34,8 @@ from .spectral import (
     l2_norm,
     refined_sup,
 )
+
+TAPER_FRAC = 0.02  # x is tapered on this outer fraction of the box per side
 
 
 @dataclass
@@ -69,23 +71,6 @@ assert NormRecord.COLUMNS == tuple(f.name for f in dc_fields(NormRecord))
 # ----------------------------------------------------------------------
 # norms
 
-def hs_norm(u, s):
-    """Inhomogeneous Sobolev norm sqrt(sum <xi>^{2s} |c|^2 dxi)."""
-    fh = forward_transform(u)
-    w = (1.0 + fh.grid.xi ** 2) ** s
-    return float(np.sqrt(fh.grid.dxi * np.sum(w * np.abs(fh.coeffs) ** 2)))
-
-
-def hm1_norm(u):
-    """Homogeneous H^{-1} norm; the xi = 0 mode is excluded by definition."""
-    fh = forward_transform(u)
-    g = fh.grid
-    w = np.zeros(g.n)
-    nz = g.k != 0
-    w[nz] = 1.0 / g.xi[nz] ** 2
-    return float(np.sqrt(g.dxi * np.sum(w * np.abs(fh.coeffs) ** 2)))
-
-
 def hdot_norm(u, s):
     """Homogeneous Sobolev norm sqrt(sum |xi|^{2s} |c|^2 dxi), zero mode out."""
     fh = forward_transform(u)
@@ -97,17 +82,17 @@ def hdot_norm(u, s):
 
 
 @lru_cache(maxsize=32)
-def _taper_values(n, length, frac):
+def _taper_values(n, length):
     x = -0.5 * length + (length / n) * np.arange(n)
-    ramp = (np.abs(x) - (0.5 - frac) * length) / (frac * length)
+    ramp = (np.abs(x) - (0.5 - TAPER_FRAC) * length) / (TAPER_FRAC * length)
     v = 1.0 - smoothstep(ramp)
     v.setflags(write=False)
     return v
 
 
-def edge_taper(grid, frac=0.02):
-    """Smooth [1 -> 0] ramp over the outer ``frac`` of the box per side."""
-    return _taper_values(grid.n, grid.length, float(frac))
+def edge_taper(grid):
+    """Smooth [1 -> 0] ramp over the outer TAPER_FRAC of the box per side."""
+    return _taper_values(grid.n, grid.length)
 
 
 def wrap_fraction(u, outer_frac=0.05):
@@ -123,23 +108,13 @@ def wrap_fraction(u, outer_frac=0.05):
 # ----------------------------------------------------------------------
 # vector fields
 
-def j_field(snap, taper_frac=0.02, ux=None):
+def j_field(snap, ux=None):
     """J dx u = x u_x - t dx^{-1} u, with the x-weight tapered at the seam;
     ``ux`` is the snapshot's u_x when the caller already derived it."""
     g = snap.u.grid
     ux = snap.u_x if ux is None else ux
-    tap = edge_taper(g, taper_frac)
+    tap = edge_taper(g)
     return Field(g, tap * g.x * ux.values - snap.t * snap.u_anti.values)
-
-
-def jplus_field(snap, target, mean_tol=None):
-    """J_+ target = sqrt|x| * target - i sqrt(t) dx^{-1} target."""
-    g = target.grid
-    kw = {} if mean_tol is None else {"mean_tol": mean_tol}
-    anti = antiderivative(target, **kw)
-    vals = np.sqrt(np.abs(g.x)) * target.values \
-        - 1j * np.sqrt(snap.t) * anti.values
-    return Field(g, vals, real=False)
 
 
 def s_field(snap, j=None, nl=None):
@@ -179,12 +154,12 @@ def sup_norms(snap, ux):
             refined_sup(ux.values, ik * snap.uh))
 
 
-def xs_norm(snap, s=4.5, taper_frac=0.02):
+def xs_norm(snap, s=4.5):
     """||u||_{X^s} of a snapshot, as its :class:`NormRecord` reads it."""
-    return compute_record(snap, s, taper_frac=taper_frac).Xs
+    return compute_record(snap, s).Xs
 
 
-def compute_record(snap, s=4.5, outer_frac=0.05, taper_frac=0.02, nl=None):
+def compute_record(snap, s=4.5, outer_frac=0.05, nl=None):
     """Assemble the full :class:`NormRecord` for a snapshot.
 
     Hs, Hm1 and both sup norms come from the snapshot's half-spectrum; u_x
@@ -200,7 +175,7 @@ def compute_record(snap, s=4.5, outer_frac=0.05, taper_frac=0.02, nl=None):
     hs = float(np.sqrt(np.sum((1.0 + xi ** 2) ** s * power)))
     hm1 = float(np.sqrt(np.sum(power[1:] / xi[1:] ** 2)))
     ux = snap.u_x
-    j = j_field(snap, taper_frac, ux)
+    j = j_field(snap, ux)
     jn = l2_norm(j)
     linf, uxlinf = sup_norms(snap, ux)
     uv, uxv = u.values, ux.values
@@ -225,7 +200,7 @@ def compute_record(snap, s=4.5, outer_frac=0.05, taper_frac=0.02, nl=None):
 MONITOR_COLUMNS = ("p32_hyp", "p32_hyp_x", "p32_ell", "p32_ell_x", "c34_jwt")
 
 
-def decomposition_monitors(snap, spec, s=4.5, taper_frac=0.02):
+def decomposition_monitors(snap, spec, s=4.5):
     """Empirical constants for the pointwise-decay and weighted bounds.
 
     Returns a dict with keys :data:`MONITOR_COLUMNS`:
@@ -248,7 +223,7 @@ def decomposition_monitors(snap, spec, s=4.5, taper_frac=0.02):
     u = snap.u
     g = u.grid
     record = snap.norms
-    xs = record.Xs if record is not None else xs_norm(snap, s, taper_frac)
+    xs = record.Xs if record is not None else xs_norm(snap, s)
     if xs == 0.0:
         return dict.fromkeys(MONITOR_COLUMNS, 0.0)
     dec = hyp_ell_decompose(u, t, spec)
@@ -314,18 +289,18 @@ def decay_fit(ts, ys, window=None):
     return float(slope), float(intercept), resid
 
 
-def scaling_invariant(u, t, taper_frac=0.02):
+def scaling_invariant(u, t):
     """Q(u, t) = t^{1/2} ||u_x||_inf / (||u||_{Hdot4}^{1/2} ||J dx u||^{1/2})."""
     snap = Snapshot(t, u)
     ux = snap.u_x
-    jn = l2_norm(j_field(snap, taper_frac, ux))
+    jn = l2_norm(j_field(snap, ux))
     den = hdot_norm(u, 4.0) ** 0.5 * jn ** 0.5
     if den == 0.0:
         return 0.0, True
     return float(np.sqrt(t) * sup_norms(snap, ux)[1] / den), False
 
 
-def scaling_selftest(u, t, lam, taper_frac=0.02):
+def scaling_selftest(u, t, lam):
     """Ratio Q(u, t) / Q(u_lam, lam t) under u_lam(x) = u(lam x) / lam.
 
     The rescaled field lives on the grid with the same n and L/lam, whose
@@ -339,8 +314,8 @@ def scaling_selftest(u, t, lam, taper_frac=0.02):
     g = u.grid
     g2 = Grid(g.n, g.length / lam)
     u2 = Field(g2, u.values / lam, real=u.real)
-    q1, d1 = scaling_invariant(u, t, taper_frac)
-    q2, d2 = scaling_invariant(u2, lam * t, taper_frac)
+    q1, d1 = scaling_invariant(u, t)
+    q2, d2 = scaling_invariant(u2, lam * t)
     if d1 or d2:
         return 0.0, True
     return q1 / q2, False

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import derivative_symbols
-from .bands import bump, project_plus_range
-from .errors import InsufficientData, OutOfBox, UnderResolved
-from .spectral import SQRT2PI, Field, forward_transform, l2_norm
+from .bands import bump
+from .errors import InsufficientData, OutOfBox, UnderResolved, check_ranges
 
 DEFAULT_VELOCITIES = tuple(-(2.0 ** (k / 4.0)) for k in range(-8, 9))
 
@@ -38,8 +37,8 @@ DEFAULT_VELOCITIES = tuple(-(2.0 ** (k / 4.0)) for k in range(-8, 9))
 BUMP_INTEGRAL = 0.44399381616807943782
 
 
-def _alpha_ceiling(s):
-    """Largest admissible window exponent for regularity s."""
+def alpha_ceiling(s):
+    """Window exponents alpha must stay below this for regularity s."""
     return min(2.0 / 45.0, 2.0 / (2.0 * s + 1.0),
                2.0 * (s - 4.0) / (3.0 * (s + 1.0)))
 
@@ -55,30 +54,18 @@ class PacketParams:
     band_delta: float = 1.0   # cutoff sharpness for spectrum diagnostics
 
     def __post_init__(self):
-        if not self.delta_p > 0.0:
-            raise ValueError(f"delta_p must be positive, got {self.delta_p}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.cadence_ratio > 1.0:
-            raise ValueError(
-                f"cadence_ratio must exceed 1, got {self.cadence_ratio}")
-        if any(v >= 0.0 for v in self.velocities):
-            raise ValueError("all probe velocities must be negative")
+        check_ranges(self, (
+            ("delta_p", lambda v: v > 0.0, "be positive"),
+            ("alpha", lambda v: v > 0.0, "be positive"),
+            ("velocities", lambda vs: all(v < 0.0 for v in vs), "all be negative"),
+            ("cadence_ratio", lambda v: v > 1.0, "exceed 1"),
+            ("band_delta", lambda v: v > 0.0, "be positive"),
+        ))
 
     @property
     def half_width(self):
         """Support half-width a = 1 - 2^{-delta_p} of the bump chi."""
         return 1.0 - 2.0 ** (-self.delta_p)
-
-    def validate_alpha(self, s):
-        """Check alpha against the admissible ceiling for regularity s."""
-        ceiling = _alpha_ceiling(s)
-        if not self.alpha < ceiling:
-            raise ValueError(
-                f"alpha = {self.alpha} must be below "
-                f"min(2/45, 2/(2s+1), 2(s-4)/(3(s+1))) = {ceiling:.6g} "
-                f"for s = {s}")
-        return ceiling
 
     def in_window(self, t, v):
         """Velocity window: t^-alpha <= -v <= t^alpha."""
@@ -122,24 +109,14 @@ def nearest_scale(xi, delta=1.0):
     return 2.0 ** (delta * round(np.log2(xi) / delta))
 
 
-def packet(t, v, params, grid):
-    """Sample Psi_v(t, .) on the grid.
-
-    Raises UnderResolved when dx is too coarse for the carrier
-    (dx <= pi sqrt|v| / 4 required: >= 8 points per wavelength) and
-    OutOfBox when the chi support leaves the box interior.
-    """
-    support, vals = _packet_on_support(t, v, params, grid)
-    full = np.zeros(grid.n, dtype=np.complex128)
-    full[support] = vals
-    return Field(grid, full, real=False)
-
-
 def _packet_on_support(t, v, params, grid):
     """(slice, values) of Psi_v(t, .) on the nodes inside its support.
 
     chi vanishes outside (vt - a w, vt + a w), so the packet is exactly
-    zero on every node the slice leaves out.
+    zero on every node the slice leaves out.  Raises UnderResolved when dx
+    is too coarse for the carrier (dx <= pi sqrt|v| / 4 required: >= 8
+    points per wavelength) and OutOfBox when the chi support leaves the box
+    interior.
     """
     if not t >= 1.0:
         raise ValueError(f"packet needs t >= 1, got {t}")
@@ -204,19 +181,10 @@ def ode_residual_series(ts, gammas, v):
     return t_mid, gdot - model
 
 
-def field_at(u, points):
-    """Band-limited (trigonometric) interpolation of u at arbitrary points."""
-    g = u.grid
-    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    vals = np.exp(1j * np.outer(points, g.xi)) @ forward_transform(u).coeffs \
-        * (g.dxi / SQRT2PI)
-    return vals.real if u.real else vals
-
-
 def _ray_coefficients(snap):
     """Half-spectrum series of the real fields u and u_x of a snapshot, one
     row each: f(x) = Re sum_k a_k e^{i xi_k x} over k = 0 .. n/2 is the
-    band-limited interpolant :func:`field_at` sums over all n modes.
+    band-limited (trigonometric) interpolant of the node values.
 
     With x_j = -L/2 + j dx, a_k = w_k (-1)^k fh_k / n for the rfft fh of f
     (the snapshot's ``uh``, and i xi times it for u_x), where w_k = 2 counts
@@ -306,58 +274,6 @@ def attach_residuals(records, v):
     for rec, r in zip(series[1:-1], res):
         rec.ode_residual = complex(r)
     return series
-
-
-def spectrum_concentration(t, v, params, grid, spec):
-    """Fraction of Psi_v's L2 mass outside the band around N_v.
-
-    Measures ||(1 - P^+_{N/2^d <= . <= 2^d N}) Psi_v|| / ||Psi_v|| with
-    N the nearest scaled dyadic to xi_v.
-    """
-    psi = packet(t, v, params, grid)
-    n_v = nearest_scale(abs(v) ** -0.5, spec.delta)
-    kept = project_plus_range(psi, n_v * 2.0 ** -spec.delta,
-                              n_v * 2.0 ** spec.delta, spec)
-    leak = Field(grid, psi.values - kept.values, real=False)
-    total = l2_norm(psi)
-    if total == 0.0:
-        return 0.0
-    return l2_norm(leak) / total
-
-
-def asymptotic_profile(t, x, v_probed, w_values):
-    """The displayed main term of the long-time profile.
-
-    Evaluates (2/sqrt t) 1_{x<0} Re{ W(x/t) exp(i phi(t,x)
-    + 3i sqrt(t/|x|) |W(x/t)|^2 log t) } with W(x/t) linearly
-    interpolated over the probed velocities.  Returns (values,
-    extrapolated mask); the profile is not extended outside the probed
-    range (values there are computed from the clamped endpoint but
-    flagged).
-    """
-    if not t >= 1.0:
-        raise ValueError(f"profile needs t >= 1, got {t}")
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    v_probed = np.asarray(v_probed, dtype=np.float64)
-    w_values = np.asarray(w_values, dtype=np.complex128)
-    if v_probed.size != w_values.size or v_probed.size == 0:
-        raise ValueError("need matching, nonempty v and W tables")
-    order = np.argsort(v_probed)
-    v_sorted, w_sorted = v_probed[order], w_values[order]
-    v_ray = x / t
-    w_ray = np.interp(v_ray, v_sorted, w_sorted.real) \
-        + 1j * np.interp(v_ray, v_sorted, w_sorted.imag)
-    extrapolated = (v_ray < v_sorted[0]) | (v_ray > v_sorted[-1])
-    vals = np.zeros_like(x)
-    neg = x < 0.0
-    if np.any(neg):
-        xn = x[neg]
-        wn = w_ray[neg]
-        arg = phase(t, xn) + 3.0 * np.sqrt(t / np.abs(xn)) \
-            * np.abs(wn) ** 2 * np.log(t)
-        vals[neg] = 2.0 / np.sqrt(t) * (wn * np.exp(1j * arg)).real
-    extrapolated = extrapolated & neg
-    return vals, extrapolated
 
 
 def phase_drift_fit(ts, gammas, v, window=None):

@@ -130,10 +130,6 @@ class Field:
         self.values = values
         self.real = bool(real)
 
-    def with_values(self, values, real=None):
-        """New field on the same grid (real tag inferred unless given)."""
-        return Field(self.grid, values, real=real)
-
     def __repr__(self):
         tag = "real" if self.real else "complex"
         return f"Field({self.grid!r}, {tag}, max={np.max(np.abs(self.values)):.3e})"
@@ -199,33 +195,17 @@ def l2_norm(f):
     return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
 
 
-def linf_norm(f, refine=8):
-    """Sup norm of the band-limited interpolant of a real field.
-
-    The plain grid max undersamples peaks that fall between nodes (the
-    error is O((dx xi_peak)^2) relative, large enough to spoil
-    resolution-independence checks), so the trigonometric interpolant is
-    maximized over a lattice ``refine`` times finer (see
-    :func:`refined_sup`).  ``refine=1`` gives the plain grid max.
-    """
-    if not f.real:
-        raise ValueError("linf_norm expects a real field")
-    vals = f.values
-    if refine <= 1:
-        return float(np.max(np.abs(vals)))
-    return refined_sup(vals, sfft.rfft(vals), refine)
-
-
 def refined_sup(values, half, refine=8):
     """Maximum of |f| over the nodes and the ``refine - 1`` equispaced
     points inside each cell, for the real node values ``values`` and their
-    rfft ``half``.
+    rfft ``half``: the sup norm of the band-limited interpolant.  The plain
+    grid max undersamples peaks that fall between nodes by O((dx xi_peak)^2)
+    relative, enough to spoil resolution-independence checks.
 
     Over the half-spectrum, f(x_0 + y) = Re sum_k b_k exp(i xi_k y) with
     b_k = w_k half_k / n, where w_k = 2 counts the conjugate mode except at
-    k = 0 and at the Nyquist row, which are counted once (as
-    :func:`shortpulse.packets.field_at` does).  On the cell [x_j, x_{j+1}],
-    linear interpolation bounds |f| by max(|f_j|, |f_{j+1}|) +
+    k = 0 and at the Nyquist row, which are counted once.  On the cell
+    [x_j, x_{j+1}], linear interpolation bounds |f| by max(|f_j|, |f_{j+1}|) +
     (dx^2 / 8) sum_k xi_k^2 |b_k|; the lattice maximum is at least the grid
     maximum m0, so only cells whose bound (plus a summation-rounding
     margin) reaches m0 can hold it, the wrap cell n-1 -> 0 included.  The
@@ -409,10 +389,3 @@ def free_propagate(f, t, mean_tol=MEAN_TOL):
         m = np.exp(-1j * float(t) / g.xi)
     return multiply_symbol(f, m, at_zero=1.0)
 
-
-def propagator_symbol(xi, t):
-    """exp(-i t / xi) with the xi = 0 entry pinned to 1, as a raw array."""
-    xi = np.asarray(xi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.exp(-1j * float(t) / xi)
-    return np.where(xi == 0.0, 1.0 + 0.0j, m)

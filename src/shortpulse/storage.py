@@ -21,6 +21,7 @@ produced it (readers that dislike comments can skip the first line).
 import json
 import os
 import struct
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -100,11 +101,6 @@ def _conversion(value):
     return "%s"
 
 
-def format_cell(value):
-    """One CSV cell, as :func:`write_csv` writes it."""
-    return _conversion(value) % (value,)
-
-
 def write_csv(path, header, rows, config_hash=""):
     """Write a table; returns the row count (excluding the header).
 
@@ -129,34 +125,6 @@ def write_csv(path, header, rows, config_hash=""):
     return count
 
 
-def read_csv(path):
-    """Read a table written by write_csv -> (header, rows as float lists).
-
-    Non-numeric cells come back as nan; the leading comment line is skipped.
-    """
-    header = None
-    rows = []
-    with open(path, "r", newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                continue
-            parsed = []
-            for cell in cells:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    parsed.append(float("nan"))
-            rows.append(parsed)
-    if header is None:
-        raise ValueError(f"{path}: no header row")
-    return header, rows
-
-
 # ---------------------------------------------------------------------------
 # manifests and trajectory directories
 
@@ -172,24 +140,21 @@ def write_json(path, document):
         fh.write("\n")
 
 
-def save_trajectory(out_dir, traj, experiment=None, config_hash=None, timestamp=True):
+def save_trajectory(out_dir, traj, experiment=None, config_hash="", timestamp=True):
     """Persist a trajectory; returns the manifest path.
 
-    ``experiment`` is the full experiment-config dict (all sections) when the
-    run came from a config file; library callers may omit it.  The manifest's
-    only non-deterministic field is ``metadata.created_utc``, and ``timestamp=
-    False`` suppresses even that (used by the determinism tests).
+    ``experiment`` is the full experiment-config dict (all sections) and
+    ``config_hash`` its :meth:`shortpulse.config.ExperimentConfig.hash` when
+    the run came from a config file; library callers may omit both.  The
+    manifest's only non-deterministic field is ``metadata.created_utc``, and
+    ``timestamp=False`` suppresses even that (used by the determinism tests).
     """
     os.makedirs(out_dir, exist_ok=True)
-    if config_hash is None:
-        config_hash = traj.config_hash or traj.config.config_hash()
     index = []
     for i, snap in enumerate(traj.snapshots):
         name = _snapshot_name(i)
         write_field(os.path.join(out_dir, name), snap.u, snap.t)
         index.append({"t": snap.t, "file": name})
-    from dataclasses import asdict
-
     manifest = {
         "format": {"snapshot": MAGIC.rstrip(b"\x00").decode(), "version": 1},
         "grid": {"n": traj.config.n, "length": traj.config.length},
@@ -222,12 +187,13 @@ def load_manifest(traj_dir):
         return json.load(fh)
 
 
-def load_trajectory(traj_dir, mean_tol=None):
+def load_trajectory(traj_dir):
     """Rebuild a Trajectory from a directory.
 
     Snapshot norms are left unset.  The file format holds the bare node
     values; each snapshot recomputes its spectrum, from which derivative and
-    antiderivative follow, so every stored field must have zero mean.
+    antiderivative follow, so every stored field must have zero mean (to the
+    stored ``mean_tol``).  The run's config hash stays in the manifest.
     """
     manifest = load_manifest(traj_dir)
     solver = manifest["solver"]
@@ -237,14 +203,15 @@ def load_trajectory(traj_dir, mean_tol=None):
             f"{traj_dir}: unknown solver key(s) in {MANIFEST_NAME}: "
             f"{', '.join(unknown)}; re-simulate"
         )
-    cfg = SolverConfig(**solver)
+    try:
+        cfg = SolverConfig(**solver)
+    except ConfigError as exc:
+        where = os.path.join(traj_dir, MANIFEST_NAME)
+        raise ConfigError(exc.reason, f"{where}: solver.{exc.key}") from None
     grid = cfg.grid()
-    if mean_tol is None:
-        mean_tol = cfg.mean_tol
     prov = manifest["provenance"]
     traj = Trajectory(
         config=cfg,
-        config_hash=prov["config_hash"],
         code_version=prov["code_version"],
         status=prov.get("status", "completed"),
         halvings=prov.get("halvings", 0),
@@ -259,7 +226,7 @@ def load_trajectory(traj_dir, mean_tol=None):
             raise CorruptSnapshot(
                 f"{path}: header t={t} disagrees with manifest t={entry['t']}"
             )
-        check_zero_mean(u, mean_tol, "antiderivative")
+        check_zero_mean(u, cfg.mean_tol, "antiderivative")
         traj.append(Snapshot(t, u))
     return traj, manifest
 

@@ -22,13 +22,14 @@ import pytest
 
 from shortpulse import counterexample
 from shortpulse.errors import InsufficientData
-from shortpulse.evolve import SolverConfig, evolve, self_convergence
+from shortpulse.evolve import SolverConfig, evolve
 from shortpulse.norms import decay_fit
 from shortpulse.packets import (PacketParams, attach_residuals,
                                 phase_drift_fit, probe_snapshot,
                                 profile_remainder_series, w_stability_series)
 from shortpulse.spectral import mean_coefficient
 from conftest import gaussian_pulse
+from oracles import self_convergence
 
 PROBE_VELOCITIES = (-1.0, -(2.0 ** -0.5), -(2.0 ** 0.5))
 NORM_COLUMNS = ("L2", "Hs", "Hm1", "JdxL2", "Xs", "Linf", "uxLinf", "SuL2")

@@ -7,17 +7,11 @@ import pytest
 
 from shortpulse.bands import (
     CutoffSpec,
+    _window_on_support,
     build_cutoff,
     bump,
     hyp_ell_decompose,
-    hyp_window,
-    localization_check,
-    project_band,
-    project_low,
-    project_plus_range,
-    project_sign,
     smoothstep,
-    window_count_bound,
 )
 from shortpulse.spectral import (
     Field,
@@ -27,6 +21,7 @@ from shortpulse.spectral import (
     inverse_transform,
     l2_norm,
 )
+from oracles import project_band, project_low, project_plus_range, project_sign
 
 partition_tol = 1e-12
 split_tol = 1e-12
@@ -38,6 +33,50 @@ orthogonality_const = 3.0
 localization_ratio_window = (0.25, 4.0)
 localization_frozen = {("a1b0c0", 16.0): 0.015522770438712233,
                        ("a2b1c1", 16.0): 30.13735095221605}
+
+
+def hyp_window(grid, t, scale, spec):
+    """The band-N window of the decomposition on the whole grid."""
+    support, w = _window_on_support(grid, t, scale, spec)
+    full = np.zeros(grid.n)
+    full[support] = w
+    return full
+
+
+def window_count_bound(spec):
+    """Max number of band windows that may overlap at one point."""
+    return math.ceil(5.0 / spec.delta)
+
+
+def localization_check(u, scale, a, b, c, r_spatial, spec):
+    """How well a spatially-localized piece of a frequency band stays inside
+    (a neighborhood of) the band: (num / den, degenerate) for
+
+        num = || (1 - P^+_{N 2^-delta <= . <= 2^delta N})
+                 |dx|^a ( |x|^b sigma_R(x) P_N P^+ u ) ||_{L2}
+        den = N^{-c} R^{-a + b - c} || P_N P^+ u ||_{L2},
+
+    with the ratio 0.0 and the flag set when the band carries no content.
+    """
+    for name, val in (("a", a), ("b", b), ("c", c)):
+        if val < 0:
+            raise ValueError(f"{name} must be >= 0, got {val}")
+    g = u.grid
+    uh = forward_transform(u)
+    plus_mask = (np.sign(g.xi) == 1.0).astype(np.float64)
+    band_sym = spec.sigma_band(g.xi, scale) * plus_mask
+    band_plus = inverse_transform(apply_multiplier(uh, band_sym), real=False)
+    weight = np.abs(g.x) ** b * spec.sigma_band(np.abs(g.x), r_spatial)
+    lh = forward_transform(Field(g, weight * band_plus.values, real=False))
+    frac = apply_multiplier(lh, np.abs(g.xi) ** a if a > 0 else np.ones(g.n))
+    keep = spec.sigma_range(g.xi, scale * 2.0 ** (-spec.delta),
+                            scale * 2.0 ** spec.delta) * plus_mask
+    leak = inverse_transform(apply_multiplier(frac, 1.0 - keep), real=False)
+    num = l2_norm(leak)
+    den = scale ** (-c) * r_spatial ** (-a + b - c) * l2_norm(band_plus)
+    if den == 0.0:
+        return 0.0, True
+    return num / den, False
 
 
 def broadband_field(grid):
@@ -172,7 +211,7 @@ def decompose_band_by_band(u, t, spec):
         w = spec.sigma_range(np.abs(g.x), center / 3.0, 3.0 * center) \
             * (g.x < 0.0)
         assert np.array_equal(hyp_window(g, t, scale, spec), w)
-        trav = band_plus.with_values(w * band_plus.values, real=False)
+        trav = Field(g, w * band_plus.values, real=False)
         total += trav.values
         empty += not np.any(w)
     u_plus = inverse_transform(apply_multiplier(uh, plus_mask), real=False)

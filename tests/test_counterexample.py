@@ -5,9 +5,9 @@ import pytest
 
 from shortpulse import counterexample as cx
 from shortpulse.errors import QuadratureUnderResolved
-from shortpulse.norms import hs_norm
 from shortpulse.spectral import (Grid, SpectralField, derivative,
                                  free_propagate, inverse_transform)
+from oracles import hs_norm
 
 # scale-invariant sup of the localized profile's derivative: lhs / N^2
 lhs_over_n2_frozen = 0.35425581101245623

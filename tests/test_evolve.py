@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from shortpulse._kernels import NonlinearKernel
+from shortpulse.config import default_config, with_overrides
 from shortpulse.errors import BlowUp, MeanDrift, StepRejected, WrapAround
-from shortpulse.evolve import (
-    TAIL_TOL,
-    SolverConfig,
-    Stepper,
-    evolve,
-    nonlinearity,
-    self_convergence,
-)
+from shortpulse.evolve import TAIL_TOL, SolverConfig, Stepper, evolve
 from shortpulse.spectral import (
     Field,
     Grid,
@@ -22,6 +16,7 @@ from shortpulse.spectral import (
     l2_norm,
 )
 from conftest import gaussian_pulse
+from oracles import nonlinearity, self_convergence
 
 # frozen from quadruple-resolution runs of the pinned data below
 nonlin_exact_tol = 1e-11          # measured 3.8e-13 / 5.4e-14
@@ -151,12 +146,28 @@ def test_a_tail_crossing_the_tolerance_widens_the_band_once(monkeypatch):
     assert len(traj.band_widenings) == 1
     assert 0.0 < traj.band_widenings[0] < cfg.t_final
     assert traj.band == cfg.n // 2
-    assert 0.0 < traj.tail_headroom <= 1.0
+    assert traj.tail_headroom is None  # n/2 has no top quarter to watch
     monkeypatch.setattr(Stepper, "start_band", lambda self, vh: self.nyq)
     full = evolve(u0, cfg)
     assert full.band_widenings == [] and full.tail_headroom is None
     a, b = traj.snapshots[-1].u.values, full.snapshots[-1].u.values
     assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < band_run_tol
+
+
+def test_tail_headroom_covers_only_the_steps_on_the_final_band(monkeypatch):
+    cfg = SolverConfig(n=1 << 11, length=64.0, dt=0.02, t_final=1.0)
+    levels, tail_level = [], Stepper._tail_level
+
+    def keep_level(self, vh):
+        levels.append((len(vh) - 1, tail_level(self, vh)))
+        return levels[-1][1]
+
+    monkeypatch.setattr(Stepper, "_tail_level", keep_level)
+    traj = evolve(gaussian_pulse(cfg.grid()), cfg)
+    # starts on n/8, then one step's tail doubles the band to n/4 for good
+    assert len(traj.band_widenings) == 1 and traj.band == cfg.n // 4
+    final = [level for band, level in levels if band == traj.band]
+    assert traj.tail_headroom == max(final) / TAIL_TOL < 1.0
 
 
 def test_a_broad_datum_starts_on_the_full_grid():
@@ -267,12 +278,12 @@ def test_snapshot_times_are_geometric_between_the_endpoints():
 
 
 def test_config_hash_is_stable_and_sensitive():
-    a = SolverConfig(n=1 << 8, length=64.0, dt=0.02, t_final=1.0)
-    b = SolverConfig(n=1 << 8, length=64.0, dt=0.02, t_final=1.0)
-    c = SolverConfig(n=1 << 8, length=64.0, dt=0.01, t_final=1.0)
-    assert a.config_hash() == b.config_hash()
-    assert a.config_hash() != c.config_hash()
-    assert len(a.config_hash()) == 16
+    # a run's one identity is its experiment config's hash
+    a, b, c = (with_overrides(default_config(), "solver", {"dt": dt})
+               for dt in (0.02, 0.02, 0.01))
+    assert a.hash() == b.hash()
+    assert a.hash() != c.hash()
+    assert len(a.hash()) == 16
 
 
 def test_zero_data_stays_zero():

@@ -8,7 +8,7 @@ tolerance leaves room only for FFT rounding, not for behavior changes.
 import numpy as np
 import pytest
 
-from shortpulse.bands import hyp_ell_decompose, project_band
+from shortpulse.bands import hyp_ell_decompose
 from shortpulse.errors import InsufficientData
 from shortpulse.norms import (
     MONITOR_COLUMNS,
@@ -18,10 +18,7 @@ from shortpulse.norms import (
     decomposition_monitors,
     edge_taper,
     hdot_norm,
-    hm1_norm,
-    hs_norm,
     j_field,
-    jplus_field,
     s_field,
     scaling_invariant,
     scaling_selftest,
@@ -33,13 +30,14 @@ from shortpulse.spectral import (
     Field,
     Grid,
     Snapshot,
+    antiderivative,
     derivative,
     free_propagate,
     l2_norm,
-    linf_norm,
     mean_coefficient,
 )
 from conftest import PlainSnap, gaussian_pulse
+from oracles import hm1_norm, hs_norm, linf_norm, project_band
 
 # ---- frozen mini-trajectory readings ---------------------------------
 mini_l2_drift_ceiling = 1e-12          # measured 3.3e-14
@@ -67,6 +65,14 @@ monitor_rounding_tol = 1e-14          # measured 4.3e-15 (p32_ell_x)
 jconj_tol = 1e-8                      # measured 5.6e-10
 jplus_tol = 1e-6                      # measured 6.1e-12
 scaling_tol = 1e-10
+
+
+def jplus_field(snap, target):
+    """J_+ target = sqrt|x| * target - i sqrt(t) dx^{-1} target."""
+    g = target.grid
+    return Field(g, np.sqrt(np.abs(g.x)) * target.values
+                 - 1j * np.sqrt(snap.t) * antiderivative(target).values,
+                 real=False)
 
 
 def rows_of(traj):
@@ -230,7 +236,7 @@ def test_single_mode_sobolev_norms_have_closed_forms():
 
 def test_edge_taper_is_flat_inside_and_falls_at_the_seam():
     g = Grid(1 << 10, 100.0)
-    tap = edge_taper(g, 0.02)
+    tap = edge_taper(g)
     interior = np.abs(g.x) <= 0.45 * g.length
     assert np.all(tap[interior] == 1.0)
     assert tap[0] < 1e-6  # x = -L/2 sits at the seam

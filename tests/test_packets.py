@@ -9,30 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shortpulse.bands import bump
-from shortpulse.errors import InsufficientData, OutOfBox, UnderResolved
+from shortpulse.config import load_config
+from shortpulse.errors import ConfigError, InsufficientData, OutOfBox, UnderResolved
 from shortpulse.packets import (
     BUMP_INTEGRAL,
     DEFAULT_VELOCITIES,
     PacketParams,
     ProbeRecord,
-    asymptotic_profile,
+    _packet_on_support,
+    alpha_ceiling,
     attach_residuals,
     extract_w,
-    field_at,
     gamma,
     nearest_scale,
     ode_residual_series,
-    packet,
     phase,
     phase_drift_fit,
     probe_snapshot,
     profile_remainder_series,
     prop42_errors,
-    spectrum_concentration,
     w_stability_series,
 )
-from shortpulse.spectral import Field, Grid, Snapshot, free_propagate, linf_norm
+from shortpulse.spectral import Field, Grid, Snapshot, free_propagate, l2_norm
 from conftest import PlainSnap, gaussian_pulse
+from oracles import field_at, linf_norm, project_plus_range
 
 gamma_phase_tol = 1e-12        # measured 3.6e-13 on the n=2^15 box
 gamma_linearity_tol = 1e-12    # measured 2.1e-16
@@ -54,6 +54,59 @@ concentration_frozen = (0.4048, 0.1418, 0.0729)
 # masked-carrier ray errors at t=16/36/64, frozen
 synthetic_ray_errors_u = (0.028020029334892918, 0.0071479489249517414,
                           0.0015155732784390141)
+
+
+def packet(t, v, params, grid):
+    """Psi_v(t, .) on the whole grid, zero off its support."""
+    support, vals = _packet_on_support(t, v, params, grid)
+    full = np.zeros(grid.n, dtype=np.complex128)
+    full[support] = vals
+    return Field(grid, full, real=False)
+
+
+def spectrum_concentration(t, v, params, grid, spec):
+    """||(1 - P^+_{N/2^d <= . <= 2^d N}) Psi_v|| / ||Psi_v||, N the nearest
+    scaled dyadic to xi_v: the fraction of the packet's L2 mass outside
+    the band around N."""
+    psi = packet(t, v, params, grid)
+    n_v = nearest_scale(abs(v) ** -0.5, spec.delta)
+    kept = project_plus_range(psi, n_v * 2.0 ** -spec.delta,
+                              n_v * 2.0 ** spec.delta, spec)
+    leak = Field(grid, psi.values - kept.values, real=False)
+    total = l2_norm(psi)
+    return l2_norm(leak) / total if total else 0.0
+
+
+def asymptotic_profile(t, x, v_probed, w_values):
+    """The displayed main term of the long-time profile,
+
+        (2/sqrt t) 1_{x<0} Re{ W(x/t) exp(i phi(t,x)
+                               + 3i sqrt(t/|x|) |W(x/t)|^2 log t) },
+
+    with W(x/t) linearly interpolated over the probed velocities.  Returns
+    (values, mask of x outside the probed fan); there the clamped endpoint
+    gives the value.
+    """
+    if not t >= 1.0:
+        raise ValueError(f"profile needs t >= 1, got {t}")
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    v_probed = np.asarray(v_probed, dtype=np.float64)
+    w_values = np.asarray(w_values, dtype=np.complex128)
+    if v_probed.size != w_values.size or v_probed.size == 0:
+        raise ValueError("need matching, nonempty v and W tables")
+    order = np.argsort(v_probed)
+    v_sorted, w_sorted = v_probed[order], w_values[order]
+    v_ray = x / t
+    w_ray = np.interp(v_ray, v_sorted, w_sorted.real) \
+        + 1j * np.interp(v_ray, v_sorted, w_sorted.imag)
+    neg = x < 0.0
+    vals = np.zeros_like(x)
+    if np.any(neg):
+        xn, wn = x[neg], w_ray[neg]
+        arg = phase(t, xn) + 3.0 * np.sqrt(t / np.abs(xn)) \
+            * np.abs(wn) ** 2 * np.log(t)
+        vals[neg] = 2.0 / np.sqrt(t) * (wn * np.exp(1j * arg)).real
+    return vals, ((v_ray < v_sorted[0]) | (v_ray > v_sorted[-1])) & neg
 
 
 def limit_ode_gamma(ts, g0, v):
@@ -239,10 +292,12 @@ def test_the_cli_import_path_leaves_out_scipy_integrate():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_window_exponent_respects_the_regularity_ceiling():
-    assert PacketParams().validate_alpha(4.5) > 0.04
-    with pytest.raises(ValueError):
-        PacketParams(alpha=0.05).validate_alpha(4.5)
+def test_window_exponent_respects_the_regularity_ceiling(tmp_path):
+    assert alpha_ceiling(4.5) > PacketParams().alpha
+    ini = tmp_path / "alpha.ini"
+    ini.write_text("[norms]\ns = 4.5\n[probe]\nalpha = 0.05\n")
+    with pytest.raises(ConfigError, match="probe.alpha"):
+        load_config(ini)
 
 
 def test_default_velocity_ladder():
