@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .spectral import (
-    Field,
-    SpectralField,
-    apply_multiplier,
-    forward_transform,
-    inverse_transform,
-)
+from scipy import fft as sfft
 
 
 def smoothstep(s):
@@ -113,38 +106,23 @@ class CutoffSpec:
         return f"CutoffSpec(delta={self.delta!r})"
 
 
-def build_cutoff(delta=1.0):
-    """Construct the cutoff family; the single entry point used everywhere."""
-    return CutoffSpec(delta)
-
-
 # ----------------------------------------------------------------------
 # traveling / elliptic splitting
 
 @dataclass
 class Decomposition:
-    """Result of :func:`hyp_ell_decompose` at one time.
+    """Result of :func:`hyp_ell_decompose` at one time: complex node values
+    on the snapshot's grid.
 
     ``hyp_plus`` is the sum of the windowed band pieces over scales N <= t;
-    ``ell_plus`` is defined as u^+ - hyp_plus, so the aggregates recompose
-    u^+ exactly by construction.  The real-field counterparts are
-    2 Re(part), consistent with u = 2 Re u^+ for real zero-mean u.
-    ``u_hat`` is the transform of u that the split was made from.
+    ``ell_plus`` is defined as u^+ - hyp_plus, so the parts recompose u^+
+    exactly by construction, and u = 2 Re(hyp_plus + ell_plus) for a real
+    zero-mean u with an empty Nyquist row.
     """
 
-    t: float
-    delta: float
-    u_plus: Field = None
-    hyp_plus: Field = None
-    ell_plus: Field = None
-    u_hat: SpectralField = None
-
-    def hyp_real(self):
-        return Field(self.hyp_plus.grid, 2.0 * np.real(self.hyp_plus.values))
-
-    def ell_real(self, u):
-        return Field(u.grid, np.asarray(u.values) - 2.0 * np.real(self.hyp_plus.values),
-                     real=u.real)
+    u_plus: np.ndarray
+    hyp_plus: np.ndarray
+    ell_plus: np.ndarray
 
 
 def _window_on_support(grid, t, scale, spec):
@@ -180,25 +158,26 @@ def _plus_band_symbol(grid, delta, scale):
     return support, sym
 
 
-def hyp_ell_decompose(u, t, spec):
-    """Split u into a traveling part (frequency bands windowed around their
-    group lines x ~ -t/N^2) and the exact elliptic complement.
+def hyp_ell_decompose(snap, spec):
+    """Split a snapshot's u into a traveling part (frequency bands windowed
+    around their group lines x ~ -t/N^2) and the exact elliptic complement.
 
     Requires t >= 1.  The traveling part is 2 Re sum_{N <= t} w_N P_N P^+ u
     over lattice scales with grid content; the elliptic part is defined as
     u minus the traveling part, so recomposition is exact by construction.
-    Bands whose window misses every node add nothing and are not
-    transformed.
+    Each band and u^+ are filled from the rows 0 < k < n/2 of the
+    snapshot's rfft ``uh`` and inverted by one n-point complex ifft: the
+    continuum normalization of P_N P^+ cancels between its two transforms.
+    Bands whose window misses every node add nothing and are not inverted.
     """
+    t = snap.t
     if not t >= 1.0:
         raise ValueError(f"decomposition needs t >= 1, got t = {t}")
-    g = u.grid
-    xi_min = g.dxi
-    xi_max = g.dxi * (g.n // 2)
-    lo = xi_min * 2.0 ** (-spec.delta)
-    hi = min(float(t), xi_max * 2.0 ** spec.delta)
+    g = snap.u.grid
+    nyq = g.n // 2
+    lo = g.dxi * 2.0 ** (-spec.delta)
+    hi = min(t, g.dxi * nyq * 2.0 ** spec.delta)
     total = np.zeros(g.n, dtype=np.complex128)
-    uh = forward_transform(u)
     if lo <= hi:
         for scale in spec.lattice(lo, hi):
             if scale > t:
@@ -208,12 +187,9 @@ def hyp_ell_decompose(u, t, spec):
                 continue
             rows, sym = _plus_band_symbol(g, spec.delta, scale)
             band_h = np.zeros(g.n, dtype=np.complex128)
-            band_h[rows] = sym * uh.coeffs[rows]
-            band_plus = inverse_transform(SpectralField(g, band_h), real=False)
-            total[support] += w * band_plus.values[support]
-    plus_mask = (np.sign(g.xi) == 1.0).astype(np.float64)
-    u_plus = inverse_transform(apply_multiplier(uh, plus_mask), real=False)
-    return Decomposition(t=float(t), delta=spec.delta, u_plus=u_plus,
-                         hyp_plus=Field(g, total, real=False),
-                         ell_plus=Field(g, u_plus.values - total, real=False),
-                         u_hat=uh)
+            band_h[rows] = sym * snap.uh[rows]
+            total[support] += w * sfft.ifft(band_h)[support]
+    plus_h = np.zeros(g.n, dtype=np.complex128)
+    plus_h[1:nyq] = snap.uh[1:nyq]
+    u_plus = sfft.ifft(plus_h)
+    return Decomposition(u_plus=u_plus, hyp_plus=total, ell_plus=u_plus - total)

@@ -135,7 +135,6 @@ _PROBE_ARGS = dict(
 _EXPERIMENT_ARGS = {
     "initial_kind": ("initial", "kind"), "epsilon": ("initial", "epsilon"),
     "width": ("initial", "width"), "initial_path": ("initial", "path"),
-    "sobolev_s": ("norms", "s"), "delta": ("decomposition", "delta"),
     "rho": ("appendix", "rho"), "n_min": ("appendix", "N_min"),
     "n_max": ("appendix", "N_max"), "output_dir": ("output", "dir"),
     "formats": ("output", "formats"),
@@ -156,8 +155,6 @@ class ExperimentConfig:
     epsilon: float
     width: float
     initial_path: str
-    sobolev_s: float
-    delta: float
     probe: PacketParams
     rho: float
     n_min: int
@@ -193,7 +190,7 @@ class ExperimentConfig:
         if self.initial_kind == "gaussian_derivative":
             x, w = grid.x, self.width
             values = self.epsilon * (-2.0 * x / w**2) * np.exp(-((x / w) ** 2))
-            return Field(grid, values, real=True)
+            return Field(grid, values)
         try:
             _, fld = storage.read_field(self.initial_path, grid)
         except storage.CorruptSnapshot as exc:

@@ -6,11 +6,7 @@ class ShortPulseError(Exception):
 
 
 class MeanNotZero(ShortPulseError):
-    """An inverse-derivative symbol was applied to a field with nonzero mean."""
-
-
-class NonFiniteSymbol(ShortPulseError):
-    """A Fourier multiplier is non-finite at a frequency carrying content."""
+    """A field that the antiderivative is applied to has a nonzero mean."""
 
 
 class StepRejected(ShortPulseError):

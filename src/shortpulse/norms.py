@@ -24,16 +24,7 @@ from scipy import fft as sfft
 from . import _kernels
 from .bands import hyp_ell_decompose, smoothstep
 from .errors import InsufficientData
-from .spectral import (
-    Field,
-    Snapshot,
-    apply_multiplier,
-    derivative,
-    forward_transform,
-    inverse_transform,
-    l2_norm,
-    refined_sup,
-)
+from .spectral import Field, Grid, Snapshot, l2_norm, refined_sup
 
 TAPER_FRAC = 0.02  # x is tapered on this outer fraction of the box per side
 
@@ -71,14 +62,21 @@ assert NormRecord.COLUMNS == tuple(f.name for f in dc_fields(NormRecord))
 # ----------------------------------------------------------------------
 # norms
 
-def hdot_norm(u, s):
+def spectral_power(snap):
+    """The Parseval weights |c_k|^2 dxi on the snapshot's rfft rows, the
+    rows 0 < k < n/2 counted twice for their conjugate partners: they sum
+    to ||u||_L2^2."""
+    g = snap.u.grid
+    power = np.abs(snap.uh) ** 2 * (g.dx ** 2 / g.length)
+    power[1:-1] *= 2.0
+    return power
+
+
+def hdot_norm(snap, s):
     """Homogeneous Sobolev norm sqrt(sum |xi|^{2s} |c|^2 dxi), zero mode out."""
-    fh = forward_transform(u)
-    g = fh.grid
-    w = np.zeros(g.n)
-    nz = g.k != 0
-    w[nz] = np.abs(g.xi[nz]) ** (2.0 * s)
-    return float(np.sqrt(g.dxi * np.sum(w * np.abs(fh.coeffs) ** 2)))
+    g = snap.u.grid
+    xi = _kernels.rfft_xi(g.n, g.length)
+    return float(np.sqrt(np.sum(xi[1:] ** (2.0 * s) * spectral_power(snap)[1:])))
 
 
 @lru_cache(maxsize=32)
@@ -169,9 +167,7 @@ def compute_record(snap, s=4.5, outer_frac=0.05, nl=None):
     u = snap.u
     g = u.grid
     xi = _kernels.rfft_xi(g.n, g.length)
-    # |c_k|^2 dxi on the half-spectrum; conjugate rows count twice
-    power = np.abs(snap.uh) ** 2 * (g.dx ** 2 / g.length)
-    power[1:-1] *= 2.0
+    power = spectral_power(snap)
     hs = float(np.sqrt(np.sum((1.0 + xi ** 2) ** s * power)))
     hm1 = float(np.sqrt(np.sum(power[1:] / xi[1:] ** 2)))
     ux = snap.u_x
@@ -220,13 +216,12 @@ def decomposition_monitors(snap, spec, s=4.5):
     it at the solver's ``sobolev_s``), and computed here otherwise.
     """
     t = float(snap.t)
-    u = snap.u
-    g = u.grid
+    g = snap.u.grid
     record = snap.norms
     xs = record.Xs if record is not None else xs_norm(snap, s)
     if xs == 0.0:
         return dict.fromkeys(MONITOR_COLUMNS, 0.0)
-    dec = hyp_ell_decompose(u, t, spec)
+    dec = hyp_ell_decompose(snap, spec)
     neg = g.x < 0.0
     r = np.abs(g.x[neg]) / t
 
@@ -234,27 +229,31 @@ def decomposition_monitors(snap, spec, s=4.5):
         envelope = np.minimum(r ** lo_exp, r ** (-hi_exp))
         return float(np.max(np.abs(vals[neg]) / (t ** -0.5 * envelope * xs)))
 
+    # dx u^{hyp,+}: the windowed sum is not band-limited, so it takes a
+    # whole-grid transform pair; i xi is zero on the Nyquist row
     hyp = dec.hyp_plus
-    hyp_x = derivative(hyp)
+    ik = 1j * g.xi
+    ik[g.n // 2] = 0.0
+    hyp_x = sfft.ifft(ik * sfft.fft(hyp))
     ell_decay = t ** (-(2 * s - 1) / (2 * s + 2)) * (1 + np.log(t))
     ellx_decay = t ** (-(2 * s - 3) / (2 * s + 2)) * (1 + np.log(t))
-    ell = 2.0 * np.real(dec.ell_plus.values)
-    # dx u^{ell,+} = P^+ u_x - dx u^{hyp,+}, with P^+ u_x from the same u^
-    ux_plus = inverse_transform(
-        apply_multiplier(dec.u_hat, np.where(g.xi > 0.0, 1j * g.xi, 0.0)))
-    ell_x = 2.0 * np.real(ux_plus.values - hyp_x.values)
+    ell = 2.0 * np.real(dec.ell_plus)
+    # dx u^{ell,+} = P^+ u_x - dx u^{hyp,+}, P^+ u_x on the rows of u^+
+    nyq = g.n // 2
+    ux_plus = np.zeros(g.n, dtype=np.complex128)
+    ux_plus[1:nyq] = ik[1:nyq] * snap.uh[1:nyq]
+    ell_x = 2.0 * np.real(sfft.ifft(ux_plus) - hyp_x)
     # dx^{-1} hyp_x is hyp without its xi = 0 and Nyquist rows: its mean
     # and its projection on the alternating mode (-1)^j (the FFT phase
     # (-1)^k, since k and j share parity)
     alt = g.phase
-    hyp_anti = hyp.values - np.mean(hyp.values) \
-        - np.mean(alt * hyp.values) * alt
+    hyp_anti = hyp - np.mean(hyp) - np.mean(alt * hyp) * alt
     root_x = np.sqrt(np.abs(g.x))
-    jwt = root_x * hyp_x.values - 1j * np.sqrt(t) * hyp_anti    # J_+ hyp_x
+    jwt = root_x * hyp_x - 1j * np.sqrt(t) * hyp_anti    # J_+ hyp_x
     weighted = root_x * jwt
     return {
-        "p32_hyp": hyp_sup(hyp.values, s / 4 - 0.5, 0.75),
-        "p32_hyp_x": hyp_sup(hyp_x.values, s / 4 - 1.0, 1.25),
+        "p32_hyp": hyp_sup(hyp, s / 4 - 0.5, 0.75),
+        "p32_hyp_x": hyp_sup(hyp_x, s / 4 - 1.0, 1.25),
         "p32_ell": float(np.max(np.abs(ell)) / (ell_decay * xs)),
         "p32_ell_x": float(np.max(np.abs(ell_x)) / (ellx_decay * xs)),
         "c34_jwt": float(np.sqrt(g.dx * np.sum(np.abs(weighted) ** 2))) / xs,
@@ -294,7 +293,7 @@ def scaling_invariant(u, t):
     snap = Snapshot(t, u)
     ux = snap.u_x
     jn = l2_norm(j_field(snap, ux))
-    den = hdot_norm(u, 4.0) ** 0.5 * jn ** 0.5
+    den = hdot_norm(snap, 4.0) ** 0.5 * jn ** 0.5
     if den == 0.0:
         return 0.0, True
     return float(np.sqrt(t) * sup_norms(snap, ux)[1] / den), False
@@ -309,11 +308,9 @@ def scaling_selftest(u, t, lam):
     """
     if lam not in (2, 4):
         raise ValueError(f"lam must be 2 or 4, got {lam}")
-    from .spectral import Grid
-
     g = u.grid
     g2 = Grid(g.n, g.length / lam)
-    u2 = Field(g2, u.values / lam, real=u.real)
+    u2 = Field(g2, u.values / lam)
     q1, d1 = scaling_invariant(u, t)
     q2, d2 = scaling_invariant(u2, lam * t)
     if d1 or d2:

@@ -1,23 +1,25 @@
-"""Periodic grids, continuum-normalized transforms, Fourier multipliers,
-and the exact linear propagator of u_t = dx^{-1} u.
+"""Periodic grids, real fields and their snapshots, and the norms read
+off a snapshot's half-spectrum.
 
 Conventions
 -----------
-The box is [-L/2, L/2) sampled at n equispaced nodes (n a power of two).
-Transforms use the symmetric continuum normalization
+The box is [-L/2, L/2) sampled at n equispaced nodes x_j = -L/2 + j dx (n a
+power of two).  A real field's spectrum is its rfft, unnormalized,
 
-    c_k = (dx / sqrt(2 pi)) * sum_j exp(-i x_j xi_k) f(x_j),
-    f_j = (dxi / sqrt(2 pi)) * sum_k exp(+i x_j xi_k) c_k,
+    uh_k = sum_j exp(-2 pi i j k / n) u_j,   k = 0 .. n/2,
 
-with xi_k = 2 pi k / L for k in [-n/2, n/2) and dxi = 2 pi / L, so that
-Parseval reads  sum |f_j|^2 dx = sum |c_k|^2 dxi  and a pure mode
-exp(i xi_k x) transforms to a single coefficient of size L / sqrt(2 pi).
-Coefficients are stored in FFT order (the order of scipy.fft.fftfreq).
-
-Symbols with an inverse power of xi (the antiderivative 1/(i xi), the
-propagator exp(-i t / xi)) are defined only on zero-mean fields; the
-value at xi = 0 is pinned explicitly (0 for the antiderivative, 1 for
-the propagator) and the mean is checked against ``MEAN_TOL`` first.
+on the frequencies xi_k = 2 pi k / L; the rows 0 < k < n/2 stand for their
+conjugate partners -k as well, the k = 0 and Nyquist rows for themselves.
+The continuum-normalized coefficient of the line's Fourier transform is
+c_k = (dx / sqrt(2 pi)) (-1)^k uh_k, the sign (-1)^k = exp(i xi_k L / 2)
+moving the origin from the first node to x = 0; :func:`check_zero_mean`
+reads c_0, and :func:`shortpulse.norms.spectral_power` holds the Parseval
+weights |c_k|^2 dxi.  Every operator is a multiplier on these rows: the
+derivative i xi and its inverse 1/(i xi), pinned to 0 at xi = 0 and both
+zero on the Nyquist row (:func:`shortpulse._kernels.derivative_symbols`),
+and the linear flow exp(t / (i xi)).  The inverse is exact only on
+zero-mean fields: the solver checks its datum and every snapshot, and
+``load_trajectory`` every stored field, with :func:`check_zero_mean`.
 """
 
 from __future__ import annotations
@@ -28,21 +30,9 @@ import numpy as np
 from scipy import fft as sfft
 
 from . import _kernels
-from .errors import MeanNotZero, NonFiniteSymbol
+from .errors import MeanNotZero
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
-
-#: Relative tolerance on |c_0| / ||f||_{L2} below which a field counts as
-#: zero-mean.  Large enough to survive 2e4 accumulation steps of rounding,
-#: small enough that the antiderivative is unambiguous at every usable scale.
-MEAN_TOL = 1e-10
-
-#: Relative tolerance on stray imaginary parts when a field is tagged real.
-REAL_TOL = 1e-8
-
-#: Coefficients below this fraction of the spectral peak count as empty when
-#: deciding whether a non-finite symbol value actually touches content.
-POPULATED_TOL = 1e-13
 
 
 class Grid:
@@ -95,44 +85,24 @@ class Grid:
 
 
 class Field:
-    """Immutable samples of a function on a :class:`Grid`.
+    """Immutable real samples of a function on a :class:`Grid`."""
 
-    A field tagged ``real`` stores float64 values; constructing one from
-    complex data checks that the imaginary part is below ``REAL_TOL``
-    relative to the field's sup norm and strips it.
-    """
+    __slots__ = ("grid", "values")
 
-    __slots__ = ("grid", "values", "real")
-
-    def __init__(self, grid, values, real=None):
-        values = np.asarray(values)
+    def __init__(self, grid, values):
+        if np.iscomplexobj(values):
+            raise ValueError("a field holds real samples")
+        values = np.array(values, dtype=np.float64)
         if values.shape != (grid.n,):
             raise ValueError(
                 f"values shape {values.shape} does not match grid n={grid.n}"
             )
-        if real is None:
-            real = not np.iscomplexobj(values)
-        if real:
-            if np.iscomplexobj(values):
-                scale = max(float(np.max(np.abs(values))), 1e-300)
-                worst = float(np.max(np.abs(values.imag)))
-                if worst > REAL_TOL * scale:
-                    raise ValueError(
-                        f"field tagged real has imaginary part {worst:.3e} "
-                        f"(tolerance {REAL_TOL:.1e} * {scale:.3e})"
-                    )
-                values = values.real
-            values = np.array(values, dtype=np.float64)
-        else:
-            values = np.array(values, dtype=np.complex128)
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-        self.real = bool(real)
 
     def __repr__(self):
-        tag = "real" if self.real else "complex"
-        return f"Field({self.grid!r}, {tag}, max={np.max(np.abs(self.values)):.3e})"
+        return f"Field({self.grid!r}, max={np.max(np.abs(self.values)):.3e})"
 
 
 class Snapshot:
@@ -146,8 +116,6 @@ class Snapshot:
     __slots__ = ("t", "u", "uh", "norms")
 
     def __init__(self, t, u, uh=None):
-        if not u.real:
-            raise ValueError("a snapshot holds a real field")
         self.t = float(t)
         self.u = u
         self.uh = sfft.rfft(u.values) if uh is None else uh
@@ -168,31 +136,12 @@ class Snapshot:
         return Field(g, sfft.irfft(symbol * self.uh, g.n))
 
 
-class SpectralField:
-    """Immutable Fourier coefficients of a field, in FFT order."""
-
-    __slots__ = ("grid", "coeffs")
-
-    def __init__(self, grid, coeffs):
-        coeffs = np.array(coeffs, dtype=np.complex128)
-        if coeffs.shape != (grid.n,):
-            raise ValueError(
-                f"coeffs shape {coeffs.shape} does not match grid n={grid.n}"
-            )
-        coeffs.setflags(write=False)
-        self.grid = grid
-        self.coeffs = coeffs
-
-    def __repr__(self):
-        return f"SpectralField({self.grid!r}, l2={spectral_l2_norm(self):.3e})"
-
-
 # ----------------------------------------------------------------------
 # norms
 
 def l2_norm(f):
-    """Rectangle-rule L2 norm: sqrt(sum |f_j|^2 dx)."""
-    return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
+    """Rectangle-rule L2 norm: sqrt(sum f_j^2 dx)."""
+    return float(np.sqrt(f.grid.dx * np.sum(f.values ** 2)))
 
 
 def refined_sup(values, half, refine=8):
@@ -264,128 +213,15 @@ def _lattice_tables(n, refine):
     return curv, shifts, roots
 
 
-def spectral_l2_norm(fh):
-    """L2 norm computed on the Fourier side: sqrt(sum |c_k|^2 dxi)."""
-    return float(np.sqrt(fh.grid.dxi * np.sum(np.abs(fh.coeffs) ** 2)))
-
-
-def mean_coefficient(f):
-    """The xi = 0 coefficient c_0 = (dx / sqrt(2 pi)) sum f_j."""
-    return complex(f.grid.dx / SQRT2PI * np.sum(f.values))
-
-
-# ----------------------------------------------------------------------
-# transforms
-
-def forward_transform(f):
-    """Continuum-normalized forward transform of a :class:`Field`."""
-    g = f.grid
-    coeffs = (g.dx / SQRT2PI) * (g.phase * sfft.fft(f.values))
-    return SpectralField(g, coeffs)
-
-
-def inverse_transform(fh, real=False):
-    """Inverse transform; ``real=True`` checks and strips imaginary parts."""
-    g = fh.grid
-    values = sfft.ifft((SQRT2PI / g.dx) * (g.phase * fh.coeffs))
-    return Field(g, values, real=real)
-
-
-# ----------------------------------------------------------------------
-# multipliers
-
-def apply_multiplier(fh, symbol, at_zero=None):
-    """Multiply coefficients by a symbol m(xi).
-
-    ``symbol`` is either a callable evaluated on the grid's frequency array
-    or an array of per-frequency values.  ``at_zero`` overrides the symbol's
-    value at xi = 0 (callers must pin it explicitly for inverse powers).
-    A symbol that is non-finite at a frequency whose coefficient is above
-    the zero-tolerance raises :class:`NonFiniteSymbol`; non-finite values
-    sitting on empty frequencies are replaced by 0 so they cannot pollute
-    the output with NaNs.
-    """
-    g = fh.grid
-    m = symbol(g.xi) if callable(symbol) else np.asarray(symbol)
-    m = np.asarray(np.broadcast_to(m, (g.n,)), dtype=np.complex128)
-    if at_zero is not None:
-        m = m.copy()
-        m[g.k == 0] = at_zero
-    bad = ~np.isfinite(m)
-    if bad.any():
-        c = np.abs(fh.coeffs)
-        populated = c > POPULATED_TOL * max(float(c.max()), 1e-300)
-        if np.any(bad & populated):
-            idx = int(np.argmax(bad & populated))
-            raise NonFiniteSymbol(
-                f"symbol is non-finite at xi = {g.xi[idx]:.6g} "
-                f"where |c| = {c[idx]:.3e}"
-            )
-        m = np.where(bad, 0.0, m)
-    return SpectralField(g, m * fh.coeffs)
-
-
-def multiply_symbol(f, symbol, at_zero=None, real_out=None):
-    """Transform, apply a multiplier, transform back.
-
-    ``real_out`` defaults to the input tag; pass ``False`` for symbols that
-    do not commute with conjugation-symmetry (e.g. sign projections).
-    """
-    if real_out is None:
-        real_out = f.real
-    return inverse_transform(
-        apply_multiplier(forward_transform(f), symbol, at_zero=at_zero),
-        real=real_out,
-    )
-
-
-def check_zero_mean(f, mean_tol, what):
-    """Raise :class:`MeanNotZero`, naming ``what``, when
-    |c_0| > mean_tol * ||f||_L2."""
-    c0 = abs(mean_coefficient(f))
+def check_zero_mean(f, mean_tol, what, error=MeanNotZero):
+    """Raise ``error``, naming ``what``, when the mean coefficient
+    |c_0| = (dx / sqrt(2 pi)) |sum f_j| exceeds mean_tol * ||f||_L2: the
+    one zero-mean test of the package, for the datum, each snapshot of a
+    run and each stored field."""
+    c0 = abs(f.grid.dx / SQRT2PI * float(np.sum(f.values)))
     bound = mean_tol * l2_norm(f)
     if c0 > bound:
-        raise MeanNotZero(
+        raise error(
             f"{what} needs a zero-mean field: |c_0| = {c0:.3e} "
             f"> {mean_tol:.1e} * ||f||_L2 = {bound:.3e}"
         )
-
-
-def derivative(f, order=1):
-    """Spectral derivative (i xi)^order; zeroes the Nyquist row for odd
-    orders so real input maps to exactly real output."""
-    g = f.grid
-    m = (1j * g.xi) ** order
-    if order % 2 == 1:
-        m = m.copy()
-        m[g.k == -g.n // 2] = 0.0
-    return multiply_symbol(f, m)
-
-
-def antiderivative(f, mean_tol=MEAN_TOL):
-    """The inverse of d/dx on zero-mean fields: divide c_k by (i xi_k) and
-    pin the xi = 0 coefficient to zero.
-
-    Raises :class:`MeanNotZero` when |c_0| > mean_tol * ||f||_L2.
-    """
-    check_zero_mean(f, mean_tol, "antiderivative")
-    g = f.grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = 1.0 / (1j * g.xi)
-    m[g.k == -g.n // 2] = 0.0
-    return multiply_symbol(f, m, at_zero=0.0)
-
-
-def free_propagate(f, t, mean_tol=MEAN_TOL):
-    """Exact solution operator exp(t dx^{-1}) of u_t = dx^{-1} u.
-
-    Applies the unit-modulus symbol exp(t / (i xi)) = exp(-i t / xi), value
-    1 pinned at xi = 0 (where the coefficient is checked to be ~0 first).
-    Preserves every |c_k|, hence the L2 norm, exactly.
-    """
-    check_zero_mean(f, mean_tol, "free_propagate")
-    g = f.grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.exp(-1j * float(t) / g.xi)
-    return multiply_symbol(f, m, at_zero=1.0)
-

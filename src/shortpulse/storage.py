@@ -48,12 +48,7 @@ class CorruptSnapshot(Exception):
 
 def write_field(path, field, t):
     """Write one field as a snapshot file; returns the byte count."""
-    values = np.asarray(field.values)
-    if np.iscomplexobj(values):
-        if np.max(np.abs(values.imag)) > 1e-12 * max(1.0, np.max(np.abs(values.real))):
-            raise ValueError("snapshot format stores real fields only")
-        values = values.real
-    values = np.ascontiguousarray(values, dtype="<f8")
+    values = np.ascontiguousarray(field.values, dtype="<f8")
     blob = _HEADER.pack(MAGIC, values.size, float(t)) + values.tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -84,7 +79,7 @@ def read_field(path, grid=None):
         grid = Grid(n=int(n), length=float(n))
     elif grid.n != n:
         raise CorruptSnapshot(f"{path}: n={n} does not match grid n={grid.n}")
-    return float(t), Field(grid, values, real=True)
+    return float(t), Field(grid, values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,24 @@ and the periodic-box artifacts the tests freeze, but cheap enough
 instant build a Snapshot instead of evolving.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from shortpulse.bands import build_cutoff
+from shortpulse.bands import CutoffSpec
 from shortpulse.evolve import SolverConfig, evolve
 from shortpulse.packets import PacketParams, probe_snapshot
 from shortpulse.spectral import Field
 
 
 class PlainSnap:
-    """A (t, u) pair for the probe helpers that read nothing else
-    (:func:`gamma`, :func:`jplus_field`), which also take complex u; a
-    Snapshot holds real fields only."""
+    """Time and complex samples on a grid, for :func:`gamma`, which reads
+    nothing else and also takes complex u; a Snapshot holds a real Field."""
 
-    def __init__(self, t, u):
+    def __init__(self, t, grid, values):
         self.t = t
-        self.u = u
+        self.u = SimpleNamespace(grid=grid, values=values)
 
 
 def gaussian_pulse(grid, eps=0.1, width=1.0):
@@ -59,4 +60,4 @@ def mini_probe_records(mini_traj):
 
 @pytest.fixture(scope="session")
 def cutoff():
-    return build_cutoff(1.0)
+    return CutoffSpec(1.0)

@@ -1,7 +1,19 @@
-"""Reference forms the tests check the library against: whole-grid
-transform versions of quantities the library computes on half-spectra or
-supports, the smooth band projections, a CSV reader and a Richardson
-convergence run."""
+"""Reference forms the tests check the library against.
+
+The library works on rfft half-spectra only.  The oracles here take the
+continuum-normalized whole-grid transform
+
+    c_k = (dx / sqrt(2 pi)) * sum_j exp(-i x_j xi_k) f(x_j),
+    f_j = (dxi / sqrt(2 pi)) * sum_k exp(+i x_j xi_k) c_k,
+
+over all n rows k in [-n/2, n/2) (FFT order), so that Parseval reads
+sum |f_j|^2 dx = sum |c_k|^2 dxi and a pure mode exp(i xi_k x) has the
+single coefficient L / sqrt(2 pi).  Multipliers on it give the derivative,
+the antiderivative, the free propagator and the smooth band projections;
+norms and sup norms are taken through it too.  Transform-level oracles take
+a grid and node values, real or complex, and return arrays.  Also here: a
+CSV reader and a Richardson convergence run.
+"""
 
 import dataclasses
 
@@ -10,15 +22,73 @@ from scipy import fft as sfft
 
 from shortpulse import _kernels
 from shortpulse.evolve import evolve
-from shortpulse.spectral import (SQRT2PI, Field, apply_multiplier,
-                                 forward_transform, inverse_transform,
-                                 refined_sup)
+from shortpulse.spectral import SQRT2PI, Field, refined_sup
+
+
+def forward_transform(grid, values):
+    """The coefficients c_k of node values, in FFT order."""
+    return (grid.dx / SQRT2PI) * (grid.phase * sfft.fft(values))
+
+
+def inverse_transform(grid, coeffs):
+    """The complex node values of the coefficients ``coeffs``."""
+    return sfft.ifft((SQRT2PI / grid.dx) * (grid.phase * coeffs))
+
+
+def multiply_symbol(grid, values, symbol, real=None):
+    """Transform, multiply by the per-row ``symbol``, transform back; the
+    real part when ``real`` (by default, when ``values`` is real)."""
+    out = inverse_transform(grid, symbol * forward_transform(grid, values))
+    if real is None:
+        real = np.isrealobj(values)
+    return out.real if real else out
+
+
+def derivative(grid, values, order=1):
+    """(i xi)^order, the Nyquist row zeroed for odd orders."""
+    m = (1j * grid.xi) ** order
+    if order % 2 == 1:
+        m[grid.k == -grid.n // 2] = 0.0
+    return multiply_symbol(grid, values, m)
+
+
+def antiderivative(grid, values):
+    """1 / (i xi), the xi = 0 and Nyquist rows zeroed: the inverse of the
+    derivative on zero-mean fields."""
+    m = np.zeros(grid.n, dtype=np.complex128)
+    nz = grid.k != 0
+    m[nz] = 1.0 / (1j * grid.xi[nz])
+    m[grid.k == -grid.n // 2] = 0.0
+    return multiply_symbol(grid, values, m)
+
+
+def free_propagate(grid, values, t):
+    """exp(t dx^{-1}) of u_t = dx^{-1} u: the unit-modulus symbol
+    exp(-i t / xi) on every row, 1 at xi = 0."""
+    m = np.ones(grid.n, dtype=np.complex128)
+    nz = grid.k != 0
+    m[nz] = np.exp(-1j * float(t) / grid.xi[nz])
+    return multiply_symbol(grid, values, m)
+
+
+def mean_coefficient(grid, values):
+    """The xi = 0 coefficient c_0 = (dx / sqrt(2 pi)) sum f_j."""
+    return complex(grid.dx / SQRT2PI * np.sum(values))
+
+
+def l2(grid, values):
+    """sqrt(sum |f_j|^2 dx) of real or complex node values."""
+    return float(np.sqrt(grid.dx * np.sum(np.abs(values) ** 2)))
+
+
+def spectral_l2_norm(grid, coeffs):
+    """The L2 norm on the Fourier side: sqrt(sum |c_k|^2 dxi)."""
+    return float(np.sqrt(grid.dxi * np.sum(np.abs(coeffs) ** 2)))
 
 
 def nonlinearity(u):
-    """d/dx (u^3), dealiased; exact zero mean (it is a derivative)."""
-    if not u.real:
-        raise ValueError("nonlinearity expects a real field")
+    """d/dx (u^3) of a real Field, dealiased; exact zero mean (it is a
+    derivative)."""
     n = u.grid.n
     kern = _kernels.nonlinear_kernel(n, u.grid.length)
     return Field(u.grid, sfft.irfft(kern.spectrum(sfft.rfft(u.values)), n))
@@ -40,29 +110,26 @@ def self_convergence(u0, cfg, dt_coarse, t_end=1.0, refine=8):
     return e1, e2, e1 / e2
 
 
-def hs_norm(u, s):
+def hs_norm(grid, values, s):
     """Inhomogeneous Sobolev norm sqrt(sum <xi>^{2s} |c|^2 dxi)."""
-    fh = forward_transform(u)
-    w = (1.0 + fh.grid.xi ** 2) ** s
-    return float(np.sqrt(fh.grid.dxi * np.sum(w * np.abs(fh.coeffs) ** 2)))
+    w = (1.0 + grid.xi ** 2) ** s
+    c = forward_transform(grid, values)
+    return float(np.sqrt(grid.dxi * np.sum(w * np.abs(c) ** 2)))
 
 
-def hm1_norm(u):
+def hm1_norm(grid, values):
     """Homogeneous H^{-1} norm; the xi = 0 mode is excluded by definition."""
-    fh = forward_transform(u)
-    g = fh.grid
-    w = np.zeros(g.n)
-    nz = g.k != 0
-    w[nz] = 1.0 / g.xi[nz] ** 2
-    return float(np.sqrt(g.dxi * np.sum(w * np.abs(fh.coeffs) ** 2)))
+    w = np.zeros(grid.n)
+    nz = grid.k != 0
+    w[nz] = 1.0 / grid.xi[nz] ** 2
+    c = forward_transform(grid, values)
+    return float(np.sqrt(grid.dxi * np.sum(w * np.abs(c) ** 2)))
 
 
 def linf_norm(f, refine=8):
-    """Sup norm of the band-limited interpolant of a real field over the
+    """Sup norm of the band-limited interpolant of a real Field over the
     lattice ``refine`` times finer than the grid; ``refine=1`` gives the
     plain grid max."""
-    if not f.real:
-        raise ValueError("linf_norm expects a real field")
     vals = f.values
     if refine <= 1:
         return float(np.max(np.abs(vals)))
@@ -70,43 +137,39 @@ def linf_norm(f, refine=8):
 
 
 def field_at(u, points):
-    """Band-limited (trigonometric) interpolation of u at arbitrary points."""
+    """Band-limited (trigonometric) interpolation of a real Field at
+    arbitrary points."""
     g = u.grid
     points = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    vals = np.exp(1j * np.outer(points, g.xi)) @ forward_transform(u).coeffs \
-        * (g.dxi / SQRT2PI)
-    return vals.real if u.real else vals
+    vals = np.exp(1j * np.outer(points, g.xi)) \
+        @ forward_transform(g, u.values) * (g.dxi / SQRT2PI)
+    return vals.real
 
 
-def _multiplier_field(u, symbol_values, real_out):
-    fh = apply_multiplier(forward_transform(u), symbol_values)
-    return inverse_transform(fh, real=real_out)
+def project_band(grid, values, scale, spec):
+    """P_N: smooth frequency annulus at scale N (kills the zero mode)."""
+    return multiply_symbol(grid, values, spec.sigma_band(grid.xi, scale))
 
 
-def project_band(u, scale, spec):
-    """P_N u: smooth frequency annulus at scale N (kills the zero mode)."""
-    return _multiplier_field(u, spec.sigma_band(u.grid.xi, scale), u.real)
+def project_low(grid, values, scale, spec):
+    """P_{<= N}: smooth low-pass (keeps the zero mode: sigma(0) = 1)."""
+    return multiply_symbol(grid, values, spec.sigma_le(grid.xi, scale))
 
 
-def project_low(u, scale, spec):
-    """P_{<= N} u: smooth low-pass (keeps the zero mode: sigma(0) = 1)."""
-    return _multiplier_field(u, spec.sigma_le(u.grid.xi, scale), u.real)
-
-
-def project_sign(u, sign):
-    """P^{+-} u: sharp restriction to positive/negative frequencies; the
-    zero mode is dropped and the Nyquist row counts as negative."""
+def project_sign(grid, values, sign):
+    """P^{+-}: sharp restriction to positive/negative frequencies; the zero
+    mode is dropped and the Nyquist row counts as negative."""
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    ind = (np.sign(u.grid.xi) == sign).astype(np.float64)
-    return _multiplier_field(u, ind, real_out=False)
+    ind = (np.sign(grid.xi) == sign).astype(np.float64)
+    return multiply_symbol(grid, values, ind, real=False)
 
 
-def project_plus_range(u, lo, hi, spec):
-    """P^+_{R1 <= . <= R2} u: smooth positive-frequency range restriction."""
-    sym = spec.sigma_range(u.grid.xi, lo, hi) \
-        * (np.sign(u.grid.xi) == 1.0).astype(np.float64)
-    return _multiplier_field(u, sym, real_out=False)
+def project_plus_range(grid, values, lo, hi, spec):
+    """P^+_{R1 <= . <= R2}: smooth positive-frequency range restriction."""
+    sym = spec.sigma_range(grid.xi, lo, hi) \
+        * (np.sign(grid.xi) == 1.0).astype(np.float64)
+    return multiply_symbol(grid, values, sym, real=False)
 
 
 def read_csv(path):

@@ -4,28 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from shortpulse.bands import (
     CutoffSpec,
     _window_on_support,
-    build_cutoff,
     bump,
     hyp_ell_decompose,
     smoothstep,
 )
-from shortpulse.spectral import (
-    Field,
-    Grid,
-    apply_multiplier,
+from shortpulse.spectral import Field, Grid, Snapshot
+from oracles import (
     forward_transform,
     inverse_transform,
-    l2_norm,
+    l2,
+    multiply_symbol,
+    project_band,
+    project_low,
+    project_plus_range,
+    project_sign,
 )
-from oracles import project_band, project_low, project_plus_range, project_sign
 
 partition_tol = 1e-12
 split_tol = 1e-12
 recomposition_tol = 1e-15
+continuum_split_tol = 1e-13          # measured 2.6e-16
 orthogonality_const = 3.0
 
 # localization sweep: frozen num/den ratios for the pinned datum below,
@@ -62,18 +65,17 @@ def localization_check(u, scale, a, b, c, r_spatial, spec):
         if val < 0:
             raise ValueError(f"{name} must be >= 0, got {val}")
     g = u.grid
-    uh = forward_transform(u)
     plus_mask = (np.sign(g.xi) == 1.0).astype(np.float64)
     band_sym = spec.sigma_band(g.xi, scale) * plus_mask
-    band_plus = inverse_transform(apply_multiplier(uh, band_sym), real=False)
+    band_plus = multiply_symbol(g, u.values, band_sym, real=False)
     weight = np.abs(g.x) ** b * spec.sigma_band(np.abs(g.x), r_spatial)
-    lh = forward_transform(Field(g, weight * band_plus.values, real=False))
-    frac = apply_multiplier(lh, np.abs(g.xi) ** a if a > 0 else np.ones(g.n))
+    lh = forward_transform(g, weight * band_plus)
+    frac = (np.abs(g.xi) ** a if a > 0 else np.ones(g.n)) * lh
     keep = spec.sigma_range(g.xi, scale * 2.0 ** (-spec.delta),
                             scale * 2.0 ** spec.delta) * plus_mask
-    leak = inverse_transform(apply_multiplier(frac, 1.0 - keep), real=False)
-    num = l2_norm(leak)
-    den = scale ** (-c) * r_spatial ** (-a + b - c) * l2_norm(band_plus)
+    leak = inverse_transform(g, (1.0 - keep) * frac)
+    num = l2(g, leak)
+    den = scale ** (-c) * r_spatial ** (-a + b - c) * l2(g, band_plus)
     if den == 0.0:
         return 0.0, True
     return num / den, False
@@ -106,7 +108,7 @@ def test_bump_support_and_peak():
 
 
 def test_cutoff_plateau_and_support():
-    spec = build_cutoff(1.0)
+    spec = CutoffSpec(1.0)
     r = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0])
     vals = spec.sigma(r)
     assert np.all(vals[r <= 1.0] == 1.0)
@@ -131,7 +133,7 @@ def test_lattice_covers_the_requested_range(cutoff):
 
 @pytest.mark.parametrize("delta,expected", [(1.0, 5), (0.5, 10)])
 def test_window_overlap_bound_scales_with_delta(delta, expected):
-    assert window_count_bound(build_cutoff(delta)) == expected
+    assert window_count_bound(CutoffSpec(delta)) == expected
 
 
 def test_no_point_sees_more_bands_than_the_bound(cutoff):
@@ -145,32 +147,31 @@ def test_no_point_sees_more_bands_than_the_bound(cutoff):
 def test_signed_projections_split_mass_evenly(cutoff):
     g = Grid(1 << 10, 128.0)
     u = broadband_field(g)
-    plus = project_sign(u, +1)
-    minus = project_sign(u, -1)
-    assert abs(l2_norm(plus) - l2_norm(u) / np.sqrt(2.0)) < split_tol
-    assert abs(l2_norm(minus) - l2_norm(u) / np.sqrt(2.0)) < split_tol
+    plus = project_sign(g, u.values, +1)
+    minus = project_sign(g, u.values, -1)
+    assert abs(l2(g, plus) - l2(g, u.values) / np.sqrt(2.0)) < split_tol
+    assert abs(l2(g, minus) - l2(g, u.values) / np.sqrt(2.0)) < split_tol
     # the two halves recompose the (zero-mean) field
-    total = plus.values + minus.values
-    assert np.max(np.abs(total - u.values)) < split_tol
+    assert np.max(np.abs(plus + minus - u.values)) < split_tol
     # and for a real field they are conjugates
-    assert np.max(np.abs(np.conj(plus.values) - minus.values)) < split_tol
+    assert np.max(np.abs(np.conj(plus) - minus)) < split_tol
 
 
 def test_traveling_and_elliptic_parts_recompose_exactly(cutoff):
     g = Grid(1 << 10, 256.0)
     u = broadband_field(g)
-    dec = hyp_ell_decompose(u, 16.0, cutoff)
-    total = dec.hyp_plus.values + dec.ell_plus.values
-    assert np.max(np.abs(total - dec.u_plus.values)) < recomposition_tol
-    back = dec.hyp_real().values + dec.ell_real(u).values
+    dec = hyp_ell_decompose(Snapshot(16.0, u), cutoff)
+    total = dec.hyp_plus + dec.ell_plus
+    assert np.max(np.abs(total - dec.u_plus)) < recomposition_tol
+    back = 2.0 * np.real(total)
     assert np.max(np.abs(back - u.values)) < recomposition_tol
 
 
 def test_traveling_part_lives_left_of_the_origin(cutoff):
     g = Grid(1 << 10, 256.0)
     u = broadband_field(g)
-    dec = hyp_ell_decompose(u, 16.0, cutoff)
-    hyp = dec.hyp_real().values
+    dec = hyp_ell_decompose(Snapshot(16.0, u), cutoff)
+    hyp = 2.0 * np.real(dec.hyp_plus)
     assert np.max(np.abs(hyp[g.x >= 0.0])) == 0.0
     assert np.max(np.abs(hyp)) > 0.0
 
@@ -189,33 +190,43 @@ def test_band_windows_sit_on_their_group_lines(cutoff):
         assert np.max(w[far]) == 0.0
 
 
-def decompose_band_by_band(u, t, spec):
-    """The decomposition as a Field per lattice band, every band
-    transformed and windowed on the whole grid: the oracle for the cached
-    symbols, the skipped empty-window bands, the windows evaluated on their
-    support and the summation into one total.  Returns
+def from_rfft_rows(u):
+    """The band inverse the library takes: a whole-grid symbol times the
+    snapshot's rfft, its rows 0 .. n/2 placed in FFT order, by one ifft."""
+    uh = np.zeros(u.grid.n, dtype=np.complex128)
+    uh[: u.grid.n // 2 + 1] = Snapshot(0.0, u).uh
+    return lambda sym: sfft.ifft(sym * uh)
+
+
+def from_continuum_transform(u):
+    """The band inverse through the continuum-normalized oracle transform."""
+    return lambda sym: multiply_symbol(u.grid, u.values, sym, real=False)
+
+
+def decompose_band_by_band(u, t, spec, invert):
+    """The decomposition with every lattice band inverted by
+    ``invert(symbol)`` and windowed on the whole grid: the oracle for the
+    cached symbols, the skipped empty-window bands, the windows evaluated
+    on their support and the summation into one total.  Returns
     (u_plus, hyp_plus, ell_plus, the number of empty-window bands)."""
     g = u.grid
     lo = g.dxi * 2.0 ** (-spec.delta)
     hi = min(float(t), g.dxi * (g.n // 2) * 2.0 ** spec.delta)
-    uh = forward_transform(u)
     plus_mask = (np.sign(g.xi) == 1.0).astype(np.float64)
     total = np.zeros(g.n, dtype=np.complex128)
     empty = 0
     for scale in spec.lattice(lo, hi):
         if scale > t:
             continue
-        sym = spec.sigma_band(g.xi, scale) * plus_mask
-        band_plus = inverse_transform(apply_multiplier(uh, sym), real=False)
+        band_plus = invert(spec.sigma_band(g.xi, scale) * plus_mask)
         center = t / scale ** 2
         w = spec.sigma_range(np.abs(g.x), center / 3.0, 3.0 * center) \
             * (g.x < 0.0)
         assert np.array_equal(hyp_window(g, t, scale, spec), w)
-        trav = Field(g, w * band_plus.values, real=False)
-        total += trav.values
+        total += w * band_plus
         empty += not np.any(w)
-    u_plus = inverse_transform(apply_multiplier(uh, plus_mask), real=False)
-    return u_plus.values, total, u_plus.values - total, empty
+    u_plus = invert(plus_mask)
+    return u_plus, total, u_plus - total, empty
 
 
 def noise_field(grid, seed=7):
@@ -239,51 +250,63 @@ def noise_field(grid, seed=7):
 def test_decomposition_is_bit_identical_to_the_band_by_band_split(
         cutoff, n, length, t, some_empty):
     u = noise_field(Grid(n, length))
-    u_plus, hyp, ell, empty = decompose_band_by_band(u, t, cutoff)
+    u_plus, hyp, ell, empty = decompose_band_by_band(u, t, cutoff,
+                                                     from_rfft_rows(u))
     assert (empty > 0) == some_empty
     for _ in range(2):  # the second pass reads the cached band symbols
-        dec = hyp_ell_decompose(u, t, cutoff)
-        assert np.array_equal(dec.u_plus.values, u_plus)
-        assert np.array_equal(dec.hyp_plus.values, hyp)
-        assert np.array_equal(dec.ell_plus.values, ell)
+        dec = hyp_ell_decompose(Snapshot(t, u), cutoff)
+        assert np.array_equal(dec.u_plus, u_plus)
+        assert np.array_equal(dec.hyp_plus, hyp)
+        assert np.array_equal(dec.ell_plus, ell)
     assert np.max(np.abs(hyp)) > 0.0
+
+
+@pytest.mark.parametrize("t", [1.0, 16.0, 30.0])
+def test_decomposition_matches_the_continuum_normalized_split(cutoff, t):
+    # the continuum normalization of each band cancels between its forward
+    # and inverse transforms, so the rfft-row split agrees with the
+    # whole-grid one to rounding
+    u = noise_field(Grid(1 << 10, 256.0))
+    want = decompose_band_by_band(u, t, cutoff, from_continuum_transform(u))
+    dec = hyp_ell_decompose(Snapshot(t, u), cutoff)
+    scale = np.max(np.abs(want[0]))
+    for got, ref in zip((dec.u_plus, dec.hyp_plus, dec.ell_plus), want):
+        assert np.max(np.abs(got - ref)) <= continuum_split_tol * scale
 
 
 def test_decomposition_needs_unit_time(cutoff):
     g = Grid(1 << 8, 64.0)
     with pytest.raises(ValueError):
-        hyp_ell_decompose(broadband_field(g), 0.5, cutoff)
+        hyp_ell_decompose(Snapshot(0.5, broadband_field(g)), cutoff)
 
 
 def test_band_energies_are_almost_orthogonal(cutoff):
     g = Grid(1 << 10, 128.0)
     u = broadband_field(g)
-    plus = project_sign(u, +1)
-    total = sum(l2_norm(project_band(plus, scale, cutoff)) ** 2
+    plus = project_sign(g, u.values, +1)
+    total = sum(l2(g, project_band(g, plus, scale, cutoff)) ** 2
                 for scale in cutoff.lattice(2.0 ** -4, 2.0 ** 6))
-    whole = l2_norm(plus) ** 2
+    whole = l2(g, plus) ** 2
     assert whole / orthogonality_const <= total <= orthogonality_const * whole
 
 
 def test_low_projection_removes_high_frequencies(cutoff):
     g = Grid(1 << 10, 128.0)
     u = broadband_field(g)
-    low = project_low(u, 4.0, cutoff)
-    lh = forward_transform(low)
+    lh = forward_transform(g, project_low(g, u.values, 4.0, cutoff))
     high = np.abs(g.xi) >= 4.0 * 2.0 ** cutoff.delta
-    assert np.max(np.abs(lh.coeffs[high])) < 1e-14
+    assert np.max(np.abs(lh[high])) < 1e-14
 
 
 def test_plus_range_projection_support_and_plateau(cutoff):
     g = Grid(1 << 10, 128.0)
     u = broadband_field(g)
     lo, hi = 2.0, 8.0
-    once = project_plus_range(u, lo, hi, cutoff)
-    ch = forward_transform(once).coeffs
+    ch = forward_transform(g, project_plus_range(g, u.values, lo, hi, cutoff))
     outside = (g.xi <= lo * 2.0 ** -cutoff.delta) \
         | (g.xi >= hi * 2.0 ** cutoff.delta)
     assert np.max(np.abs(ch[outside])) < 1e-14
-    uplus = forward_transform(project_sign(u, +1)).coeffs
+    uplus = forward_transform(g, project_sign(g, u.values, +1))
     plateau = (g.xi >= lo) & (g.xi <= hi)
     assert np.max(np.abs(ch[plateau] - uplus[plateau])) < 1e-13
 

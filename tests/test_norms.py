@@ -13,7 +13,6 @@ from shortpulse.errors import InsufficientData
 from shortpulse.norms import (
     MONITOR_COLUMNS,
     NormRecord,
-    compute_record,
     decay_fit,
     decomposition_monitors,
     edge_taper,
@@ -26,18 +25,18 @@ from shortpulse.norms import (
     xs_norm,
 )
 from shortpulse.packets import phase
-from shortpulse.spectral import (
-    Field,
-    Grid,
-    Snapshot,
+from shortpulse.spectral import Field, Grid, Snapshot, l2_norm
+from conftest import gaussian_pulse
+from oracles import (
     antiderivative,
     derivative,
     free_propagate,
-    l2_norm,
+    hm1_norm,
+    hs_norm,
+    linf_norm,
     mean_coefficient,
+    project_band,
 )
-from conftest import PlainSnap, gaussian_pulse
-from oracles import hm1_norm, hs_norm, linf_norm, project_band
 
 # ---- frozen mini-trajectory readings ---------------------------------
 mini_l2_drift_ceiling = 1e-12          # measured 3.3e-14
@@ -67,12 +66,11 @@ jplus_tol = 1e-6                      # measured 6.1e-12
 scaling_tol = 1e-10
 
 
-def jplus_field(snap, target):
-    """J_+ target = sqrt|x| * target - i sqrt(t) dx^{-1} target."""
-    g = target.grid
-    return Field(g, np.sqrt(np.abs(g.x)) * target.values
-                 - 1j * np.sqrt(snap.t) * antiderivative(target).values,
-                 real=False)
+def jplus_field(t, grid, target):
+    """J_+ target = sqrt|x| * target - i sqrt(t) dx^{-1} target, for
+    complex node values ``target``."""
+    return np.sqrt(np.abs(grid.x)) * target \
+        - 1j * np.sqrt(t) * antiderivative(grid, target)
 
 
 def rows_of(traj):
@@ -88,7 +86,8 @@ def test_l2_mass_is_conserved_along_the_run(mini_traj):
 
 
 def test_the_mean_mode_stays_empty(mini_traj):
-    worst = max(abs(mean_coefficient(s.u)) for s in mini_traj.snapshots)
+    worst = max(abs(mean_coefficient(s.u.grid, s.u.values))
+                for s in mini_traj.snapshots)
     assert worst < mini_mean_ceiling
 
 
@@ -183,8 +182,9 @@ def test_monitors_take_the_weighted_norm_from_the_record(mini_traj, cutoff):
 def test_record_norms_match_their_full_transform_forms(mini_traj):
     for snap in mini_traj.snapshots[::4]:
         rec = snap.norms
-        for got, want in ((rec.Hs, hs_norm(snap.u, 4.5)),
-                          (rec.Hm1, hm1_norm(snap.u)),
+        g, u = snap.u.grid, snap.u.values
+        for got, want in ((rec.Hs, hs_norm(g, u, 4.5)),
+                          (rec.Hm1, hm1_norm(g, u)),
                           (rec.Linf, linf_norm(snap.u)),
                           (rec.uxLinf, linf_norm(snap.u_x))):
             assert abs(got - want) <= record_rounding_tol * want
@@ -197,11 +197,11 @@ def test_monitors_match_their_transform_pair_forms(mini_traj, cutoff):
     for snap in [snap for snap in mini_traj.snapshots if snap.t >= 1.0][::4]:
         t, g, xs = snap.t, snap.u.grid, snap.norms.Xs
         got = decomposition_monitors(snap, cutoff, s=s)
-        dec = hyp_ell_decompose(snap.u, t, cutoff)
-        ell_x = 2.0 * np.real(derivative(dec.ell_plus).values)
+        dec = hyp_ell_decompose(snap, cutoff)
+        ell_x = 2.0 * np.real(derivative(g, dec.ell_plus))
         decay = t ** (-(2 * s - 3) / (2 * s + 2)) * (1 + np.log(t))
-        jwt = jplus_field(snap, derivative(dec.hyp_plus))
-        weighted = np.sqrt(np.abs(g.x)) * jwt.values
+        jwt = jplus_field(t, g, derivative(g, dec.hyp_plus))
+        weighted = np.sqrt(np.abs(g.x)) * jwt
         want = {
             "p32_ell_x": np.max(np.abs(ell_x)) / (decay * xs),
             "c34_jwt": np.sqrt(g.dx * np.sum(np.abs(weighted) ** 2)) / xs,
@@ -213,8 +213,10 @@ def test_monitors_match_their_transform_pair_forms(mini_traj, cutoff):
 
 def test_band_split_norms_are_equivalent_to_the_whole(mini_traj, cutoff):
     def ratio(snap):
+        g = snap.u.grid
         total = sum(
-            xs_norm(Snapshot(snap.t, project_band(snap.u, scale, cutoff))) ** 2
+            xs_norm(Snapshot(snap.t, Field(g, project_band(
+                g, snap.u.values, scale, cutoff)))) ** 2
             for scale in cutoff.lattice(2.0 ** -6, 2.0 ** 6))
         return np.sqrt(total) / xs_norm(Snapshot(snap.t, snap.u))
     lo, hi = mini_band_equivalence
@@ -229,9 +231,10 @@ def test_single_mode_sobolev_norms_have_closed_forms():
     k = 4.0 * (2.0 * np.pi / g.length)  # an exact grid frequency
     u = Field(g, np.cos(k * g.x))
     base = l2_norm(u)
-    assert hs_norm(u, 2.0) == pytest.approx((1.0 + k ** 2) * base, rel=1e-12)
-    assert hm1_norm(u) == pytest.approx(base / k, rel=1e-12)
-    assert hdot_norm(u, 1.0) == pytest.approx(k * base, rel=1e-12)
+    assert hs_norm(g, u.values, 2.0) \
+        == pytest.approx((1.0 + k ** 2) * base, rel=1e-12)
+    assert hm1_norm(g, u.values) == pytest.approx(base / k, rel=1e-12)
+    assert hdot_norm(Snapshot(0.0, u), 1.0) == pytest.approx(k * base, rel=1e-12)
 
 
 def test_edge_taper_is_flat_inside_and_falls_at_the_seam():
@@ -264,9 +267,9 @@ def test_weighted_field_commutes_with_free_propagation():
     # under the linear flow, J dx u(t) is the propagated x dx u(0), so its
     # L2 norm is time-invariant; a steep datum keeps every mode in the box
     g = Grid(1 << 13, 800.0)
-    u0 = derivative(Field(g, 0.1 * np.exp(-g.x ** 2)), order=8)
-    moved = l2_norm(j_field(Snapshot(10.0, free_propagate(u0, 10.0))))
-    frozen = l2_norm(Field(g, g.x * derivative(u0).values))
+    u0 = derivative(g, 0.1 * np.exp(-g.x ** 2), order=8)
+    moved = l2_norm(j_field(Snapshot(10.0, Field(g, free_propagate(g, u0, 10.0)))))
+    frozen = l2_norm(Field(g, g.x * derivative(g, u0)))
     assert abs(moved - frozen) / frozen < jconj_tol
 
 
@@ -275,13 +278,12 @@ def test_half_weighted_field_matches_the_conjugated_derivative():
     g = Grid(1 << 13, 800.0)
     t = 100.0
     envelope = np.exp(-((g.x + 200.0) / 20.0) ** 2)
-    w = Field(g, np.exp(1j * phase(t, g.x)) * envelope, real=False)
-    wx = derivative(w)
-    jp = jplus_field(PlainSnap(t, w), wx)
+    w = np.exp(1j * phase(t, g.x)) * envelope
+    jp = jplus_field(t, g, derivative(g, w))
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs = np.exp(-1j * phase(t, g.x)) \
-            / np.sqrt(np.maximum(np.abs(g.x), 1e-300)) * jp.values
-    rhs = derivative(Field(g, envelope)).values
+            / np.sqrt(np.maximum(np.abs(g.x), 1e-300)) * jp
+    rhs = derivative(g, envelope)
     keep = np.abs(g.x + 200.0) <= 40.0
     err = np.sqrt(np.sum(np.abs(lhs - rhs)[keep] ** 2)
                   / np.sum(np.abs(rhs)[keep] ** 2))

@@ -30,9 +30,9 @@ from shortpulse.packets import (
     prop42_errors,
     w_stability_series,
 )
-from shortpulse.spectral import Field, Grid, Snapshot, free_propagate, l2_norm
-from conftest import PlainSnap, gaussian_pulse
-from oracles import field_at, linf_norm, project_plus_range
+from shortpulse.spectral import Field, Grid, Snapshot
+from conftest import PlainSnap
+from oracles import field_at, free_propagate, l2, linf_norm, project_plus_range
 
 gamma_phase_tol = 1e-12        # measured 3.6e-13 on the n=2^15 box
 gamma_linearity_tol = 1e-12    # measured 2.1e-16
@@ -61,7 +61,7 @@ def packet(t, v, params, grid):
     support, vals = _packet_on_support(t, v, params, grid)
     full = np.zeros(grid.n, dtype=np.complex128)
     full[support] = vals
-    return Field(grid, full, real=False)
+    return full
 
 
 def spectrum_concentration(t, v, params, grid, spec):
@@ -70,11 +70,10 @@ def spectrum_concentration(t, v, params, grid, spec):
     the band around N."""
     psi = packet(t, v, params, grid)
     n_v = nearest_scale(abs(v) ** -0.5, spec.delta)
-    kept = project_plus_range(psi, n_v * 2.0 ** -spec.delta,
+    kept = project_plus_range(grid, psi, n_v * 2.0 ** -spec.delta,
                               n_v * 2.0 ** spec.delta, spec)
-    leak = Field(grid, psi.values - kept.values, real=False)
-    total = l2_norm(psi)
-    return l2_norm(leak) / total if total else 0.0
+    total = l2(grid, psi)
+    return l2(grid, psi - kept) / total if total else 0.0
 
 
 def asymptotic_profile(t, x, v_probed, w_values):
@@ -140,10 +139,10 @@ def test_packet_center_value_and_support():
     psi = packet(t, v, params, g)
     center = int(np.argmin(np.abs(g.x - v * t)))
     expected = np.abs(v) ** -0.75 * params.chi(np.array([0.0]))[0]
-    assert abs(psi.values[center]) == pytest.approx(expected, rel=1e-6)
+    assert abs(psi[center]) == pytest.approx(expected, rel=1e-6)
     width = np.sqrt(t) * np.abs(v) ** 0.75
     outside = np.abs(g.x - v * t) > params.half_width * width
-    assert np.max(np.abs(psi.values[outside])) == 0.0
+    assert np.max(np.abs(psi[outside])) == 0.0
 
 
 def test_packet_rejects_bad_arguments():
@@ -163,7 +162,7 @@ def test_packet_rejects_bad_arguments():
 def test_probe_amplitude_of_the_pure_carrier_is_sqrt_t():
     g = Grid(1 << 15, 800.0)
     t = 25.0
-    snap = PlainSnap(t, Field(g, np.exp(1j * phase(t, g.x)), real=False))
+    snap = PlainSnap(t, g, np.exp(1j * phase(t, g.x)))
     gm = gamma(snap, -1.0, PacketParams())
     assert abs(gm - np.sqrt(t)) / np.sqrt(t) < gamma_phase_tol
 
@@ -172,13 +171,11 @@ def test_probe_amplitude_is_linear():
     g = Grid(1 << 15, 800.0)
     t, v = 25.0, -1.0
     params = PacketParams()
-    u1 = Field(g, np.exp(1j * phase(t, g.x))
-               * np.exp(-((g.x + 25.0) / 10.0) ** 2), real=False)
+    u1 = np.exp(1j * phase(t, g.x)) * np.exp(-((g.x + 25.0) / 10.0) ** 2)
     u2 = Field(g, np.cos(g.x) * np.exp(-((g.x + 30.0) / 15.0) ** 2))
-    g1 = gamma(PlainSnap(t, u1), v, params)
+    g1 = gamma(PlainSnap(t, g, u1), v, params)
     g2 = gamma(Snapshot(t, u2), v, params)
-    combo = Field(g, 2.0 * u1.values + 3.0 * u2.values, real=False)
-    g12 = gamma(PlainSnap(t, combo), v, params)
+    g12 = gamma(PlainSnap(t, g, 2.0 * u1 + 3.0 * u2.values), v, params)
     assert abs(g12 - (2.0 * g1 + 3.0 * g2)) / abs(g12) < gamma_linearity_tol
 
 
@@ -434,7 +431,8 @@ def test_free_flow_amplitude_modulus_is_steady():
     u0 = Field(g, 0.05 * np.cos(g.x) * np.exp(-(g.x / 12.0) ** 2))
     params = PacketParams()
     ts = 100.0 * 2.0 ** (np.arange(28) / 8.0)
-    mods = [abs(gamma(Snapshot(t, free_propagate(u0, t)), -1.0, params))
+    mods = [abs(gamma(Snapshot(t, Field(g, free_propagate(g, u0.values, t))),
+                      -1.0, params))
             for t in ts]
     drift = abs(np.log(mods[-1] / mods[0])) / np.log10(ts[-1] / ts[0])
     assert drift < freeflow_drift_ceiling
@@ -470,7 +468,7 @@ def test_packet_on_its_support_matches_the_whole_grid_packet(mini_traj):
         for v in params.velocities:
             try:
                 got = gamma(snap, v, params)
-                psi = packet(snap.t, v, params, g).values
+                psi = packet(snap.t, v, params, g)
             except (OutOfBox, UnderResolved):
                 continue
             whole = whole_grid_packet(snap.t, v, params, g)

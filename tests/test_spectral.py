@@ -1,26 +1,28 @@
-"""Transform conventions, symbol calculus, and the free propagator."""
+"""The rfft operators the library runs -- the snapshot's spectrum, its
+derivative and antiderivative, the linear flow exp(t dx^{-1}) and the
+Parseval weights -- checked against the whole-grid transform oracles,
+which are checked against closed forms; and the refined-lattice sup norm."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
 from shortpulse import spectral
-from shortpulse.errors import MeanNotZero, NonFiniteSymbol
-from shortpulse.spectral import (
-    Grid,
-    Field,
-    antiderivative,
-    apply_multiplier,
+from shortpulse._kernels import derivative_symbols
+from shortpulse.errors import MeanNotZero
+from shortpulse.norms import spectral_power
+from shortpulse.spectral import Field, Grid, Snapshot, check_zero_mean, l2_norm
+from oracles import (
     derivative,
     forward_transform,
     free_propagate,
     inverse_transform,
-    l2_norm,
+    linf_norm,
     mean_coefficient,
     spectral_l2_norm,
 )
-from oracles import linf_norm
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -30,6 +32,7 @@ gaussian_transform_tol = 1e-10
 calculus_tol = 1e-10
 weight_identity_tol = 1e-12
 propagator_tol = 1e-12
+propagator_oracle_tol = 1e-13
 linf_oversample_tol = 1e-8
 linf_oracle_tol = 1e-14               # measured 1.3e-15 on the mini snapshots
 freeflow_leak_ratio = 0.05
@@ -47,79 +50,92 @@ def smooth_random_field(grid, seed=0, modes=24):
     return Field(grid, u.values / max(l2_norm(u), 1e-300))
 
 
+def flow(u, t):
+    """The linear flow exp(t dx^{-1}) as the library takes it: exp(t inv)
+    on the snapshot's rfft rows, inv the pinned 1/(i xi) symbol."""
+    g = u.grid
+    inv = derivative_symbols(g.n, g.length)[1]
+    return Field(g, sfft.irfft(np.exp(t * inv) * Snapshot(0.0, u).uh, g.n))
+
+
 def test_transform_roundtrip_is_identity():
     g = Grid(1 << 10, 100.0)
     u = smooth_random_field(g, seed=3)
-    back = inverse_transform(forward_transform(u), real=True)
-    assert np.max(np.abs(back.values - u.values)) < roundtrip_tol
+    back = sfft.irfft(Snapshot(0.0, u).uh, g.n)
+    assert np.max(np.abs(back - u.values)) < roundtrip_tol
+    whole = inverse_transform(g, forward_transform(g, u.values))
+    assert np.max(np.abs(whole - u.values)) < roundtrip_tol
 
 
 def test_parseval_ties_spatial_and_spectral_mass():
     g = Grid(1 << 10, 100.0)
     u = smooth_random_field(g, seed=4)
-    assert abs(l2_norm(u) - spectral_l2_norm(forward_transform(u))) < parseval_tol
+    half = np.sqrt(np.sum(spectral_power(Snapshot(0.0, u))))
+    assert abs(l2_norm(u) - half) < parseval_tol
+    assert abs(l2_norm(u) - spectral_l2_norm(g, forward_transform(g, u.values))) \
+        < parseval_tol
 
 
 def test_gaussian_transform_matches_closed_form():
     g = Grid(1 << 12, 64.0)
-    u = Field(g, np.exp(-g.x ** 2))
-    fh = forward_transform(u)
+    c = forward_transform(g, np.exp(-g.x ** 2))
     exact = np.exp(-g.xi ** 2 / 4.0) / np.sqrt(2.0)
-    assert np.max(np.abs(fh.coeffs - exact)) < gaussian_transform_tol
+    assert np.max(np.abs(c - exact)) < gaussian_transform_tol
 
 
 def test_single_mode_coefficient_is_box_length_over_sqrt_2pi():
     g = Grid(1 << 8, 40.0)
     k = 2.0 * np.pi * 5 / g.length
-    u = Field(g, np.exp(1j * k * g.x), real=False)
-    fh = forward_transform(u)
+    c = forward_transform(g, np.exp(1j * k * g.x))
     idx = int(np.argmin(np.abs(g.xi - k)))
-    assert abs(fh.coeffs[idx] - g.length / SQRT2PI) < 1e-10
-    others = np.abs(fh.coeffs)
+    assert abs(c[idx] - g.length / SQRT2PI) < 1e-10
+    others = np.abs(c)
     others[idx] = 0.0
     assert np.max(others) < 1e-10
 
 
 def test_derivative_of_sine_is_cosine():
     g = Grid(1 << 10, 16.0 * np.pi)
-    u = Field(g, np.sin(g.x))
-    ux = derivative(u)
+    ux = Snapshot(0.0, Field(g, np.sin(g.x))).u_x
     assert np.max(np.abs(ux.values - np.cos(g.x))) < calculus_tol
 
 
 def test_second_derivative_via_order_argument():
     g = Grid(1 << 10, 16.0 * np.pi)
-    u = Field(g, np.sin(g.x))
-    uxx = derivative(u, order=2)
-    assert np.max(np.abs(uxx.values + np.sin(g.x))) < calculus_tol
+    uxx = derivative(g, np.sin(g.x), order=2)
+    assert np.max(np.abs(uxx + np.sin(g.x))) < calculus_tol
 
 
 def test_antiderivative_of_cosine_is_sine():
     g = Grid(1 << 10, 16.0 * np.pi)
-    u = Field(g, np.cos(g.x))
-    v = antiderivative(u)
+    v = Snapshot(0.0, Field(g, np.cos(g.x))).u_anti
     assert np.max(np.abs(v.values - np.sin(g.x))) < calculus_tol
 
 
 def test_antiderivative_inverts_derivative_up_to_mean():
     g = Grid(1 << 10, 100.0)
     u = smooth_random_field(g, seed=5)
-    back = antiderivative(derivative(u))
+    back = Snapshot(0.0, Snapshot(0.0, u).u_x).u_anti
     centered = u.values - np.mean(u.values)
     assert np.max(np.abs(back.values - centered)) < roundtrip_tol
 
 
 def test_antiderivative_rejects_nonzero_mean():
     g = Grid(1 << 10, 64.0)
-    with pytest.raises(MeanNotZero):
-        antiderivative(Field(g, np.exp(-g.x ** 2)))
+    with pytest.raises(MeanNotZero, match="antiderivative"):
+        check_zero_mean(Field(g, np.exp(-g.x ** 2)), 1e-10, "antiderivative")
 
 
 def test_mean_coefficient_scaling():
     g = Grid(1 << 10, 64.0)
     u = Field(g, np.exp(-g.x ** 2))
     # c_0 = integral / sqrt(2 pi); integral of exp(-x^2) = sqrt(pi)
-    assert abs(mean_coefficient(u) - np.sqrt(np.pi) / SQRT2PI) < 1e-10
+    c0 = mean_coefficient(g, u.values)
+    assert abs(c0 - np.sqrt(np.pi) / SQRT2PI) < 1e-10
+    # the library's zero-mean check reads the same c_0
+    check_zero_mean(u, 1.001 * abs(c0) / l2_norm(u), "u")
+    with pytest.raises(MeanNotZero):
+        check_zero_mean(u, 0.999 * abs(c0) / l2_norm(u), "u")
 
 
 @pytest.mark.parametrize("s", [4.5, -4.5])
@@ -127,77 +143,63 @@ def test_sobolev_weight_and_its_inverse_cancel(s):
     g = Grid(1 << 10, 100.0)
     u = smooth_random_field(g, seed=6)
     w = (1.0 + g.xi ** 2) ** (s / 2.0)
-    fh = apply_multiplier(forward_transform(u), w)
-    back = inverse_transform(apply_multiplier(fh, w ** -1.0), real=True)
-    assert np.max(np.abs(back.values - u.values)) < weight_identity_tol
-
-
-def test_non_finite_symbol_on_populated_mode_is_rejected():
-    g = Grid(1 << 8, 32.0)
-    u = Field(g, 1.0 + np.cos(2.0 * np.pi * g.x / g.length))
-    with np.errstate(divide="ignore"):
-        sym = 1.0 / g.xi
-    with pytest.raises(NonFiniteSymbol):
-        apply_multiplier(forward_transform(u), sym)
-
-
-def test_non_finite_symbol_on_empty_mode_is_zeroed():
-    g = Grid(1 << 8, 32.0)
-    u = smooth_random_field(g, seed=7)  # zero mean: the xi=0 mode is empty
-    with np.errstate(divide="ignore"):
-        sym = 1.0 / g.xi
-    fh = apply_multiplier(forward_transform(u), sym)
-    assert np.all(np.isfinite(fh.coeffs))
+    weighted = w * forward_transform(g, u.values)
+    back = inverse_transform(g, w ** -1.0 * weighted)
+    assert np.max(np.abs(back - u.values)) < weight_identity_tol
 
 
 def test_inverse_symbol_with_zero_mode_value_is_accepted():
+    # 1/(i xi) is pinned to 0 at xi = 0 (and on the Nyquist row), so the
+    # symbol and the flow built on it are finite on every row
     g = Grid(1 << 8, 32.0)
-    u = smooth_random_field(g, seed=8)
-    sym = np.where(np.abs(g.xi) < 1e-12, 0.0, 1.0 / np.where(g.xi == 0, 1.0, g.xi))
-    fh = apply_multiplier(forward_transform(u), sym, at_zero=0.0)
-    assert np.all(np.isfinite(fh.coeffs))
-
-
-def propagator_symbol(xi, t):
-    """exp(-i t / xi) with the xi = 0 entry pinned to 1, as a raw array."""
-    xi = np.asarray(xi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.exp(-1j * float(t) / xi)
-    return np.where(xi == 0.0, 1.0 + 0.0j, m)
+    ik, inv = derivative_symbols(g.n, g.length)
+    assert np.all(np.isfinite(inv))
+    assert inv[0] == 0.0 and inv[-1] == 0.0
+    assert np.max(np.abs(ik[1:-1] * inv[1:-1] - 1.0)) < 1e-15
+    assert np.all(np.isfinite(np.exp(7.3 * inv)))
 
 
 def test_propagator_symbol_has_unit_modulus():
     g = Grid(1 << 10, 100.0)
-    sym = propagator_symbol(g.xi, 7.3)
+    sym = np.exp(7.3 * derivative_symbols(g.n, g.length)[1])
     assert np.max(np.abs(np.abs(sym) - 1.0)) < 1e-14
 
 
 def test_free_propagation_at_time_zero_is_identity():
     g = Grid(1 << 10, 100.0)
     u = smooth_random_field(g, seed=9)
-    assert np.max(np.abs(free_propagate(u, 0.0).values - u.values)) < 1e-14
+    assert np.max(np.abs(flow(u, 0.0).values - u.values)) < 1e-14
 
 
 def test_free_propagation_preserves_l2_mass():
     g = Grid(1 << 10, 100.0)
     u = smooth_random_field(g, seed=10)
-    assert abs(l2_norm(free_propagate(u, 17.0)) - l2_norm(u)) < propagator_tol
+    assert abs(l2_norm(flow(u, 17.0)) - l2_norm(u)) < propagator_tol
 
 
 def test_free_propagation_composes_and_inverts():
     g = Grid(1 << 10, 100.0)
     u = smooth_random_field(g, seed=11)
-    two_hops = free_propagate(free_propagate(u, 3.0), 4.0)
-    one_hop = free_propagate(u, 7.0)
+    two_hops = flow(flow(u, 3.0), 4.0)
+    one_hop = flow(u, 7.0)
     assert np.max(np.abs(two_hops.values - one_hop.values)) < propagator_tol
-    back = free_propagate(one_hop, -7.0)
+    back = flow(one_hop, -7.0)
     assert np.max(np.abs(back.values - u.values)) < propagator_tol
+
+
+@pytest.mark.parametrize("t", [0.3, 17.0, -40.0])
+def test_free_propagation_matches_the_whole_grid_oracle(t):
+    g = Grid(1 << 10, 100.0)
+    u = smooth_random_field(g, seed=12)
+    want = free_propagate(g, u.values, t)
+    assert np.max(np.abs(flow(u, t).values - want)) \
+        < propagator_oracle_tol * np.max(np.abs(want))
 
 
 def test_free_propagation_moves_mass_left():
     g = Grid(1 << 15, 3200.0)
     u0 = Field(g, 0.1 * (-2.0 * g.x) * np.exp(-g.x ** 2))
-    ut = free_propagate(u0, 100.0)
+    ut = flow(u0, 100.0)
     right = np.max(np.abs(ut.values[g.x > 10.0]))
     left = np.max(np.abs(ut.values[g.x < 0.0]))
     assert right / left < freeflow_leak_ratio
@@ -225,7 +227,7 @@ def test_unrefined_sup_equals_grid_maximum():
 def test_free_propagation_is_unitary_for_any_time(seed, t):
     g = Grid(1 << 8, 64.0)
     u = smooth_random_field(g, seed=seed)
-    assert abs(l2_norm(free_propagate(u, t)) - l2_norm(u)) < 1e-10
+    assert abs(l2_norm(flow(u, t)) - l2_norm(u)) < 1e-10
 
 
 # ---- the refined-lattice sup norm against its whole-lattice oracle ----

@@ -11,12 +11,12 @@ from shortpulse import storage
 from shortpulse.errors import ConfigError, MeanNotZero, MissingSnapshots
 from shortpulse.evolve import SolverConfig, evolve
 from shortpulse.norms import NormRecord, compute_record
-from shortpulse.spectral import Field, Grid, antiderivative, derivative
+from shortpulse.spectral import Field, Grid
 from shortpulse.storage import (CorruptSnapshot, load_trajectory, read_field,
                                 require_times, save_trajectory, write_csv,
                                 write_field, write_json)
 from conftest import gaussian_pulse
-from oracles import read_csv
+from oracles import antiderivative, derivative, read_csv
 
 
 def format_cell(value):
@@ -86,11 +86,11 @@ def test_snapshot_rejects_truncation_bad_magic_and_grid_mismatch(tmp_path):
         read_field(path, Grid(1 << 7, 16.0))
 
 
-def test_snapshot_refuses_genuinely_complex_fields(tmp_path):
+def test_snapshot_refuses_genuinely_complex_fields():
+    # a Field holds real samples, so no complex field reaches write_field
     g = Grid(1 << 6, 16.0)
-    u = Field(g, np.exp(1j * g.x), real=False)
     with pytest.raises(ValueError):
-        write_field(tmp_path / "c.bin", u, 1.0)
+        Field(g, np.exp(1j * g.x))
 
 
 def test_csv_cells_keep_full_float_precision():
@@ -189,11 +189,11 @@ def test_loaded_derived_fields_match_the_spectral_operators(tmp_path,
     save_trajectory(tmp_path / "run", tiny_traj)
     back, _ = load_trajectory(tmp_path / "run")
     for snap in back.snapshots:
-        for got, want in ((snap.u_x, derivative(snap.u)),
-                          (snap.u_anti, antiderivative(snap.u))):
-            scale = np.max(np.abs(want.values))
-            assert got.real
-            assert np.max(np.abs(got.values - want.values)) <= 1e-14 * scale
+        g, u = snap.u.grid, snap.u.values
+        for got, want in ((snap.u_x, derivative(g, u)),
+                          (snap.u_anti, antiderivative(g, u))):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got.values - want)) <= 1e-14 * scale
 
 
 def test_reloaded_snapshots_match_the_in_run_ones(tmp_path, mini_traj):
