@@ -1,8 +1,7 @@
 """Real-field spectral kernels shared by the time stepper and diagnostics.
 
 Everything here works on raw half-spectra (scipy.fft.rfft of the real node
-values, no normalization) because both consumers are hot paths.  The public
-field-level wrapper lives in :mod:`shortpulse.evolve`.
+values, no normalization) because both consumers are hot paths.
 """
 
 from __future__ import annotations
@@ -36,20 +35,19 @@ def derivative_symbols(n, length):
 class NonlinearKernel:
     """Computes d/dx (u^3) on the grid without aliasing, on an active band.
 
-    Only the modes |k| < K of the input enter (K = ``band``, n/2 by
-    default).  Their spectrum is zero-padded to M = 4K points, which makes
-    the pointwise cube exact on the kept modes: the cube reaches mode 3K - 3,
+    Only the modes |k| < K of the input enter (K = ``band``).  Their
+    spectrum is zero-padded to M = 4K points, which makes the pointwise
+    cube exact on the kept modes: the cube reaches mode 3K - 3,
     whose alias lands at M - (3K - 3) = K + 3 >= K.  The cube is truncated
     back to the modes below K and differentiated spectrally; every row at or
     above K of the output is an exact zero.  K = n/2 is the full grid
     (M = 2n, the input Nyquist row dropped).
     """
 
-    def __init__(self, n, length, band=None):
+    def __init__(self, n, length, band):
         self.n = int(n)
         self.length = float(length)
-        self.nyq = self.n // 2
-        self.band = self.nyq if band is None else int(band)
+        self.band = int(band)
         self.m = 4 * self.band
         self.ik = derivative_symbols(self.n, self.length)[0][: self.band]
 
@@ -92,4 +90,4 @@ class NonlinearKernel:
 def nonlinear_kernel(n, length, band=None):
     """The :class:`NonlinearKernel` of one grid and band (n/2 when None),
     shared by the stepper and the per-snapshot diagnostics."""
-    return NonlinearKernel(n, length, band)
+    return NonlinearKernel(n, length, n // 2 if band is None else band)

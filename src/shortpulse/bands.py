@@ -40,18 +40,18 @@ def smoothstep(s):
     return out
 
 
-def bump(y, half_width=1.0):
-    """C-infinity bump exp(-1/(1-(y/a)^2)) on |y| < a, zero outside.
+def bump(y, half_width):
+    """C-infinity bump exp(-1/(1-(y/a)^2)) on |y| < a, zero outside, for
+    an array y and a = ``half_width``.
 
     Unnormalized (peak value e^{-1}); its integral is half_width times
     :data:`shortpulse.packets.BUMP_INTEGRAL`.
     """
-    scalar = np.isscalar(y) or np.ndim(y) == 0
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64)) / half_width
+    y = y / half_width
     out = np.zeros_like(y)
     inside = np.abs(y) < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - y[inside] ** 2))
-    return float(out[0]) if scalar else out
+    return out
 
 
 class CutoffSpec:
@@ -61,22 +61,21 @@ class CutoffSpec:
     m integer, and every transition region spans one lattice step.
     """
 
-    def __init__(self, delta=1.0):
+    def __init__(self, delta):
         delta = float(delta)
         if not (delta > 0.0 and np.isfinite(delta)):
             raise ValueError(f"delta must be positive, got {delta}")
         self.delta = delta
 
     def sigma(self, r):
-        """Base profile: 1 on |r| <= 1, 0 on |r| >= 2^delta."""
-        scalar = np.isscalar(r) or np.ndim(r) == 0
-        r = np.abs(np.atleast_1d(np.asarray(r, dtype=np.float64)))
+        """Base profile on an array r: 1 on |r| <= 1, 0 on |r| >= 2^delta."""
+        r = np.abs(r)
         pos = r > 0.0
         ramp = np.zeros_like(r)
         ramp[pos] = np.log2(r[pos]) / self.delta
         out = 1.0 - smoothstep(ramp)
         out[~pos] = 1.0
-        return float(out[0]) if scalar else out
+        return out
 
     def sigma_le(self, r, scale):
         """Low-pass sigma_{<= R}: equals 1 on |r| <= R, 0 on |r| >= 2^delta R."""

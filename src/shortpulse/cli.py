@@ -27,15 +27,11 @@ from scipy import fft as sfft
 from . import __version__, _kernels, bands, counterexample, norms, packets, storage
 from .config import default_config, load_config, with_overrides
 from .errors import (
-    BlowUp,
     ConfigError,
     InsufficientData,
-    MeanDrift,
     MissingSnapshots,
-    QuadratureUnderResolved,
+    MonitorViolation,
     ShortPulseError,
-    StepRejected,
-    WrapAround,
 )
 from .evolve import SolverConfig, Trajectory, evolve
 from .spectral import Field, Grid, Snapshot, l2_norm
@@ -43,8 +39,6 @@ from .spectral import Field, Grid, Snapshot, l2_norm
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MONITOR = 2
-
-MONITOR_ERRORS = (BlowUp, WrapAround, MeanDrift, StepRejected, QuadratureUnderResolved)
 
 # canonical rays for the fit summary (criterion-style trio); probes cover
 # whatever the config lists, the summary fits these when available
@@ -87,7 +81,7 @@ def cmd_simulate(args):
     status, message, code = "completed", None, EXIT_OK
     try:
         traj = evolve(u0, cfg.solver)
-    except MONITOR_ERRORS as exc:
+    except MonitorViolation as exc:
         traj = getattr(exc, "trajectory", None) or Trajectory(config=cfg.solver)
         status, message, code = type(exc).__name__, str(exc), EXIT_MONITOR
         _log(f"simulate: aborted by monitor: {status}: {message}")
@@ -100,7 +94,7 @@ def cmd_simulate(args):
     def monitor_row(snap):
         base = snap.norms.as_row()
         if snap.t >= 1.0:
-            mon = norms.decomposition_monitors(snap, cut, s=cfg.solver.sobolev_s)
+            mon = norms.decomposition_monitors(snap, cut, cfg.solver.sobolev_s)
         else:
             mon = dict.fromkeys(norms.MONITOR_COLUMNS, float("nan"))
         return base + [mon[c] for c in norms.MONITOR_COLUMNS]
@@ -110,11 +104,11 @@ def cmd_simulate(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if "bin" in cfg.formats:
-        storage.save_trajectory(out_dir, traj, experiment=cfg.raw, config_hash=chash)
+        storage.save_trajectory(out_dir, traj, cfg.raw, chash)
         written.append(storage.MANIFEST_NAME)
     if "csv" in cfg.formats:
         header = list(norms.NormRecord.COLUMNS) + list(norms.MONITOR_COLUMNS)
-        storage.write_csv(out_dir / "norms.csv", header, rows, config_hash=chash)
+        storage.write_csv(out_dir / "norms.csv", header, rows, chash)
         written.append("norms.csv")
 
     last = traj.snapshots[-1].norms if traj.snapshots else None
@@ -300,7 +294,7 @@ def cmd_scatter(args):
         ("t", "v", "re_gamma", "im_gamma", "re_W", "im_W",
          "abs_res", "err_u", "err_ux", "in_window"),
         probe_rows,
-        config_hash=chash,
+        chash,
     )
     w_rows = [
         (rec.v, rec.t, rec.w.real, rec.w.imag, abs(rec.w), float(np.angle(rec.w)))
@@ -311,7 +305,7 @@ def cmd_scatter(args):
         out_dir / "wtable.csv",
         ("v", "t", "re_W", "im_W", "abs_W", "arg_W"),
         w_rows,
-        config_hash=chash,
+        chash,
     )
     storage.write_json(out_dir / "scatter_summary.json", summary)
 
@@ -338,7 +332,7 @@ def cmd_appendix(args):
         out_dir / "scan.csv",
         counterexample.SCAN_COLUMNS,
         [[row[c] for c in counterexample.SCAN_COLUMNS] for row in rows],
-        config_hash=chash,
+        chash,
     )
     summary = {
         "command": "appendix",
@@ -362,7 +356,7 @@ def cmd_appendix(args):
 # selftest
 
 
-def _selftest_checks(corrupt=""):
+def _selftest_checks():
     """The identity suite: (name, max_err, tol) triples on small grids, each
     on the rfft operators that ``simulate`` runs."""
     rng = np.random.default_rng(20240811)
@@ -436,8 +430,6 @@ def _selftest_checks(corrupt=""):
     total = cut.sigma_le(r, 1.0)
     for scale in cut.lattice(2.0, 256.0):
         total = total + cut.sigma_band(r, scale)
-    if corrupt == "cutoff":
-        total = total + 1e-3  # test hook: simulate sigma(0) != 1
     checks.append((
         "lp_partition_of_unity",
         float(np.max(np.abs(total - 1.0))),
@@ -486,11 +478,9 @@ def _selftest_checks(corrupt=""):
 
 
 def cmd_selftest(args):
-    if args.corrupt not in ("", "cutoff"):
-        raise ConfigError(f"unknown corruption token {args.corrupt!r}")
     results = []
     failed = []
-    for name, err, tol in _selftest_checks(args.corrupt):
+    for name, err, tol in _selftest_checks():
         ok = bool(err <= tol)
         results.append({"name": name, "ok": ok, "max_err": err, "tol": tol})
         if not ok:
@@ -541,7 +531,6 @@ def build_parser():
     p.set_defaults(func=cmd_appendix)
     p = sub.add_parser("selftest", parents=[common],
                        help="run the identity suite and report pass/fail")
-    p.add_argument("--_corrupt", dest="corrupt", default="", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
     return parser
 
@@ -555,11 +544,7 @@ def main(argv=None):
         return EXIT_OK if not exc.code else EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, MissingSnapshots, storage.CorruptSnapshot) as exc:
-        _log(f"error: {exc}")
-        _emit({"command": args.command, "status": type(exc).__name__, "error": str(exc)})
-        return EXIT_CONFIG
-    except MONITOR_ERRORS as exc:
+    except MonitorViolation as exc:
         _log(f"monitor violation: {exc}")
         _emit({"command": args.command, "status": type(exc).__name__, "error": str(exc)})
         return EXIT_MONITOR

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counterexample import MIN_SCALE
-from .errors import ConfigError, check_ranges
+from .errors import ConfigError, CorruptSnapshot, check_ranges
 from .evolve import SolverConfig
 from .packets import DEFAULT_VELOCITIES, PacketParams, alpha_ceiling
 from .spectral import Field
@@ -193,7 +193,7 @@ class ExperimentConfig:
             return Field(grid, values)
         try:
             _, fld = storage.read_field(self.initial_path, grid)
-        except storage.CorruptSnapshot as exc:
+        except CorruptSnapshot as exc:
             raise ConfigError(f"initial.path: {exc}") from exc
         return fld
 

@@ -9,7 +9,12 @@ class MeanNotZero(ShortPulseError):
     """A field that the antiderivative is applied to has a nonzero mean."""
 
 
-class StepRejected(ShortPulseError):
+class MonitorViolation(ShortPulseError):
+    """A run-time monitor stopped the computation: the run is unreliable
+    beyond this point, not misconfigured."""
+
+
+class StepRejected(MonitorViolation):
     """A time step produced implausible growth or non-finite values."""
 
 
@@ -18,15 +23,15 @@ class BandExceeded(ShortPulseError):
     stepper's active band; the band must widen."""
 
 
-class BlowUp(ShortPulseError):
+class BlowUp(MonitorViolation):
     """The solution norm doubled (or became non-finite) during evolution."""
 
 
-class WrapAround(ShortPulseError):
+class WrapAround(MonitorViolation):
     """Significant mass reached the edge of the periodic box."""
 
 
-class MeanDrift(ShortPulseError):
+class MeanDrift(MonitorViolation):
     """The zero mode drifted above tolerance during evolution."""
 
 
@@ -42,8 +47,12 @@ class OutOfBox(ShortPulseError):
     """A wave packet's support leaves the valid region of the box."""
 
 
-class QuadratureUnderResolved(ShortPulseError):
+class QuadratureUnderResolved(MonitorViolation):
     """Doubling the quadrature resolution moved a reported value too much."""
+
+
+class CorruptSnapshot(ShortPulseError):
+    """A snapshot file failed its header or length checks."""
 
 
 class MissingSnapshots(ShortPulseError):

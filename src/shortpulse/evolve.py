@@ -10,8 +10,9 @@ are materialized only at snapshot times.  It steps only an active band of
 modes |k| < K, held as the first K + 1 rfft rows (row K is zero), and
 evaluates the cubic on 4K points; rows at or above K are exact zeros.  K
 starts as small as the datum's spectral tail allows and doubles whenever
-the tail at the top of the band rises above :data:`TAIL_TOL`; snapshots
-pad the band back to the full grid, so diagnostics never see K.
+the tail at the top of the band rises above :data:`TAIL_TOL`.  Snapshots
+pad the band back to the full grid for the diagnostics; S u and the rate
+probe of each snapshot take the cubic on the band, as the steps do.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from scipy import fft as sfft
 
 from . import __version__, _kernels, norms
-from .errors import (BandExceeded, BlowUp, MeanDrift, StepRejected, WrapAround,
-                     check_ranges)
+from .errors import (BandExceeded, BlowUp, MeanDrift, MonitorViolation,
+                     StepRejected, WrapAround, check_ranges)
 from .spectral import Field, Grid, Snapshot, check_zero_mean
 
 DEFAULT_DT = 0.01
@@ -139,7 +140,6 @@ class Stepper:
         self.nyq = n // 2
         xi = _kernels.rfft_xi(n, cfg.length)
         self.lam = _kernels.derivative_symbols(n, cfg.length)[1]
-        self.kern = _kernels.nonlinear_kernel(n, cfg.length)
         # H1 weights on the half-spectrum (|c_k| counted twice off the axis)
         mult = np.full(self.nyq + 1, 2.0)
         mult[0] = 1.0
@@ -162,9 +162,10 @@ class Stepper:
         return float(np.sqrt(np.sum(self.h1w[: len(vh)] * np.abs(vh) ** 2)))
 
     def hx1_sq(self, vh):
-        """||u_x||_{L2}^2 from the half-spectrum."""
-        xi = _kernels.rfft_xi(self.cfg.n, self.cfg.length)
-        w = self.h1w / (1.0 + xi ** 2) * xi ** 2
+        """||u_x||_{L2}^2 from the rows of a band state."""
+        rows = len(vh)
+        xi = _kernels.rfft_xi(self.cfg.n, self.cfg.length)[:rows]
+        w = self.h1w[:rows] / (1.0 + xi ** 2) * xi ** 2
         return float(np.sum(w * np.abs(vh) ** 2))
 
     def start_band(self, vh):
@@ -206,6 +207,11 @@ class Stepper:
             c = self._coef[dt] = (e_half, e_half * e_half)
         return c
 
+    def _nl(self, vh):
+        """The rfft rows of d/dx(u^3) for a state held on its band."""
+        return _kernels.nonlinear_kernel(
+            self.cfg.n, self.cfg.length, len(vh) - 1).spectrum(vh)
+
     def step_raw(self, vh, dt, nl_vh=None):
         """One integrator step on the band of vh; no monitors.
 
@@ -214,10 +220,7 @@ class Stepper:
         evaluate it once.
         """
         rows = len(vh)
-        band = rows - 1
-        kern = self.kern if band == self.nyq else \
-            _kernels.nonlinear_kernel(self.cfg.n, self.cfg.length, band)
-        nl = kern.spectrum
+        nl = self._nl
         e, e2 = self._coefficients(dt)
         e, e2 = e[:rows], e2[:rows]
         a = dt * (nl(vh) if nl_vh is None else nl_vh)
@@ -255,33 +258,16 @@ class Stepper:
         return Snapshot(t, Field(self.grid, self.values_of(full)), full)
 
 
-def _default_monitors(cfg):
-    def wrap_monitor(snap):
-        frac = snap.norms.wrapfrac
-        if frac >= cfg.wrap_tol:
-            raise WrapAround(
-                f"{100 * frac:.2f}% of L2 mass in the outer "
-                f"{100 * cfg.outer_frac:.0f}% of the box at t={snap.t:g} "
-                f"(tolerance {100 * cfg.wrap_tol:.2f}%)"
-            )
-
-    def mean_monitor(snap):
-        check_zero_mean(snap.u, cfg.mean_tol, f"the solution at t={snap.t:g}",
-                        MeanDrift)
-
-    return [wrap_monitor, mean_monitor]
-
-
-def evolve(u0, cfg, monitors=None):
+def evolve(u0, cfg):
     """Integrate from u0 at t = 0, emitting snapshots at the monitor cadence.
 
-    Monitors run on every emitted snapshot; the built-in set enforces the
-    wrap-around and mean-drift bounds from the config.  A step rejection
-    halves dt (at most ``cfg.max_halvings`` times for the whole run) and
-    retries from the last accepted state; a step whose tail exceeds the
-    active band doubles the band and retries the same way, without limit
-    or cost against the halvings.  Errors raised mid-run carry the partial
-    trajectory in their ``trajectory`` attribute.
+    Every emitted snapshot is held to the config's wrap-around, mean-drift
+    and blow-up bounds.  A step rejection halves dt (at most
+    ``cfg.max_halvings`` times for the whole run) and retries from the
+    last accepted state; a step whose tail exceeds the active band doubles
+    the band and retries the same way, without limit or cost against the
+    halvings.  Errors raised mid-run carry the partial trajectory in their
+    ``trajectory`` attribute.
     """
     g = cfg.grid()
     if u0.grid != g:
@@ -293,8 +279,6 @@ def evolve(u0, cfg, monitors=None):
     vh = vh[: stepper.start_band(vh) + 1]
 
     traj = Trajectory(config=cfg)
-    if monitors is None:
-        monitors = _default_monitors(cfg)
     h1_init = stepper.h1_norm(vh)
     dt = cfg.dt
     halvings = 0
@@ -302,29 +286,33 @@ def evolve(u0, cfg, monitors=None):
 
     def emit(t_now, vh_now):
         snap = stepper.make_snapshot(t_now, vh_now)
-        # one nl(u^) on the full grid serves S u in the record and both
-        # probe steps below
-        nl_now = stepper.kern.spectrum(snap.uh)
+        # one nl(v^) on the band serves S u in the record and both probe
+        # steps below
+        nl_now = stepper._nl(vh_now)
         rec = snap.norms = norms.compute_record(
-            snap, s=cfg.sobolev_s, outer_frac=cfg.outer_frac, nl=nl_now,
-        )
+            snap, cfg.sobolev_s, cfg.outer_frac, nl_now)
         # d/dt ||u_x||^2 probed by a quarter-step centered difference;
         # the shorter spacing keeps the O(h^2) truncation error of the
         # difference quotient well below the identity's own tolerance
         probe = 0.25 * cfg.dt
-        up = stepper.step_raw(snap.uh, probe, nl_now)
-        um = stepper.step_raw(snap.uh, -probe, nl_now)
+        up = stepper.step_raw(vh_now, probe, nl_now)
+        um = stepper.step_raw(vh_now, -probe, nl_now)
         rec.h1_rate_fd = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * probe)
         traj.append(snap)
-        for mon in monitors:
-            mon(snap)
+        if rec.wrapfrac >= cfg.wrap_tol:
+            raise WrapAround(
+                f"{100 * rec.wrapfrac:.2f}% of L2 mass in the outer "
+                f"{100 * cfg.outer_frac:.0f}% of the box at t={t_now:g} "
+                f"(tolerance {100 * cfg.wrap_tol:.2f}%)"
+            )
+        check_zero_mean(snap.u, cfg.mean_tol, f"the solution at t={t_now:g}",
+                        MeanDrift)
         h1_now = stepper.h1_norm(vh_now)
         if h1_now > cfg.blowup_factor * h1_init and h1_init > 0.0:
             raise BlowUp(
                 f"H1 norm grew {h1_now / h1_init:.2f}x over the run at "
                 f"t={t_now:g}"
             )
-        return snap
 
     try:
         t = 0.0
@@ -348,7 +336,7 @@ def evolve(u0, cfg, monitors=None):
                     continue
                 t = target if h == remaining else t + h
             emit(target, vh)
-    except (BlowUp, WrapAround, MeanDrift, StepRejected) as err:
+    except MonitorViolation as err:
         traj.status = type(err).__name__
         err.trajectory = traj
         raise

@@ -93,7 +93,7 @@ def edge_taper(grid):
     return _taper_values(grid.n, grid.length)
 
 
-def wrap_fraction(u, outer_frac=0.05):
+def wrap_fraction(u, outer_frac):
     """Fraction of L2 mass in the outer ``outer_frac`` of the box."""
     g = u.grid
     outer = np.abs(g.x) >= (0.5 - 0.5 * outer_frac) * g.length
@@ -106,26 +106,19 @@ def wrap_fraction(u, outer_frac=0.05):
 # ----------------------------------------------------------------------
 # vector fields
 
-def j_field(snap, ux=None):
-    """J dx u = x u_x - t dx^{-1} u, with the x-weight tapered at the seam;
-    ``ux`` is the snapshot's u_x when the caller already derived it."""
+def j_field(snap, ux):
+    """J dx u = x u_x - t dx^{-1} u, with the x-weight tapered at the seam,
+    for the snapshot's u_x ``ux``."""
     g = snap.u.grid
-    ux = snap.u_x if ux is None else ux
     tap = edge_taper(g)
     return Field(g, tap * g.x * ux.values - snap.t * snap.u_anti.values)
 
 
-def s_field(snap, j=None, nl=None):
-    """Su = -t dx(u^3) + J dx u - u, evaluated through the equation.
-
-    ``j`` (J dx u) and ``nl`` (the rfft of dx(u^3)) are used when the
-    caller already holds them, and computed from the snapshot otherwise.
-    """
+def s_field(snap, j, nl):
+    """Su = -t dx(u^3) + J dx u - u, evaluated through the equation from
+    ``j`` (J dx u) and ``nl``, the leading rfft rows of dx(u^3) (the rest
+    are zero)."""
     g = snap.u.grid
-    if j is None:
-        j = j_field(snap)
-    if nl is None:
-        nl = _kernels.nonlinear_kernel(g.n, g.length).spectrum(snap.uh)
     return Field(g, -snap.t * sfft.irfft(nl, g.n) + j.values - snap.u.values)
 
 
@@ -152,12 +145,7 @@ def sup_norms(snap, ux):
             refined_sup(ux.values, ik * snap.uh))
 
 
-def xs_norm(snap, s=4.5):
-    """||u||_{X^s} of a snapshot, as its :class:`NormRecord` reads it."""
-    return compute_record(snap, s).Xs
-
-
-def compute_record(snap, s=4.5, outer_frac=0.05, nl=None):
+def compute_record(snap, s, outer_frac, nl):
     """Assemble the full :class:`NormRecord` for a snapshot.
 
     Hs, Hm1 and both sup norms come from the snapshot's half-spectrum; u_x
@@ -196,7 +184,7 @@ def compute_record(snap, s=4.5, outer_frac=0.05, nl=None):
 MONITOR_COLUMNS = ("p32_hyp", "p32_hyp_x", "p32_ell", "p32_ell_x", "c34_jwt")
 
 
-def decomposition_monitors(snap, spec, s=4.5):
+def decomposition_monitors(snap, spec, s):
     """Empirical constants for the pointwise-decay and weighted bounds.
 
     Returns a dict with keys :data:`MONITOR_COLUMNS`:
@@ -212,13 +200,12 @@ def decomposition_monitors(snap, spec, s=4.5):
     The constants are reported, not asserted; boundedness along a
     trajectory (no growth trend) is what the property tests check.
     All entries are 0.0 for a zero field.  ||u||_{X^s} is read from the
-    snapshot's :class:`NormRecord` when it has one (``evolve`` computes
-    it at the solver's ``sobolev_s``), and computed here otherwise.
+    snapshot's :class:`NormRecord`, which ``evolve`` computes at the
+    solver's ``sobolev_s``.
     """
     t = float(snap.t)
     g = snap.u.grid
-    record = snap.norms
-    xs = record.Xs if record is not None else xs_norm(snap, s)
+    xs = snap.norms.Xs
     if xs == 0.0:
         return dict.fromkeys(MONITOR_COLUMNS, 0.0)
     dec = hyp_ell_decompose(snap, spec)

@@ -21,7 +21,7 @@ snapshots; fits over probe tables live with the callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,8 +82,6 @@ class ProbeRecord:
 
     t: float
     v: float
-    xi_v: float = field(init=False)
-    n_v: float = 0.0
     gamma: complex = 0.0
     w: complex = 0.0
     ode_residual: complex = None
@@ -91,22 +89,12 @@ class ProbeRecord:
     approx_err_ux: float = 0.0
     in_window: bool = False
 
-    def __post_init__(self):
-        self.xi_v = abs(self.v) ** -0.5
-
 
 def phase(t, x):
     """The ray phase phi(t,x) = -2 sqrt(t |x|)."""
     if not t > 0.0:
         raise ValueError(f"phase needs t > 0, got {t}")
     return -2.0 * np.sqrt(t * np.abs(x))
-
-
-def nearest_scale(xi, delta=1.0):
-    """Nearest scaled dyadic 2^{delta m} to xi (in log distance)."""
-    if not xi > 0.0:
-        raise ValueError(f"need xi > 0, got {xi}")
-    return 2.0 ** (delta * round(np.log2(xi) / delta))
 
 
 def _packet_on_support(t, v, params, grid):
@@ -214,16 +202,13 @@ def _half_waves(grid, x):
     return np.outer(high, low).ravel()[: nyq + 1]
 
 
-def prop42_errors(snap, v, gam, coeffs=None):
+def prop42_errors(snap, v, gam, coeffs):
     """Ray errors of the packet approximation at x = v t of a real snapshot.
 
     Returns |u(t,vt) - 2 t^{-1/2} Re(e^{i phi} gamma)| and the u_x
-    analogue |u_x(t,vt) - 2 t^{-1/2} |v|^{-1/2} Re(i e^{i phi} gamma)|.
-    ``coeffs`` is :func:`_ray_coefficients` of the snapshot when the
-    caller already holds it.
+    analogue |u_x(t,vt) - 2 t^{-1/2} |v|^{-1/2} Re(i e^{i phi} gamma)|,
+    from ``coeffs``, the snapshot's :func:`_ray_coefficients`.
     """
-    if coeffs is None:
-        coeffs = _ray_coefficients(snap)
     t = snap.t
     x_ray = v * t
     carrier = np.exp(1j * phase(t, x_ray))
@@ -234,12 +219,12 @@ def prop42_errors(snap, v, gam, coeffs=None):
     return float(err_u), float(err_ux)
 
 
-def probe_snapshot(snap, params, skipped=None):
+def probe_snapshot(snap, params, skipped):
     """Probe one snapshot at every configured velocity.
 
     Velocities whose packet does not fit the box or the resolution are
-    skipped (the probe set is ray-dependent by design); when ``skipped`` is
-    a Counter, each skip adds one to its ``(v, reason)`` entry, with the
+    skipped (the probe set is ray-dependent by design); each skip adds one
+    to the ``(v, reason)`` entry of the Counter ``skipped``, with the
     reason the exception's class name.  Residuals are filled in later by
     :func:`attach_residuals` once neighbors exist.
     """
@@ -249,14 +234,11 @@ def probe_snapshot(snap, params, skipped=None):
         try:
             gam = gamma(snap, v, params)
         except (OutOfBox, UnderResolved) as exc:
-            if skipped is not None:
-                skipped[(float(v), type(exc).__name__)] += 1
+            skipped[(float(v), type(exc).__name__)] += 1
             continue
         err_u, err_ux = prop42_errors(snap, v, gam, coeffs)
         records.append(ProbeRecord(
-            t=float(snap.t), v=float(v),
-            n_v=nearest_scale(abs(v) ** -0.5, params.band_delta),
-            gamma=gam, w=extract_w(snap.t, v, gam),
+            t=float(snap.t), v=float(v), gamma=gam, w=extract_w(snap.t, v, gam),
             approx_err_u=err_u, approx_err_ux=err_ux,
             in_window=params.in_window(snap.t, v)))
     return records
@@ -276,17 +258,14 @@ def attach_residuals(records, v):
     return series
 
 
-def phase_drift_fit(ts, gammas, v, window=None):
+def phase_drift_fit(ts, gammas, v):
     """Fitted d(arg gamma)/d(log t) against the model 3 |v|^{-1/2} |gamma|^2.
 
     Returns (slope, target, relative error).  The target uses the median
-    |gamma|^2 over the fit window since the modulus is near-constant.
+    |gamma|^2 over the samples since the modulus is near-constant.
     """
     ts = np.asarray(ts, dtype=np.float64)
     gam = np.asarray(gammas, dtype=np.complex128)
-    if window is not None:
-        keep = (ts >= window[0]) & (ts <= window[1])
-        ts, gam = ts[keep], gam[keep]
     if ts.size < 8:
         raise InsufficientData(
             f"need >= 8 samples for the phase fit, got {ts.size}")
@@ -299,11 +278,12 @@ def phase_drift_fit(ts, gammas, v, window=None):
     return float(slope), target, abs(slope - target) / target
 
 
-def w_stability_series(records, doubling_ratio=2.0, tol=1e-9):
+def w_stability_series(records):
     """Sup over in-window velocities of |W(t,v) - W(2t,v)|, per t.
 
     Only velocities in-window at both t and 2t contribute; times whose
-    double is not probed are skipped.  Returns (ts, sups).
+    double is not probed (to 1e-9 relative) are skipped.  Returns
+    (ts, sups).
     """
     by_time = {}
     for rec in records:
@@ -312,7 +292,7 @@ def w_stability_series(records, doubling_ratio=2.0, tol=1e-9):
     out_t, out_s = [], []
     for t in times:
         t2 = next((s for s in times
-                   if abs(s - doubling_ratio * t) <= tol * s), None)
+                   if abs(s - 2.0 * t) <= 1e-9 * s), None)
         if t2 is None:
             continue
         diffs = [abs(by_time[t][v].w - by_time[t2][v].w)

@@ -27,19 +27,17 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, MissingSnapshots
+from .errors import ConfigError, CorruptSnapshot, MissingSnapshots
 from .evolve import SolverConfig, Trajectory
-from .spectral import Field, Grid, Snapshot, check_zero_mean
+from .spectral import Field, Snapshot, check_zero_mean
 
 MAGIC = b"SPFLD01\x00"
 _HEADER = struct.Struct("<8sQd")
 HEADER_BYTES = _HEADER.size  # 24
 
 MANIFEST_NAME = "manifest.json"
-
-
-class CorruptSnapshot(Exception):
-    """A snapshot file failed its header or length checks."""
+# the run's outcome and stepping telemetry, as Trajectory fields
+PROVENANCE = ("status", "halvings", "band", "band_widenings", "tail_headroom")
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +53,9 @@ def write_field(path, field, t):
     return len(blob)
 
 
-def read_field(path, grid=None):
-    """Read a snapshot file -> (t, Field).
-
-    When ``grid`` is given the stored sample count must match it; otherwise a
-    unit-spacing grid of the stored size is fabricated (callers that know the
-    box length should pass the real grid).
-    """
+def read_field(path, grid):
+    """Read a snapshot file -> (t, Field on ``grid``), whose sample count
+    the stored one must match."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < HEADER_BYTES:
@@ -75,9 +69,7 @@ def read_field(path, grid=None):
             f"{path}: expected {expected} bytes for n={n}, found {len(raw)}"
         )
     values = np.frombuffer(raw, dtype="<f8", offset=HEADER_BYTES).astype(np.float64)
-    if grid is None:
-        grid = Grid(n=int(n), length=float(n))
-    elif grid.n != n:
+    if grid.n != n:
         raise CorruptSnapshot(f"{path}: n={n} does not match grid n={grid.n}")
     return float(t), Field(grid, values)
 
@@ -96,8 +88,9 @@ def _conversion(value):
     return "%s"
 
 
-def write_csv(path, header, rows, config_hash=""):
-    """Write a table; returns the row count (excluding the header).
+def write_csv(path, header, rows, config_hash):
+    """Write a table under its config-hash line; returns the row count
+    (excluding the header).
 
     Each column keeps the cell type of the first row: one format string,
     built from that row, writes every row.
@@ -105,8 +98,7 @@ def write_csv(path, header, rows, config_hash=""):
     count = 0
     line = None
     with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash} code_version={__version__}\n")
+        fh.write(f"# config_hash={config_hash} code_version={__version__}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             if len(row) != len(header):
@@ -135,14 +127,13 @@ def write_json(path, document):
         fh.write("\n")
 
 
-def save_trajectory(out_dir, traj, experiment=None, config_hash="", timestamp=True):
+def save_trajectory(out_dir, traj, experiment, config_hash):
     """Persist a trajectory; returns the manifest path.
 
     ``experiment`` is the full experiment-config dict (all sections) and
-    ``config_hash`` its :meth:`shortpulse.config.ExperimentConfig.hash` when
-    the run came from a config file; library callers may omit both.  The
-    manifest's only non-deterministic field is ``metadata.created_utc``, and
-    ``timestamp=False`` suppresses even that (used by the determinism tests).
+    ``config_hash`` its :meth:`shortpulse.config.ExperimentConfig.hash`.
+    The manifest's only non-deterministic field is
+    ``metadata.created_utc``.
     """
     os.makedirs(out_dir, exist_ok=True)
     index = []
@@ -158,16 +149,10 @@ def save_trajectory(out_dir, traj, experiment=None, config_hash="", timestamp=Tr
         "provenance": {
             "config_hash": config_hash,
             "code_version": traj.code_version,
-            "status": traj.status,
-            "halvings": traj.halvings,
-            "band": traj.band,
-            "band_widenings": traj.band_widenings,
-            "tail_headroom": traj.tail_headroom,
+            **{name: getattr(traj, name) for name in PROVENANCE},
         },
         "snapshots": index,
-        "metadata": {
-            "created_utc": datetime.now(timezone.utc).isoformat() if timestamp else ""
-        },
+        "metadata": {"created_utc": datetime.now(timezone.utc).isoformat()},
     }
     path = os.path.join(out_dir, MANIFEST_NAME)
     write_json(path, manifest)
@@ -188,7 +173,9 @@ def load_trajectory(traj_dir):
     Snapshot norms are left unset.  The file format holds the bare node
     values; each snapshot recomputes its spectrum, from which derivative and
     antiderivative follow, so every stored field must have zero mean (to the
-    stored ``mean_tol``).  The run's config hash stays in the manifest.
+    stored ``mean_tol``).  The run's config hash stays in the manifest; a
+    :data:`PROVENANCE` field that an older manifest lacks takes its
+    Trajectory default.
     """
     manifest = load_manifest(traj_dir)
     solver = manifest["solver"]
@@ -205,15 +192,8 @@ def load_trajectory(traj_dir):
         raise ConfigError(exc.reason, f"{where}: solver.{exc.key}") from None
     grid = cfg.grid()
     prov = manifest["provenance"]
-    traj = Trajectory(
-        config=cfg,
-        code_version=prov["code_version"],
-        status=prov.get("status", "completed"),
-        halvings=prov.get("halvings", 0),
-        band=prov.get("band"),
-        band_widenings=prov.get("band_widenings", []),
-        tail_headroom=prov.get("tail_headroom"),
-    )
+    traj = Trajectory(config=cfg, code_version=prov["code_version"],
+                      **{name: prov[name] for name in PROVENANCE if name in prov})
     for entry in manifest["snapshots"]:
         path = os.path.join(traj_dir, entry["file"])
         t, u = read_field(path, grid)
@@ -226,14 +206,15 @@ def load_trajectory(traj_dir):
     return traj, manifest
 
 
-def require_times(traj, times, rel_tol=1e-9):
-    """Map requested times onto stored snapshots or raise MissingSnapshots."""
+def require_times(traj, times):
+    """Map requested times onto stored snapshots (to 1e-9 relative) or
+    raise MissingSnapshots."""
     stored = np.asarray(traj.times, dtype=float)
     picked = []
     for t in times:
         if stored.size:
             j = int(np.argmin(np.abs(stored - t)))
-            if abs(stored[j] - t) <= rel_tol * max(1.0, abs(t)):
+            if abs(stored[j] - t) <= 1e-9 * max(1.0, abs(t)):
                 picked.append(traj.snapshots[j])
                 continue
         raise MissingSnapshots(

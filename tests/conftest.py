@@ -6,6 +6,7 @@ and the periodic-box artifacts the tests freeze, but cheap enough
 instant build a Snapshot instead of evolving.
 """
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,7 +55,7 @@ def mini_probe_records(mini_traj):
     records = []
     for snap in mini_traj.snapshots:
         if snap.t >= 1.0:
-            records.extend(probe_snapshot(snap, params))
+            records.extend(probe_snapshot(snap, params, Counter()))
     return records
 
 

@@ -12,7 +12,7 @@ single coefficient L / sqrt(2 pi).  Multipliers on it give the derivative,
 the antiderivative, the free propagator and the smooth band projections;
 norms and sup norms are taken through it too.  Transform-level oracles take
 a grid and node values, real or complex, and return arrays.  Also here: a
-CSV reader and a Richardson convergence run.
+CSV reader, a snapshot's norm record and a Richardson convergence run.
 """
 
 import dataclasses
@@ -22,6 +22,7 @@ from scipy import fft as sfft
 
 from shortpulse import _kernels
 from shortpulse.evolve import evolve
+from shortpulse.norms import compute_record
 from shortpulse.spectral import SQRT2PI, Field, refined_sup
 
 
@@ -92,6 +93,14 @@ def nonlinearity(u):
     n = u.grid.n
     kern = _kernels.nonlinear_kernel(n, u.grid.length)
     return Field(u.grid, sfft.irfft(kern.spectrum(sfft.rfft(u.values)), n))
+
+
+def norm_record(snap):
+    """The :class:`NormRecord` of a snapshot at the solver's defaults
+    (s = 4.5, outer fraction 0.05), with dx(u^3) on the full grid."""
+    g = snap.u.grid
+    nl = _kernels.nonlinear_kernel(g.n, g.length).spectrum(snap.uh)
+    return compute_record(snap, 4.5, 0.05, nl)
 
 
 def self_convergence(u0, cfg, dt_coarse, t_end=1.0, refine=8):

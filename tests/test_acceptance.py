@@ -16,6 +16,7 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def records(reference):
     out = []
     for snap in reference.snapshots:
         if snap.t >= 1.0:
-            out.extend(probe_snapshot(snap, params))
+            out.extend(probe_snapshot(snap, params, Counter()))
     for v in PROBE_VELOCITIES:
         try:
             attach_residuals(out, v)
@@ -149,7 +150,8 @@ def test_endpoint_estimate_scan():
     """Original-estimate ratio grows with exponent in [0.4, 0.6] and
     crosses 1; repaired ratio has exponent <= 0.05; runtime <= 10 s."""
     t0 = time.monotonic()
-    rows, verdict = counterexample.failure_scan(0.25)
+    rows, verdict = counterexample.failure_scan(
+        0.25, [2.0 ** k for k in range(5, 11)])
     elapsed = time.monotonic() - t0
     assert elapsed <= 10.0          # measured 0.45 s to 0.85 s, 2 cores
     assert verdict["first_crossing_N"] is not None

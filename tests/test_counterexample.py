@@ -19,13 +19,16 @@ rhs_drift_frozen = {32: 0.15007010411657662, 64: 0.12477043344250249,
 rho_030_exponent_frozen = 0.6757485794702796
 rho_049_exponent_frozen = 0.5089904791719367
 
+# the default appendix ladder N = 2^5 .. 2^10
+LADDER = [2.0 ** k for k in range(5, 11)]
+
 spatial_sup_tol = 1e-6       # measured 1.9e-8 on the n=2^12 box
 spatial_norm_tol = 1e-12     # measured ~1.1e-15 on the n=2^20 box
 
 
 @pytest.fixture(scope="module")
 def ladder():
-    rows, verdict = cx.failure_scan(0.25)
+    rows, verdict = cx.failure_scan(0.25, LADDER)
     return rows, verdict
 
 
@@ -145,13 +148,6 @@ def test_quadrature_norms_match_a_sampled_synthesis():
         assert abs(sampled - quad) / quad < spatial_norm_tol
 
 
-def test_sobolev_quadrature_ignores_the_unitary_flow():
-    case = cx.CounterexampleCase(64, 0.25)
-    plain = cx.hs_sq_log(case, 3.0)
-    flowed = cx.hs_sq_log(case, 3.0, flow_t=case.t)
-    assert flowed == plain
-
-
 def test_repaired_side_dominates_everywhere(ladder):
     rows, _ = ladder
     assert len(rows) == 6
@@ -209,14 +205,14 @@ def test_scaled_right_side_drift_shrinks(ladder):
 
 
 def test_exponent_shifts_with_the_weight_parameter():
-    _, verdict = cx.failure_scan(0.3)
+    _, verdict = cx.failure_scan(0.3, LADDER)
     assert verdict["original_exponent"] == pytest.approx(
         rho_030_exponent_frozen, abs=2e-2)
     assert verdict["near_degenerate"] is False
 
 
 def test_near_degenerate_weight_still_resolves():
-    _, verdict = cx.failure_scan(0.49)
+    _, verdict = cx.failure_scan(0.49, LADDER)
     assert verdict["near_degenerate"] is True
     assert verdict["original_exponent"] == pytest.approx(
         rho_049_exponent_frozen, abs=2e-2)
@@ -231,8 +227,10 @@ def test_predicted_exponent_is_capped_at_one_half():
 
 
 def test_coarse_quadrature_trips_the_resolution_gate():
-    with pytest.raises(QuadratureUnderResolved):
-        cx.scan_case(64, 0.49, quad_points=64)
+    case = cx.CounterexampleCase(64, 0.49, quad_points=64)
+    for reported in (cx.lhs, cx.rhs_original, cx.rhs_corrected):
+        with pytest.raises(QuadratureUnderResolved):
+            reported(case)
 
 
 def test_verdict_needs_at_least_two_rows(ladder):

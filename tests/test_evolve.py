@@ -112,7 +112,7 @@ def test_kernel_matches_a_four_times_padded_power():
           [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
     g = Grid(1 << 10, 100.0)
     u = mode_sum(g, *ks).values
-    kern = NonlinearKernel(g.n, g.length)
+    kern = NonlinearKernel(g.n, g.length, g.n // 2)
     oracle = padded_cube_oracle(u, g.length)
     got = nonlinearity(Field(g, u)).values
     assert np.max(np.abs(got - oracle)) / np.max(np.abs(oracle)) \
@@ -129,7 +129,7 @@ def test_band_kernel_matches_the_full_grid_below_its_band(band):
     u = mode_sum(g, [3, 17, 40, 77, 127], *MODES[1:]).values
     vh = np.fft.rfft(u)
     vh[band:] = 0.0
-    full = NonlinearKernel(g.n, g.length).spectrum(vh)
+    full = NonlinearKernel(g.n, g.length, g.n // 2).spectrum(vh)
     got = NonlinearKernel(g.n, g.length, band).spectrum(vh)
     assert got.shape == full.shape
     assert np.max(np.abs(got[:band] - full[:band])) / np.max(np.abs(full)) \

@@ -8,20 +8,26 @@ import numpy as np
 import pytest
 
 from shortpulse import storage
-from shortpulse.errors import ConfigError, MeanNotZero, MissingSnapshots
+from shortpulse.errors import (ConfigError, CorruptSnapshot, MeanNotZero,
+                               MissingSnapshots)
 from shortpulse.evolve import SolverConfig, evolve
-from shortpulse.norms import NormRecord, compute_record
+from shortpulse.norms import NormRecord
 from shortpulse.spectral import Field, Grid
-from shortpulse.storage import (CorruptSnapshot, load_trajectory, read_field,
-                                require_times, save_trajectory, write_csv,
-                                write_field, write_json)
+from shortpulse.storage import (load_trajectory, read_field, require_times,
+                                save_trajectory, write_csv, write_field,
+                                write_json)
 from conftest import gaussian_pulse
-from oracles import antiderivative, derivative, read_csv
+from oracles import antiderivative, derivative, norm_record, read_csv
 
 
 def format_cell(value):
     """One CSV cell, as :func:`write_csv` writes it."""
     return storage._conversion(value) % (value,)
+
+
+def save(out, traj):
+    """Save a trajectory with an empty experiment and a fixed hash."""
+    return save_trajectory(out, traj, {}, "cafe0123")
 
 
 @pytest.fixture(scope="module")
@@ -70,17 +76,17 @@ def test_snapshot_rejects_truncation_bad_magic_and_grid_mismatch(tmp_path):
     short = tmp_path / "short.bin"
     short.write_bytes(raw[:10])
     with pytest.raises(CorruptSnapshot):
-        read_field(short)
+        read_field(short, g)
 
     clipped = tmp_path / "clipped.bin"
     clipped.write_bytes(raw[:-8])
     with pytest.raises(CorruptSnapshot):
-        read_field(clipped)
+        read_field(clipped, g)
 
     mangled = tmp_path / "mangled.bin"
     mangled.write_bytes(b"NOTAFLD\x00" + raw[8:])
     with pytest.raises(CorruptSnapshot):
-        read_field(mangled)
+        read_field(mangled, g)
 
     with pytest.raises(CorruptSnapshot):
         read_field(path, Grid(1 << 7, 16.0))
@@ -105,8 +111,8 @@ def test_csv_rows_match_the_cell_by_cell_format(tmp_path):
     rows = [(True, np.int64(7), 0.1 + 0.2, "v=-1", np.float64(-1e-300)),
             (np.bool_(False), -3, float("nan"), "ray", 2.5)]
     path = tmp_path / "mixed.csv"
-    write_csv(path, ["b", "i", "x", "s", "y"], rows)
-    lines = path.read_text().splitlines()[1:]
+    write_csv(path, ["b", "i", "x", "s", "y"], rows, "cafe0123")
+    lines = path.read_text().splitlines()[2:]
     assert lines == [",".join(format_cell(v) for v in row) for row in rows]
     assert lines == ["1,7,0.30000000000000004,v=-1,-1e-300",
                      "0,-3,nan,ray,2.5"]
@@ -115,7 +121,7 @@ def test_csv_rows_match_the_cell_by_cell_format(tmp_path):
 def test_csv_roundtrip_including_nan_and_comment(tmp_path):
     path = tmp_path / "table.csv"
     rows = [[1.0, math.pi, float("nan")], [2.0, -1e-300, 3.5]]
-    count = write_csv(path, ["t", "a", "b"], rows, config_hash="cafe0123")
+    count = write_csv(path, ["t", "a", "b"], rows, "cafe0123")
     assert count == 2
     first = path.read_text().splitlines()[0]
     assert first.startswith("# config_hash=cafe0123")
@@ -128,7 +134,7 @@ def test_csv_roundtrip_including_nan_and_comment(tmp_path):
 
 def test_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", ["a", "b"], [[1.0]])
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [[1.0]], "cafe0123")
 
 
 def test_csv_read_requires_a_header(tmp_path):
@@ -149,7 +155,7 @@ def test_json_writer_is_deterministic(tmp_path):
 
 def test_trajectory_directory_roundtrip(tmp_path, tiny_traj):
     out = tmp_path / "run"
-    manifest_path = save_trajectory(out, tiny_traj, config_hash="cafe0123")
+    manifest_path = save(out, tiny_traj)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest_path == str(out / "manifest.json")
     assert manifest["format"] == {"snapshot": "SPFLD01", "version": 1}
@@ -170,7 +176,7 @@ def test_trajectory_directory_roundtrip(tmp_path, tiny_traj):
 
 def test_band_telemetry_roundtrips_and_may_be_absent(tmp_path, tiny_traj):
     out = tmp_path / "run"
-    save_trajectory(out, tiny_traj)
+    save(out, tiny_traj)
     back, manifest = load_trajectory(out)
     assert manifest["provenance"]["band"] == tiny_traj.band
     assert (back.band, back.band_widenings, back.tail_headroom) == (
@@ -186,7 +192,7 @@ def test_band_telemetry_roundtrips_and_may_be_absent(tmp_path, tiny_traj):
 
 def test_loaded_derived_fields_match_the_spectral_operators(tmp_path,
                                                            tiny_traj):
-    save_trajectory(tmp_path / "run", tiny_traj)
+    save(tmp_path / "run", tiny_traj)
     back, _ = load_trajectory(tmp_path / "run")
     for snap in back.snapshots:
         g, u = snap.u.grid, snap.u.values
@@ -203,7 +209,7 @@ def test_reloaded_snapshots_match_the_in_run_ones(tmp_path, mini_traj):
     # 5.5e-16 for uh, 7.6e-15 for u_x, 2.8e-16 for u_anti, at most 3.0e-15
     # for a record column), and the in-run record's h1_rate_fd, which only
     # the stepper can fill in, is left out
-    save_trajectory(tmp_path / "run", mini_traj)
+    save(tmp_path / "run", mini_traj)
     back, _ = load_trajectory(tmp_path / "run")
     assert back.times == mini_traj.times
     pairs = list(zip(mini_traj.snapshots, back.snapshots))
@@ -218,7 +224,7 @@ def test_reloaded_snapshots_match_the_in_run_ones(tmp_path, mini_traj):
         assert diff <= 1e-14 * scale, name
     columns = [c for c in NormRecord.COLUMNS if c != "h1_rate_fd"]
     run = np.array([[getattr(a.norms, c) for c in columns] for a, _ in pairs])
-    loaded = np.array([[getattr(compute_record(b), c) for c in columns]
+    loaded = np.array([[getattr(norm_record(b), c) for c in columns]
                        for _, b in pairs])
     scale = np.max(np.abs(loaded), axis=0)
     worst = np.max(np.abs(run - loaded), axis=0)
@@ -227,7 +233,7 @@ def test_reloaded_snapshots_match_the_in_run_ones(tmp_path, mini_traj):
 
 def test_loading_a_snapshot_with_a_nonzero_mean_fails(tmp_path, tiny_traj):
     out = tmp_path / "run"
-    save_trajectory(out, tiny_traj)
+    save(out, tiny_traj)
     entry = json.loads((out / "manifest.json").read_text())["snapshots"][-1]
     u = tiny_traj.snapshots[-1].u
     write_field(out / entry["file"], Field(u.grid, u.values + 1e-3),
@@ -237,10 +243,17 @@ def test_loading_a_snapshot_with_a_nonzero_mean_fails(tmp_path, tiny_traj):
 
 
 def test_save_without_timestamp_is_byte_deterministic(tmp_path, tiny_traj):
+    # metadata.created_utc is the manifest's one non-deterministic line
+    def stamped_out(path):
+        return [line for line in (path / "manifest.json").read_bytes()
+                .splitlines() if b'"created_utc"' not in line]
+
     a, b = tmp_path / "a", tmp_path / "b"
-    save_trajectory(a, tiny_traj, timestamp=False)
-    save_trajectory(b, tiny_traj, timestamp=False)
-    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+    save(a, tiny_traj)
+    save(b, tiny_traj)
+    assert stamped_out(a) == stamped_out(b)
+    assert len(stamped_out(a)) == len((a / "manifest.json").read_bytes()
+                                      .splitlines()) - 1
 
 
 def test_loading_an_empty_directory_names_the_manifest(tmp_path):
@@ -250,7 +263,7 @@ def test_loading_an_empty_directory_names_the_manifest(tmp_path):
 
 def test_loader_cross_checks_header_against_manifest(tmp_path, tiny_traj):
     out = tmp_path / "run"
-    save_trajectory(out, tiny_traj)
+    save(out, tiny_traj)
     manifest = json.loads((out / "manifest.json").read_text())
     entry = manifest["snapshots"][0]
     g = tiny_traj.config.grid()

@@ -1,9 +1,11 @@
-"""The library's public surface is what the library itself uses."""
+"""The library's public surface is what the library itself uses, and each
+parameter default is a path the library runs."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "shortpulse"
+TESTS = Path(__file__).resolve().parent
 ENTRY_POINTS = {"cli.main"}  # the console script's target
 
 
@@ -58,3 +60,67 @@ def test_every_public_function_is_referenced_inside_the_library():
 
 def test_every_public_class_and_constant_is_referenced_inside_the_library():
     assert _unused(functions=False) == []
+
+
+def _calls(paths):
+    """Each call in the files ``paths`` as (name, ast.Call), the name being
+    the called name or the attribute a method call reads."""
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name:
+                    out.append((name, node))
+    return out
+
+
+def _defaulted_parameters():
+    """(called name, parameter, positional slot or None) of each parameter
+    with a default on a function or method defined under src/: a method's
+    slots leave out self, and ``__init__`` is called by its class name."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(fn): cls for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(fn))
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = int(cls is not None and not static)
+            name = cls.name if fn.name == "__init__" else fn.name
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            found += [(name, arg.arg, slot - skip)
+                      for slot, arg in enumerate(args) if slot >= first]
+            found += [(name, arg.arg, None) for arg, default
+                      in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def _passes(call, param, slot):
+    return (any(kw.arg in (param, None) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or slot is not None and len(call.args) > slot)
+
+
+def test_every_parameter_default_is_used_and_overridden():
+    # a default that no library call leaves out serves only tests, and one
+    # that no call overrides makes its parameter a constant
+    library = _calls(sorted(SRC.glob("*.py")))
+    tests = _calls(sorted(TESTS.glob("*.py")))
+    found = _defaulted_parameters()
+    assert len(found) > 5  # the scan found the package
+    bad = []
+    for name, param, slot in found:
+        calls = [call for called, call in library if called == name]
+        if all(_passes(call, param, slot) for call in calls):
+            bad.append(f"{name}({param}): no library call leaves it out")
+        elif not any(_passes(call, param, slot) for called, call
+                     in library + tests if called == name):
+            bad.append(f"{name}({param}): no call passes it")
+    assert bad == []
