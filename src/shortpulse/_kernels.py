@@ -1,6 +1,6 @@
 """Real-field spectral kernels shared by the time stepper and diagnostics.
 
-Everything here works on raw half-spectra (scipy.fft.rfft of the real node
+Everything here works on raw half-spectra (numpy.fft.rfft of the real node
 values, no normalization) because both consumers are hot paths.
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 
 def rfft_xi(n, length):
@@ -42,6 +41,9 @@ class NonlinearKernel:
     back to the modes below K and differentiated spectrally; every row at or
     above K of the output is an exact zero.  K = n/2 is the full grid
     (M = 2n, the input Nyquist row dropped).
+
+    The transforms run on scratch arrays the kernel holds, so one instance
+    serves one call at a time; the package runs on a single thread.
     """
 
     def __init__(self, n, length, band):
@@ -49,7 +51,16 @@ class NonlinearKernel:
         self.length = float(length)
         self.band = int(band)
         self.m = 4 * self.band
-        self.ik = derivative_symbols(self.n, self.length)[0][: self.band]
+        # the padded inverse's scale m/n, cubed, and the forward transform's
+        # n/m fold into one row; both are powers of two, so exactly
+        self._ik = derivative_symbols(self.n, self.length)[0][: self.band] \
+            * (self.m / self.n) ** 2
+        # scratch held across calls; rows at or above the band of ``_big``
+        # stay zero, the rest are rewritten by every call
+        self._big = np.zeros(self.m // 2 + 1, dtype=np.complex128)
+        self._fine = np.empty(self.m)
+        self._cube = np.empty(self.m)
+        self._ph = np.empty(self.m // 2 + 1, dtype=np.complex128)
 
     def spectrum(self, vh):
         """rfft rows of d/dx(u^3) from the rfft rows of u, as many as given.
@@ -58,13 +69,15 @@ class NonlinearKernel:
         so a band-K state may be held as its first K + 1 rows.  The cube is
         formed by products: numpy hands ``**`` with an integer exponent
         above 2 to libm pow(), which costs two orders of magnitude more.
+        The output is a new array, never the held scratch, since the stepper
+        and the diagnostics share one cached kernel.
         """
-        fine = self._fine(vh)
-        cube = fine * fine
-        cube *= fine
-        ph = sfft.rfft(cube)[: self.band] * (self.n / self.m)
+        fine = self._fine_of(vh)
+        cube = np.multiply(fine, fine, out=self._cube)
+        np.multiply(cube, fine, out=cube)
+        ph = np.fft.rfft(cube, out=self._ph)
         out = np.zeros(len(vh), dtype=np.complex128)
-        np.multiply(self.ik, ph, out=out[: self.band])
+        np.multiply(self._ik, ph[: self.band], out=out[: self.band])
         return out
 
     def quartic_integral(self, vh):
@@ -74,16 +87,15 @@ class NonlinearKernel:
         at or above 4K - 3; an n-point sum at K = n/2 would alias the modes
         at +-n onto the mean.
         """
-        fine = self._fine(vh)
+        fine = self._fine_of(vh) * (self.m / self.n)
         sq = fine * fine
         return float(np.sum(sq * sq)) * (self.length / self.m) / 4.0
 
-    def _fine(self, vh):
-        """Node values on the M-point grid of u cut to the band, from its
-        rfft rows on n points."""
-        big = np.zeros(self.m // 2 + 1, dtype=np.complex128)
-        big[: self.band] = vh[: self.band]
-        return sfft.irfft(big, self.m) * (self.m / self.n)
+    def _fine_of(self, vh):
+        """Node values on the M-point grid of u cut to the band, times n/M,
+        from its rfft rows on n points, in the held ``_fine``."""
+        self._big[: self.band] = vh[: self.band]
+        return np.fft.irfft(self._big, self.m, out=self._fine)
 
 
 @lru_cache(maxsize=16)

@@ -9,7 +9,7 @@ of rescalings of this one profile, so telescoping identities hold exactly
     sigma_le(R)   = sigma(r / R)                      (low-pass at R)
     sigma_band(R) = sigma_le(R) - sigma_le(R 2^-delta) (band at R)
     sigma_lt(R)   = sigma_le(R 2^-delta)               (strictly below R)
-    sigma_range(R1, R2) = sigma_le(R2) - sigma_lt(R1)
+    sigma_range(R1, R2) = sigma_le(R2) - sigma_lt(R1)   (from log2 |r|)
 
 Band scales live on the scaled dyadic lattice N in 2^{delta Z}.  The same
 profile, applied to the spatial variable, builds the moving window that
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 
 def smoothstep(s):
@@ -89,9 +88,13 @@ class CutoffSpec:
         """Band cutoff sigma_R = sigma_{<= R} - sigma_{<= R 2^-delta}."""
         return self.sigma_le(r, scale) - self.sigma_lt(r, scale)
 
-    def sigma_range(self, r, lo, hi):
-        """sigma_{R1 <= . <= R2} = sigma_{<= R2} - sigma_{< R1}."""
-        return self.sigma_le(r, hi) - self.sigma_lt(r, lo)
+    def sigma_range_log2(self, log_r, lo, hi):
+        """sigma_{R1 <= . <= R2} = sigma_{<= R2} - sigma_{< R1} at
+        |r| = 2^log_r: each ramp is log_r minus the log2 of its edge scale,
+        so a caller that holds log2 |r| takes no logarithm per call."""
+        lo_ramp = (log_r - math.log2(lo)) / self.delta + 1.0
+        hi_ramp = (log_r - math.log2(hi)) / self.delta
+        return smoothstep(lo_ramp) - smoothstep(hi_ramp)
 
     def lattice(self, lo, hi):
         """Scaled dyadic scales 2^{delta m} covering [lo, hi] (inclusive)."""
@@ -136,7 +139,17 @@ def _window_on_support(grid, t, scale, spec):
     support = slice(
         int(np.searchsorted(grid.x, -hi * 2.0 ** spec.delta, side="right")),
         int(np.searchsorted(grid.x, -lo * 2.0 ** -spec.delta, side="left")))
-    return support, spec.sigma_range(np.abs(grid.x[support]), lo, hi)
+    return support, spec.sigma_range_log2(_log2_distance(grid)[support], lo, hi)
+
+
+@lru_cache(maxsize=8)
+def _log2_distance(grid):
+    """log2 |x_j| on the nodes j < n/2, where x_j < 0: every window of
+    :func:`_window_on_support` lies there, so the row is taken once per
+    grid instead of once per band and snapshot."""
+    row = np.log2(-grid.x[: grid.n // 2])
+    row.setflags(write=False)
+    return row
 
 
 @lru_cache(maxsize=64)
@@ -187,8 +200,8 @@ def hyp_ell_decompose(snap, spec):
             rows, sym = _plus_band_symbol(g, spec.delta, scale)
             band_h = np.zeros(g.n, dtype=np.complex128)
             band_h[rows] = sym * snap.uh[rows]
-            total[support] += w * sfft.ifft(band_h)[support]
+            total[support] += w * np.fft.ifft(band_h)[support]
     plus_h = np.zeros(g.n, dtype=np.complex128)
     plus_h[1:nyq] = snap.uh[1:nyq]
-    u_plus = sfft.ifft(plus_h)
+    u_plus = np.fft.ifft(plus_h)
     return Decomposition(u_plus=u_plus, hyp_plus=total, ell_plus=u_plus - total)

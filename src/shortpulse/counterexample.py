@@ -47,7 +47,7 @@ class CounterexampleCase:
     """One (N, rho) point of the scan."""
 
     n_scale: float
-    rho: float = 0.25
+    rho: float
     quad_points: int = 4096
 
     def __post_init__(self):

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import __version__, _kernels, norms
 from .errors import (BandExceeded, BlowUp, MeanDrift, MonitorViolation,
@@ -151,12 +150,12 @@ class Stepper:
         self.tail_peak = None  # largest accepted tail level on this band < n/2
 
     def spectrum_of(self, values):
-        vh = sfft.rfft(np.asarray(values, dtype=np.float64))
+        vh = np.fft.rfft(np.asarray(values, dtype=np.float64))
         vh[self.nyq] = 0.0
         return vh
 
     def values_of(self, vh):
-        return sfft.irfft(vh, self.cfg.n)
+        return np.fft.irfft(vh, self.cfg.n)
 
     def h1_norm(self, vh):
         return float(np.sqrt(np.sum(self.h1w[: len(vh)] * np.abs(vh) ** 2)))

@@ -15,11 +15,10 @@ when the monitor is quiet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import _kernels
 from .bands import hyp_ell_decompose, smoothstep
@@ -43,10 +42,11 @@ class NormRecord:
     uxLinf: float
     SuL2: float
     wrapfrac: float
-    # the H1 flux identity d/dt ||u_x||^2 = 6 int u u_x^3, both sides;
-    # the stepper fills in the rate (see evolve.evolve), NaN until it does
-    h1_rate_fd: float = float("nan")
-    h1_rate_flux: float = float("nan")
+    # the H1 flux identity d/dt ||u_x||^2 = 6 int u u_x^3, both sides; the
+    # stepper fills in the difference quotient after construction (see
+    # evolve.evolve), NaN until it does
+    h1_rate_fd: float = dc_field(default=float("nan"), init=False)
+    h1_rate_flux: float
 
     COLUMNS = ("t", "L2", "Hs", "Hm1", "JdxL2", "Xs",
                "Linf", "uxLinf", "SuL2", "wrapfrac",
@@ -119,7 +119,7 @@ def s_field(snap, j, nl):
     ``j`` (J dx u) and ``nl``, the leading rfft rows of dx(u^3) (the rest
     are zero)."""
     g = snap.u.grid
-    return Field(g, -snap.t * sfft.irfft(nl, g.n) + j.values - snap.u.values)
+    return Field(g, -snap.t * np.fft.irfft(nl, g.n) + j.values - snap.u.values)
 
 
 def hamiltonian(snap):
@@ -221,7 +221,7 @@ def decomposition_monitors(snap, spec, s):
     hyp = dec.hyp_plus
     ik = 1j * g.xi
     ik[g.n // 2] = 0.0
-    hyp_x = sfft.ifft(ik * sfft.fft(hyp))
+    hyp_x = np.fft.ifft(ik * np.fft.fft(hyp))
     ell_decay = t ** (-(2 * s - 1) / (2 * s + 2)) * (1 + np.log(t))
     ellx_decay = t ** (-(2 * s - 3) / (2 * s + 2)) * (1 + np.log(t))
     ell = 2.0 * np.real(dec.ell_plus)
@@ -229,7 +229,7 @@ def decomposition_monitors(snap, spec, s):
     nyq = g.n // 2
     ux_plus = np.zeros(g.n, dtype=np.complex128)
     ux_plus[1:nyq] = ik[1:nyq] * snap.uh[1:nyq]
-    ell_x = 2.0 * np.real(sfft.ifft(ux_plus) - hyp_x)
+    ell_x = 2.0 * np.real(np.fft.ifft(ux_plus) - hyp_x)
     # dx^{-1} hyp_x is hyp without its xi = 0 and Nyquist rows: its mean
     # and its projection on the alternating mode (-1)^j (the FFT phase
     # (-1)^k, since k and j share parity)

@@ -21,7 +21,7 @@ snapshots; fits over probe tables live with the callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -82,12 +82,13 @@ class ProbeRecord:
 
     t: float
     v: float
-    gamma: complex = 0.0
-    w: complex = 0.0
-    ode_residual: complex = None
-    approx_err_u: float = 0.0
-    approx_err_ux: float = 0.0
-    in_window: bool = False
+    gamma: complex
+    w: complex
+    # filled in by attach_residuals once the neighbors exist
+    ode_residual: complex = dc_field(default=None, init=False)
+    approx_err_u: float
+    approx_err_ux: float
+    in_window: bool
 
 
 def phase(t, x):

@@ -27,7 +27,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import _kernels
 from .errors import MeanNotZero
@@ -107,7 +106,7 @@ class Field:
 
 class Snapshot:
     """The real solution at one time: node values ``u``, their rfft ``uh``
-    (as given, else ``scipy.fft.rfft(u)`` with its Nyquist row) and, once
+    (as given, else ``numpy.fft.rfft(u)`` with its Nyquist row) and, once
     computed, its :class:`shortpulse.norms.NormRecord`.  ``u_x`` and
     ``u_anti`` (dx^{-1} u) are not stored: each access is one inverse rfft
     of ``uh`` times the symbol, so a caller that needs one twice keeps it.
@@ -118,7 +117,7 @@ class Snapshot:
     def __init__(self, t, u, uh=None):
         self.t = float(t)
         self.u = u
-        self.uh = sfft.rfft(u.values) if uh is None else uh
+        self.uh = np.fft.rfft(u.values) if uh is None else uh
         self.uh.setflags(write=False)
         self.norms = None
 
@@ -133,7 +132,7 @@ class Snapshot:
     def _derived(self, which):
         g = self.u.grid
         symbol = _kernels.derivative_symbols(g.n, g.length)[which]
-        return Field(g, sfft.irfft(symbol * self.uh, g.n))
+        return Field(g, np.fft.irfft(symbol * self.uh, g.n))
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +195,7 @@ def _lattice_sup(half, refine):
     pad = np.zeros(refine * n // 2 + 1, dtype=np.complex128)
     pad[: n // 2 + 1] = half
     pad[n // 2] *= 0.5
-    return float(np.max(np.abs(sfft.irfft(pad, refine * n)))) * refine
+    return float(np.max(np.abs(np.fft.irfft(pad, refine * n)))) * refine
 
 
 @lru_cache(maxsize=8)

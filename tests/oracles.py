@@ -174,9 +174,15 @@ def project_sign(grid, values, sign):
     return multiply_symbol(grid, values, ind, real=False)
 
 
+def sigma_range(spec, r, lo, hi):
+    """sigma_{R1 <= . <= R2} = sigma_{<= R2} - sigma_{< R1} on an array r,
+    through the logarithm of each rescaled r that the base profile takes."""
+    return spec.sigma_le(r, hi) - spec.sigma_lt(r, lo)
+
+
 def project_plus_range(grid, values, lo, hi, spec):
     """P^+_{R1 <= . <= R2}: smooth positive-frequency range restriction."""
-    sym = spec.sigma_range(grid.xi, lo, hi) \
+    sym = sigma_range(spec, grid.xi, lo, hi) \
         * (np.sign(grid.xi) == 1.0).astype(np.float64)
     return multiply_symbol(grid, values, sym, real=False)
 

@@ -23,12 +23,18 @@ from oracles import (
     project_low,
     project_plus_range,
     project_sign,
+    sigma_range,
 )
 
 partition_tol = 1e-12
 split_tol = 1e-12
 recomposition_tol = 1e-15
 continuum_split_tol = 1e-13          # measured 2.6e-16
+# The library's window takes each ramp as log2 |x| minus log2 of the edge
+# scale; the plain sigma_range takes log2 of |x| over the scale.  The two
+# ramps differ by a few ulps of numbers up to about 20, and the smoothstep
+# glue's slope is below 3, so the windows differ by rounding only.
+window_rounding_tol = 1e-14          # measured 1.7e-15
 orthogonality_const = 3.0
 
 # localization sweep: frozen num/den ratios for the pinned datum below,
@@ -71,8 +77,8 @@ def localization_check(u, scale, a, b, c, r_spatial, spec):
     weight = np.abs(g.x) ** b * spec.sigma_band(np.abs(g.x), r_spatial)
     lh = forward_transform(g, weight * band_plus)
     frac = (np.abs(g.xi) ** a if a > 0 else np.ones(g.n)) * lh
-    keep = spec.sigma_range(g.xi, scale * 2.0 ** (-spec.delta),
-                            scale * 2.0 ** spec.delta) * plus_mask
+    keep = sigma_range(spec, g.xi, scale * 2.0 ** (-spec.delta),
+                       scale * 2.0 ** spec.delta) * plus_mask
     leak = inverse_transform(g, (1.0 - keep) * frac)
     num = l2(g, leak)
     den = scale ** (-c) * r_spatial ** (-a + b - c) * l2(g, band_plus)
@@ -220,9 +226,13 @@ def decompose_band_by_band(u, t, spec, invert):
             continue
         band_plus = invert(spec.sigma_band(g.xi, scale) * plus_mask)
         center = t / scale ** 2
-        w = spec.sigma_range(np.abs(g.x), center / 3.0, 3.0 * center) \
-            * (g.x < 0.0)
+        lo, hi = center / 3.0, 3.0 * center
+        neg = g.x < 0.0
+        w = np.zeros(g.n)
+        w[neg] = spec.sigma_range_log2(np.log2(-g.x[neg]), lo, hi)
         assert np.array_equal(hyp_window(g, t, scale, spec), w)
+        plain = sigma_range(spec, np.abs(g.x), lo, hi) * neg
+        assert np.max(np.abs(w - plain)) <= window_rounding_tol
         total += w * band_plus
         empty += not np.any(w)
     u_plus = invert(plus_mask)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from shortpulse._kernels import NonlinearKernel
 from shortpulse.config import default_config, with_overrides
@@ -23,8 +24,8 @@ richardson_window = (11.2, 20.8)  # 16 +- 30%; measured 16.164
 richardson_err_ceiling = 1e-10    # measured 1.09e-11
 snapshot_cache_tol = 1e-14        # measured 6.7e-16
 # The kernel and the oracle below compute the same band-limited quantity
-# through different transforms (scipy vs numpy, 2n vs 4n points) and
-# different cubes (products vs **).  Each length <= 2^12 FFT costs about
+# through different transform code (the library's numpy.fft against
+# scipy.fft, 2n vs 4n points) and different cubes (products vs **).  Each length <= 2^12 FFT costs about
 # eps log2(N) = 2.7e-15 of the peak; four per side, amplified up to 3 times
 # by the cube, bound the gap near 1e-13.
 kernel_oracle_tol = 1e-13         # measured 1.0e-15
@@ -80,10 +81,10 @@ def test_padded_product_matches_band_restricted_fine_grid():
     g = Grid(1 << 10, 100.0)
     gf = Grid(1 << 13, 100.0)
     u, uf = mode_sum(g, *ks), mode_sum(gf, *ks)
-    fh = np.fft.rfft(derivative(gf, uf.values ** 3))
+    fh = sfft.rfft(derivative(gf, uf.values ** 3))
     restricted = fh[: g.n // 2 + 1].copy() * (g.n / gf.n)
     restricted[-1] = 0.0
-    oracle = np.fft.irfft(restricted, g.n)
+    oracle = sfft.irfft(restricted, g.n)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(nonlinearity(u).values - oracle)) \
         / scale < nonlin_exact_tol
@@ -97,12 +98,12 @@ def padded_cube_oracle(values, length):
     """
     n = values.size
     rows = np.arange(n // 2 + 1)
-    vh = np.fft.rfft(values)
+    vh = sfft.rfft(values)
     vh[-1] = 0.0
-    fine = np.fft.irfft(vh, 4 * n) * 4.0
-    ph = np.fft.rfft(fine ** 3)[: n // 2 + 1] / 4.0
+    fine = sfft.irfft(vh, 4 * n) * 4.0
+    ph = sfft.rfft(fine ** 3)[: n // 2 + 1] / 4.0
     ph[-1] = 0.0
-    return np.fft.irfft(1j * (2.0 * np.pi / length) * rows * ph, n)
+    return sfft.irfft(1j * (2.0 * np.pi / length) * rows * ph, n)
 
 
 def test_kernel_matches_a_four_times_padded_power():
@@ -135,6 +136,24 @@ def test_band_kernel_matches_the_full_grid_below_its_band(band):
     assert np.max(np.abs(got[:band] - full[:band])) / np.max(np.abs(full)) \
         < band_kernel_tol
     assert np.all(got[band:] == 0.0)
+
+
+def test_kernel_scratch_does_not_leak_between_calls():
+    # the kernel transforms on arrays it holds across calls; each result
+    # must be its own array, and a call must not see the previous input
+    g = Grid(1 << 10, 100.0)
+    kern = NonlinearKernel(g.n, g.length, g.n // 4)
+    wide = np.fft.rfft(mode_sum(g, [3, 17, 40, 77, 170], *MODES[1:]).values)
+    narrow = np.fft.rfft(mode_sum(g, [5, 9], [0.3, 0.2], [0.0, 1.0]).values)
+    first = kern.spectrum(wide)
+    kept = first.copy()
+    quartic = kern.quartic_integral(wide)
+    second = kern.spectrum(narrow)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(second, NonlinearKernel(g.n, g.length, g.n // 4)
+                          .spectrum(narrow))
+    assert np.array_equal(kern.spectrum(wide), kept)
+    assert kern.quartic_integral(wide) == quartic
 
 
 def test_a_tail_crossing_the_tolerance_widens_the_band_once(monkeypatch):

@@ -75,15 +75,43 @@ def _calls(paths):
     return out
 
 
+def _is_dataclass(cls):
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _dataclass_fields(cls):
+    """(field, has a default) of each ``__init__`` parameter that a
+    dataclass's annotated assignments make, in order."""
+    found = []
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        value = node.value
+        options = {kw.arg: kw.value for kw in getattr(value, "keywords", ())} \
+            if isinstance(value, ast.Call) else {}
+        if getattr(options.get("init"), "value", True) is False:
+            continue
+        default = value is not None and (
+            not options or "default" in options or "default_factory" in options)
+        found.append((node.target.id, default))
+    return found
+
+
 def _defaulted_parameters():
     """(called name, parameter, positional slot or None) of each parameter
-    with a default on a function or method defined under src/: a method's
-    slots leave out self, and ``__init__`` is called by its class name."""
+    with a default on a function or method defined under src/, or on a
+    dataclass's generated ``__init__``: a method's slots leave out self,
+    and ``__init__`` is called by its class name."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {id(fn): cls for cls in ast.walk(tree)
                  if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                found += [(cls.name, name, slot) for slot, (name, default)
+                          in enumerate(_dataclass_fields(cls)) if default]
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -102,15 +130,19 @@ def _defaulted_parameters():
     return found
 
 
-def _passes(call, param, slot):
-    return (any(kw.arg in (param, None) for kw in call.keywords)
-            or any(isinstance(arg, ast.Starred) for arg in call.args)
-            or slot is not None and len(call.args) > slot)
+def _passes(call, param, slot, unpacked):
+    """Whether ``call`` passes the parameter by name or position; a ``*`` or
+    ``**`` unpacking may pass it or leave it out, and counts as ``unpacked``."""
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return (any(kw.arg == param for kw in call.keywords)
+            or slot is not None and len(call.args) > slot and not starred
+            or unpacked and (starred or any(kw.arg is None for kw in call.keywords)))
 
 
 def test_every_parameter_default_is_used_and_overridden():
     # a default that no library call leaves out serves only tests, and one
-    # that no call overrides makes its parameter a constant
+    # that no call overrides makes its parameter a constant; an unpacked
+    # mapping or sequence can do either, so it proves neither
     library = _calls(sorted(SRC.glob("*.py")))
     tests = _calls(sorted(TESTS.glob("*.py")))
     found = _defaulted_parameters()
@@ -118,9 +150,9 @@ def test_every_parameter_default_is_used_and_overridden():
     bad = []
     for name, param, slot in found:
         calls = [call for called, call in library if called == name]
-        if all(_passes(call, param, slot) for call in calls):
+        if all(_passes(call, param, slot, unpacked=False) for call in calls):
             bad.append(f"{name}({param}): no library call leaves it out")
-        elif not any(_passes(call, param, slot) for called, call
+        elif not any(_passes(call, param, slot, unpacked=True) for called, call
                      in library + tests if called == name):
             bad.append(f"{name}({param}): no call passes it")
     assert bad == []
