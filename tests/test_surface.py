@@ -82,18 +82,20 @@ def _is_dataclass(cls):
 
 def _dataclass_fields(cls):
     """(field, has a default) of each ``__init__`` parameter that a
-    dataclass's annotated assignments make, in order."""
+    dataclass's annotated assignments make, in order; a ``field(...)``
+    value has a default when it names one and is left out when init=False."""
     found = []
     for node in cls.body:
         if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
             continue
         value = node.value
-        options = {kw.arg: kw.value for kw in getattr(value, "keywords", ())} \
-            if isinstance(value, ast.Call) else {}
+        spec = isinstance(value, ast.Call) and getattr(
+            value.func, "id", getattr(value.func, "attr", None)) in ("field", "dc_field")
+        options = {kw.arg: kw.value for kw in value.keywords} if spec else {}
         if getattr(options.get("init"), "value", True) is False:
             continue
         default = value is not None and (
-            not options or "default" in options or "default_factory" in options)
+            not spec or "default" in options or "default_factory" in options)
         found.append((node.target.id, default))
     return found
 
