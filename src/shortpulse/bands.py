@@ -9,7 +9,7 @@ of rescalings of this one profile, so telescoping identities hold exactly
     sigma_le(R)   = sigma(r / R)                      (low-pass at R)
     sigma_band(R) = sigma_le(R) - sigma_le(R 2^-delta) (band at R)
     sigma_lt(R)   = sigma_le(R 2^-delta)               (strictly below R)
-    sigma_range(R1, R2) = sigma_le(R2) - sigma_lt(R1)   (from log2 |r|)
+    sigma_range(R1, R2) = sigma_le(R2) - sigma_lt(R1)   (taken from log2 |r|)
 
 Band scales live on the scaled dyadic lattice N in 2^{delta Z}.  The same
 profile, applied to the spatial variable, builds the moving window that
