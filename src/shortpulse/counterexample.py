@@ -144,15 +144,30 @@ def weighted_sq(case):
     return _gate((at(case.quad_points), at(2 * case.quad_points)))
 
 
-def _sup(m, x_points, x_extent_factor):
-    """sup_y |2 f0 + f1| with f0 = sum chi e^{iys} ds, f1 = sum s chi e^{iys} ds
-    on the m midpoint nodes, for y on x_points + 1 samples of
-    [-x_extent_factor, x_extent_factor].
+# Fine offsets per block of the sup's y lattice, about the square root of
+# its 2^11 + 1 samples: the B x J offset tables and the J x blocks block
+# tables then hold about 2 sqrt(samples) J angles instead of samples x J.
+_SUP_BLOCK = 64
 
-    The nodes are symmetric, chi is even and s chi is odd, so
-    2 f0 + f1 = 2C + iS with C = sum chi cos(ys) ds and S = sum s chi
-    sin(ys) ds: real sums over the nodes s >= 0 (each standing for itself
-    and its mirror), and even in y, so only |y| is sampled.
+
+def _curve(m, x_points, x_extent_factor):
+    """(C, S) with C = sum chi cos(ys) ds and S = sum s chi sin(ys) ds over
+    the m midpoint nodes, at the samples y_j = j dy, j = 0 .. x_points/2,
+    dy = 2 x_extent_factor / x_points: the half y >= 0 of x_points + 1
+    samples of [-x_extent_factor, x_extent_factor].
+
+    The nodes are symmetric, chi is even and s chi is odd, so C and S are
+    real sums over the nodes s >= 0, each standing for itself and its
+    mirror.  Each sample splits as y = y_r + Y_b, a fine offset
+    y_r = r dy (r < B) plus a block start Y_b = b B dy, and angle addition
+    gives
+
+        C(y) = cos(y_r s) . (chi cos(Y_b s)) - sin(y_r s) . (chi sin(Y_b s))
+        S(y) = cos(y_r s) . (s chi sin(Y_b s)) + sin(y_r s) . (s chi cos(Y_b s))
+
+    so every sample comes out of two real GEMMs: the B x J tables of
+    cos(y_r s) and sin(y_r s) times J x (2 blocks) matrices of weighted
+    cos(Y_b s) and sin(Y_b s).  At y = 0 (r = b = 0) the identity is exact.
     """
     ds = 2.0 / m
     s = (np.arange((m + 1) // 2) + 0.5 * (1 - m % 2)) * ds
@@ -160,15 +175,32 @@ def _sup(m, x_points, x_extent_factor):
     chi, _ = _chi_pair(s)
     even = weight * chi
     odd = weight * s * chi
-    y = np.abs(np.linspace(-x_extent_factor, x_extent_factor,
-                           x_points + 1)[x_points // 2:])
-    sup = 0.0
-    for block in np.array_split(y, max(1, y.size * s.size // (1 << 21))):
-        ys = np.outer(block, s)
-        cos_sum = np.cos(ys) @ even
-        sin_sum = np.sin(ys, out=ys) @ odd
-        sup = max(sup, float(np.max(np.hypot(2.0 * cos_sum, sin_sum))))
-    return sup
+    samples = x_points // 2 + 1
+    blocks = -(-samples // _SUP_BLOCK)
+    dy = 2.0 * x_extent_factor / x_points
+    fine = np.outer(np.arange(_SUP_BLOCK) * dy, s)
+    coarse = np.outer(s, np.arange(blocks) * (_SUP_BLOCK * dy))
+    cos_b, sin_b = np.cos(coarse), np.sin(coarse)
+    by_cos = np.cos(fine) @ np.hstack(
+        (even[:, None] * cos_b, odd[:, None] * sin_b))
+    by_sin = np.sin(fine, out=fine) @ np.hstack(
+        (even[:, None] * sin_b, odd[:, None] * cos_b))
+    # row r, column b holds the sample j = b B + r
+    cos_sum = (by_cos[:, :blocks] - by_sin[:, :blocks]).ravel("F")
+    sin_sum = (by_cos[:, blocks:] + by_sin[:, blocks:]).ravel("F")
+    return cos_sum[:samples], sin_sum[:samples]
+
+
+def _sup(m, x_points, x_extent_factor):
+    """sup_y |2 f0 + f1| with f0 = sum chi e^{iys} ds, f1 = sum s chi e^{iys} ds
+    on the m midpoint nodes, for y on x_points + 1 samples of
+    [-x_extent_factor, x_extent_factor].
+
+    2 f0 + f1 = 2C + iS with C and S from :func:`_curve`; the modulus is
+    even in y, so only the samples y >= 0 are taken.
+    """
+    cos_sum, sin_sum = _curve(m, x_points, x_extent_factor)
+    return float(np.max(np.hypot(2.0 * cos_sum, sin_sum)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -211,12 +211,12 @@ class Stepper:
         return _kernels.nonlinear_kernel(
             self.cfg.n, self.cfg.length, len(vh) - 1).spectrum(vh)
 
-    def step_raw(self, vh, dt, nl_vh=None):
+    def step_raw(self, vh, dt, nl_vh):
         """One integrator step on the band of vh; no monitors.
 
         ``nl_vh`` is nl(vh), the first stage's nonlinear term, when the
         caller holds it, so that steps of several sizes from one state
-        evaluate it once.
+        evaluate it once; None makes the step evaluate it.
         """
         rows = len(vh)
         nl = self._nl
@@ -228,11 +228,12 @@ class Stepper:
         d = dt * nl(e2 * vh + e * c)
         return e2 * vh + (e2 * a + 2.0 * e * (b + c) + d) / 6.0
 
-    def step_checked(self, vh, dt):
+    def step_checked(self, vh, dt, nl_vh):
         """Step with rejection on non-finite output or >10% H1 growth, and
         :class:`BandExceeded` when the tail at the top of a band below n/2
-        rises above TAIL_TOL."""
-        out = self.step_raw(vh, dt)
+        rises above TAIL_TOL.  ``nl_vh`` is nl(vh) or None, as in
+        :meth:`step_raw`."""
+        out = self.step_raw(vh, dt, nl_vh)
         if not np.all(np.isfinite(out)):
             raise StepRejected(f"non-finite state after step at dt={dt:g}")
         h_old = self.h1_norm(vh)
@@ -284,6 +285,7 @@ def evolve(u0, cfg):
     eps_t = 1e-12
 
     def emit(t_now, vh_now):
+        """Append the snapshot of vh_now and return nl(vh_now)."""
         snap = stepper.make_snapshot(t_now, vh_now)
         # one nl(v^) on the band serves S u in the record and both probe
         # steps below
@@ -312,17 +314,20 @@ def evolve(u0, cfg):
                 f"H1 norm grew {h1_now / h1_init:.2f}x over the run at "
                 f"t={t_now:g}"
             )
+        return nl_now
 
     try:
         t = 0.0
+        nl_vh = None  # nl(vh) when the last snapshot has evaluated it
         for target in cfg.snapshot_times():
             while t < target * (1.0 - eps_t) - eps_t:
                 remaining = target - t
                 h = remaining if remaining <= dt * (1.0 + 1e-9) else dt
                 try:
-                    vh = stepper.step_checked(vh, h)
+                    vh = stepper.step_checked(vh, h, nl_vh)
                 except BandExceeded:
                     vh = stepper.widen(vh, 2 * (len(vh) - 1))
+                    nl_vh = None
                     stepper.tail_peak = None
                     traj.band_widenings.append(t)
                     continue
@@ -333,8 +338,9 @@ def evolve(u0, cfg):
                     halvings += 1
                     traj.halvings = halvings
                     continue
+                nl_vh = None
                 t = target if h == remaining else t + h
-            emit(target, vh)
+            nl_vh = emit(target, vh)
     except MonitorViolation as err:
         traj.status = type(err).__name__
         err.trajectory = traj

@@ -201,7 +201,7 @@ def test_zero_time_step_is_the_identity():
     cfg = SolverConfig(n=1 << 10, length=100.0, dt=0.01, t_final=1.0)
     stepper = Stepper(cfg)
     vh = stepper.spectrum_of(gaussian_pulse(cfg.grid()).values)
-    assert np.max(np.abs(stepper.step_raw(vh, 0.0) - vh)) < 1e-15
+    assert np.max(np.abs(stepper.step_raw(vh, 0.0, None) - vh)) < 1e-15
 
 
 def test_step_reduces_to_free_propagation_for_tiny_data():
@@ -210,7 +210,7 @@ def test_step_reduces_to_free_propagation_for_tiny_data():
     u0 = gaussian_pulse(g, eps=1e-8)
     stepper = Stepper(cfg)
     vh = stepper.spectrum_of(u0.values)
-    stepped = stepper.values_of(stepper.step_raw(vh, 0.1))
+    stepped = stepper.values_of(stepper.step_raw(vh, 0.1, None))
     free = free_propagate(g, u0.values, 0.1)
     assert np.max(np.abs(stepped - free)) / np.max(np.abs(u0.values)) < 1e-14
 
@@ -219,7 +219,7 @@ def test_forward_then_backward_step_returns_home():
     cfg = SolverConfig(n=1 << 10, length=100.0, dt=0.01, t_final=1.0)
     stepper = Stepper(cfg)
     vh = stepper.spectrum_of(gaussian_pulse(cfg.grid()).values)
-    back = stepper.step_raw(stepper.step_raw(vh, 0.01), -0.01)
+    back = stepper.step_raw(stepper.step_raw(vh, 0.01, None), -0.01, None)
     assert np.max(np.abs(back - vh)) / np.max(np.abs(vh)) < 1e-12
 
 
@@ -230,7 +230,7 @@ def test_step_coefficient_cache_stays_bounded():
     stepper = Stepper(cfg)
     vh = stepper.spectrum_of(gaussian_pulse(cfg.grid()).values)
     for k in range(1, 40):
-        stepper.step_raw(vh, cfg.dt / k)
+        stepper.step_raw(vh, cfg.dt / k, None)
     assert len(stepper._coef) <= 8
 
 
@@ -252,12 +252,14 @@ def test_snapshot_rate_probe_shares_its_first_stage(monkeypatch):
     monkeypatch.setattr(NonlinearKernel, "spectrum", count)
     traj = evolve(gaussian_pulse(cfg.grid()), cfg)
     # 20 steps of 4 stages; per snapshot, one nl(vh) that S u in the record
-    # and the +-h pair of probe steps share: 1 + 2 * 3, not 1 + 2 * 4
+    # and the +-h pair of probe steps share: 1 + 2 * 3, not 1 + 2 * 4; the
+    # step after the t = 0 snapshot starts from that nl(vh) too
     assert len(traj.snapshots) == 2
-    assert len(calls) == 20 * 4 + 2 * (1 + 2 * 3)
+    assert len(calls) == 20 * 4 - 1 + 2 * (1 + 2 * 3)
     stepper, h = Stepper(cfg), 0.25 * cfg.dt
     for snap, vh in zip(traj.snapshots, states):
-        up, um = stepper.step_raw(vh, h), stepper.step_raw(vh, -h)
+        up = stepper.step_raw(vh, h, None)
+        um = stepper.step_raw(vh, -h, None)
         rate = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * h)
         assert snap.norms.h1_rate_fd == rate
 
