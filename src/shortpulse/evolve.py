@@ -11,8 +11,9 @@ modes |k| < K, held as the first K + 1 rfft rows (row K is zero), and
 evaluates the cubic on 4K points; rows at or above K are exact zeros.  K
 starts as small as the datum's spectral tail allows and doubles whenever
 the tail at the top of the band rises above :data:`TAIL_TOL`.  Snapshots
-pad the band back to the full grid for the diagnostics; S u and the rate
-probe of each snapshot take the cubic on the band, as the steps do.
+pad the band back to the full grid for the diagnostics; S u, the rate
+probe and the next step's first stage share one cubic of the snapshot
+state on the band.
 """
 
 from __future__ import annotations

@@ -153,7 +153,7 @@ def test_endpoint_estimate_scan():
     rows, verdict = counterexample.failure_scan(
         0.25, [2.0 ** k for k in range(5, 11)])
     elapsed = time.monotonic() - t0
-    assert elapsed <= 10.0          # measured 0.45 s to 0.85 s, 2 cores
+    assert elapsed <= 10.0          # measured 0.03 s to 0.37 s, 2 cores
     assert verdict["first_crossing_N"] is not None
     assert verdict["original_unbounded"] is True
     assert verdict["corrected_exponent"] <= 0.05         # measured -0.497
