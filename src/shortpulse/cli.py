@@ -16,6 +16,7 @@ code version; the manifest's ``metadata.created_utc`` is the one exception.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -32,7 +33,7 @@ from .errors import (
     MonitorViolation,
     ShortPulseError,
 )
-from .evolve import SolverConfig, Trajectory, evolve
+from .evolve import Trajectory, evolve
 from .spectral import Field, Grid, Snapshot, l2_norm
 
 EXIT_OK = 0
@@ -465,8 +466,9 @@ def _selftest_checks():
     # summed on the n grid, where u^4 aliases, stalls.
     gh = Grid(n=1 << 10, length=64.0)
     u0 = Field(gh, 0.5 * (-2.0 * gh.x) * np.exp(-gh.x ** 2))
-    run = evolve(u0, SolverConfig(n=gh.n, length=gh.length, dt=0.02,
-                                  t_final=1.0, snap_t0=0.0))
+    run = evolve(u0, dataclasses.replace(
+        default_config().solver, n=gh.n, length=gh.length, dt=0.02,
+        t_final=1.0, snap_t0=0.0))
     (q0, p0), (q1, p1) = (norms.hamiltonian(snap) for snap in
                           (run.snapshots[0], run.snapshots[-1]))
     checks.append((

@@ -1,19 +1,8 @@
 """Experiment configuration.
 
 INI-style files (``configparser`` flavour, ``key = value``), one section per
-concern::
-
-    [solver]         n, L, dt, T, and optional monitor knobs (mean_tol,
-                     wrap_tol, outer_frac, snap_t0, snap_h, growth_limit,
-                     max_halvings, blowup_factor)
-    [initial]        kind = gaussian_derivative | file, epsilon, width, path
-    [norms]          s
-    [decomposition]  delta
-    [probe]          delta_p, alpha, velocities, cadence_ratio
-    [appendix]       rho, N_min, N_max
-    [output]         dir, formats
-
-Unknown sections or keys are errors (fail-closed), and every module
+concern; :data:`_SCHEMA` declares every key once, with its parser, its
+default and the constructor field it fills.  Unknown sections or keys are errors (fail-closed), and every module
 precondition that can be checked from the numbers alone is checked at load
 time, so a config that loads is a config that runs.  Each range check lives
 on the type that holds the value (:class:`SolverConfig`,
@@ -39,7 +28,7 @@ import numpy as np
 from .counterexample import MIN_SCALE
 from .errors import ConfigError, CorruptSnapshot, check_ranges
 from .evolve import SolverConfig
-from .packets import DEFAULT_VELOCITIES, PacketParams, alpha_ceiling
+from .packets import PacketParams, alpha_ceiling
 from .spectral import Field
 from . import storage
 
@@ -65,7 +54,7 @@ def _parse_str(text):
 def _parse_velocities(text):
     text = text.strip()
     if text == "default":
-        return tuple(DEFAULT_VELOCITIES)
+        return DEFAULT_VELOCITIES
     values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     if not values:
         raise ValueError("empty velocity list")
@@ -80,66 +69,60 @@ def _parse_formats(text):
     return values
 
 
-# section -> key -> (parser, default).  None defaults mean "absent unless set".
+# the 17 probe rays -4 .. -1/4 a quarter octave apart: velocities = default
+DEFAULT_VELOCITIES = tuple(-(2.0 ** (k / 4.0)) for k in range(-8, 9))
+
+# section -> key -> (parser, default, field): the one declaration of each
+# key.  The field is the constructor argument the key fills: "solver.<name>"
+# of SolverConfig, "probe.<name>" of PacketParams, a bare <name> of
+# ExperimentConfig.
 _SCHEMA = {
     "solver": {
-        "n": (_parse_int, 1 << 15),
-        "L": (_parse_float, 800.0),
-        "dt": (_parse_float, 0.01),
-        "T": (_parse_float, 50.0),
-        "mean_tol": (_parse_float, 1e-10),
-        "wrap_tol": (_parse_float, 0.005),
-        "outer_frac": (_parse_float, 0.05),
-        "snap_t0": (_parse_float, 1.0),
-        "snap_h": (_parse_float, 0.125),
-        "growth_limit": (_parse_float, 1.10),
-        "max_halvings": (_parse_int, 4),
-        "blowup_factor": (_parse_float, 2.0),
+        "n": (_parse_int, 1 << 15, "solver.n"),
+        "L": (_parse_float, 800.0, "solver.length"),
+        "dt": (_parse_float, 0.01, "solver.dt"),
+        "T": (_parse_float, 50.0, "solver.t_final"),
+        "mean_tol": (_parse_float, 1e-10, "solver.mean_tol"),
+        "wrap_tol": (_parse_float, 0.005, "solver.wrap_tol"),
+        "outer_frac": (_parse_float, 0.05, "solver.outer_frac"),
+        "snap_t0": (_parse_float, 1.0, "solver.snap_t0"),
+        "snap_h": (_parse_float, 0.125, "solver.snap_h"),
+        "growth_limit": (_parse_float, 1.10, "solver.growth_limit"),
+        "max_halvings": (_parse_int, 4, "solver.max_halvings"),
+        "blowup_factor": (_parse_float, 2.0, "solver.blowup_factor"),
     },
     "initial": {
-        "kind": (_parse_str, "gaussian_derivative"),
-        "epsilon": (_parse_float, 0.1),
-        "width": (_parse_float, 1.0),
-        "path": (_parse_str, ""),
+        "kind": (_parse_str, "gaussian_derivative", "initial_kind"),
+        "epsilon": (_parse_float, 0.1, "epsilon"),
+        "width": (_parse_float, 1.0, "width"),
+        "path": (_parse_str, "", "initial_path"),
     },
-    "norms": {"s": (_parse_float, 4.5)},
-    "decomposition": {"delta": (_parse_float, 1.0)},
+    "norms": {"s": (_parse_float, 4.5, "solver.sobolev_s")},
+    "decomposition": {"delta": (_parse_float, 1.0, "probe.band_delta")},
     "probe": {
-        "delta_p": (_parse_float, 1.0),
-        "alpha": (_parse_float, 0.04),
-        "velocities": (_parse_velocities, tuple(DEFAULT_VELOCITIES)),
-        "cadence_ratio": (_parse_float, 2.0 ** 0.125),
+        "delta_p": (_parse_float, 1.0, "probe.delta_p"),
+        "alpha": (_parse_float, 0.04, "probe.alpha"),
+        "velocities": (_parse_velocities, DEFAULT_VELOCITIES, "probe.velocities"),
+        "cadence_ratio": (_parse_float, 2.0 ** 0.125, "probe.cadence_ratio"),
     },
     "appendix": {
-        "rho": (_parse_float, 0.25),
-        "N_min": (_parse_int, 32),
-        "N_max": (_parse_int, 1024),
+        "rho": (_parse_float, 0.25, "rho"),
+        "N_min": (_parse_int, 32, "n_min"),
+        "N_max": (_parse_int, 1024, "n_max"),
     },
     "output": {
-        "dir": (_parse_str, "out"),
-        "formats": (_parse_formats, _FORMATS),
+        "dir": (_parse_str, "out", "output_dir"),
+        "formats": (_parse_formats, _FORMATS, "formats"),
     },
 }
 
-# (section, key) of each constructor argument of the three config types; a
-# range error a type raises names its field, and is reported by this key
-_SOLVER_ARGS = dict(
-    {name: ("solver", name) for name in (
-        "n", "dt", "mean_tol", "wrap_tol", "outer_frac", "snap_t0", "snap_h",
-        "growth_limit", "max_halvings", "blowup_factor")},
-    length=("solver", "L"), t_final=("solver", "T"), sobolev_s=("norms", "s"))
-_PROBE_ARGS = dict(
-    {name: ("probe", name) for name in (
-        "delta_p", "alpha", "velocities", "cadence_ratio")},
-    band_delta=("decomposition", "delta"))
-_EXPERIMENT_ARGS = {
-    "initial_kind": ("initial", "kind"), "epsilon": ("initial", "epsilon"),
-    "width": ("initial", "width"), "initial_path": ("initial", "path"),
-    "rho": ("appendix", "rho"), "n_min": ("appendix", "N_min"),
-    "n_max": ("appendix", "N_max"), "output_dir": ("output", "dir"),
-    "formats": ("output", "formats"),
-}
-_KEYS = {**_SOLVER_ARGS, **_PROBE_ARGS, **_EXPERIMENT_ARGS}
+# field name -> (section, key, owner) of each row, the owner "solver",
+# "probe" or "" (ExperimentConfig).  Names are unique across the three, so a
+# range error, which names its field, is reported by the row's key.
+_FIELDS = {name: (section, key, owner)
+           for section, keys in _SCHEMA.items()
+           for key, (_, _, field) in keys.items()
+           for owner, _, name in [field.rpartition(".")]}
 
 
 def _dyadic_scale(n):
@@ -200,7 +183,7 @@ class ExperimentConfig:
 
 def _raw_defaults():
     return {
-        section: {key: spec[1] for key, spec in keys.items()}
+        section: {key: default for key, (_, default, _) in keys.items()}
         for section, keys in _SCHEMA.items()
     }
 
@@ -249,15 +232,16 @@ def _validate(cfg):
 
 
 def _build(raw):
-    def args(table):
-        return {name: raw[section][key] for name, (section, key) in table.items()}
-
+    args = {"solver": {}, "probe": {}, "": {}}
+    for name, (section, key, owner) in _FIELDS.items():
+        args[owner][name] = raw[section][key]
     try:
-        cfg = ExperimentConfig(solver=SolverConfig(**args(_SOLVER_ARGS)),
-                               probe=PacketParams(**args(_PROBE_ARGS)),
-                               raw=raw, **args(_EXPERIMENT_ARGS))
+        cfg = ExperimentConfig(solver=SolverConfig(**args["solver"]),
+                               probe=PacketParams(**args["probe"]),
+                               raw=raw, **args[""])
     except ConfigError as exc:
-        raise ConfigError(exc.reason, ".".join(_KEYS[exc.key])) from None
+        section, key, _ = _FIELDS[exc.key]
+        raise ConfigError(exc.reason, f"{section}.{key}") from None
     _validate(cfg)
     return cfg
 
@@ -287,7 +271,7 @@ def load_config(path):
         for key, text in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-            parse, _ = _SCHEMA[section][key]
+            parse = _SCHEMA[section][key][0]
             try:
                 raw[section][key] = parse(text)
             except ValueError as exc:

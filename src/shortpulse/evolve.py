@@ -27,8 +27,6 @@ from .errors import (BandExceeded, BlowUp, MeanDrift, MonitorViolation,
                      StepRejected, WrapAround, check_ranges)
 from .spectral import Field, Grid, Snapshot, check_zero_mean
 
-DEFAULT_DT = 0.01
-
 # Largest max|v^| on the top quarter [3K/4, K) of the active band, relative
 # to max|v^|, before K doubles.  A truncated spectral series errs by about
 # its last kept coefficients, and the rows a band drops sit lower still: on
@@ -47,17 +45,17 @@ MIN_BAND = 16  # the narrowest band a run starts on
 class SolverConfig:
     n: int
     length: float
-    dt: float = DEFAULT_DT
-    t_final: float = 200.0
-    mean_tol: float = 1e-10
-    snap_t0: float = 1.0           # first geometric snapshot time (0 = none)
-    snap_h: float = 0.125          # snapshots at t0 * 2^{m h}
-    growth_limit: float = 1.10     # per-step H1 growth triggering rejection
-    max_halvings: int = 4
-    blowup_factor: float = 2.0     # H1 doubling vs t=0 aborts the run
-    wrap_tol: float = 0.005        # L2 mass fraction in the outer box band
-    outer_frac: float = 0.05
-    sobolev_s: float = 4.5
+    dt: float
+    t_final: float
+    mean_tol: float
+    snap_t0: float                 # first geometric snapshot time (0 = none)
+    snap_h: float                  # snapshots at t0 * 2^{m h}
+    growth_limit: float            # per-step H1 growth triggering rejection
+    max_halvings: int
+    blowup_factor: float           # H1 doubling vs t=0 aborts the run
+    wrap_tol: float                # L2 mass fraction in the outer box band
+    outer_frac: float
+    sobolev_s: float
 
     def __post_init__(self):
         check_ranges(self, (
@@ -140,13 +138,9 @@ class Stepper:
         self.nyq = n // 2
         xi = _kernels.rfft_xi(n, cfg.length)
         self.lam = _kernels.derivative_symbols(n, cfg.length)[1]
-        # H1 weights on the half-spectrum (|c_k| counted twice off the axis)
-        mult = np.full(self.nyq + 1, 2.0)
-        mult[0] = 1.0
-        mult[self.nyq] = 1.0
-        dx = cfg.length / n
-        self.h1w = mult * (1.0 + xi ** 2) * (dx ** 2 / (2.0 * np.pi)) \
-            * (2.0 * np.pi / cfg.length)
+        # H1 and u_x weights; a band state reads its first K + 1 rows
+        w = norms.parseval_weights(n, cfg.length)
+        self.h1w, self.hx1w = w * (1.0 + xi ** 2), w * xi ** 2
         self._coef = {}
         self.tail_peak = None  # largest accepted tail level on this band < n/2
 
@@ -163,10 +157,7 @@ class Stepper:
 
     def hx1_sq(self, vh):
         """||u_x||_{L2}^2 from the rows of a band state."""
-        rows = len(vh)
-        xi = _kernels.rfft_xi(self.cfg.n, self.cfg.length)[:rows]
-        w = self.h1w[:rows] / (1.0 + xi ** 2) * xi ** 2
-        return float(np.sum(w * np.abs(vh) ** 2))
+        return float(np.sum(self.hx1w[: len(vh)] * np.abs(vh) ** 2))
 
     def start_band(self, vh):
         """The smallest K in n/2, n/4, ... (down to MIN_BAND) such that every

@@ -62,14 +62,22 @@ assert NormRecord.COLUMNS == tuple(f.name for f in dc_fields(NormRecord))
 # ----------------------------------------------------------------------
 # norms
 
+@lru_cache(maxsize=32)
+def parseval_weights(n, length):
+    """dx^2 / L on the n/2 + 1 rfft rows, doubled strictly between the first
+    and the last row for their conjugate partners.  A band state takes the
+    first K + 1; its row K, weighted double, is zero."""
+    w = np.full(n // 2 + 1, (length / n) ** 2 / length)
+    w[1:-1] *= 2.0
+    w.setflags(write=False)
+    return w
+
+
 def spectral_power(snap):
-    """The Parseval weights |c_k|^2 dxi on the snapshot's rfft rows, the
-    rows 0 < k < n/2 counted twice for their conjugate partners: they sum
-    to ||u||_L2^2."""
+    """The Parseval weights |c_k|^2 dxi on the snapshot's rfft rows: they
+    sum to ||u||_L2^2."""
     g = snap.u.grid
-    power = np.abs(snap.uh) ** 2 * (g.dx ** 2 / g.length)
-    power[1:-1] *= 2.0
-    return power
+    return np.abs(snap.uh) ** 2 * parseval_weights(g.n, g.length)
 
 
 def hdot_norm(snap, s):

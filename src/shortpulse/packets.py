@@ -29,9 +29,6 @@ from ._kernels import derivative_symbols
 from .bands import bump
 from .errors import InsufficientData, OutOfBox, UnderResolved, check_ranges
 
-DEFAULT_VELOCITIES = tuple(-(2.0 ** (k / 4.0)) for k in range(-8, 9))
-
-
 #: The integral of exp(-1/(1 - y^2)) over (-1, 1) (40-digit quadrature), so
 #: that bump(., a) integrates to a * BUMP_INTEGRAL by the substitution y / a.
 BUMP_INTEGRAL = 0.44399381616807943782
@@ -47,11 +44,11 @@ def alpha_ceiling(s):
 class PacketParams:
     """Probe configuration: packet shape, velocity set, cadence, window."""
 
-    delta_p: float = 1.0
-    alpha: float = 0.04
-    velocities: tuple = DEFAULT_VELOCITIES
-    cadence_ratio: float = 2.0 ** 0.125
-    band_delta: float = 1.0   # cutoff sharpness for spectrum diagnostics
+    delta_p: float
+    alpha: float
+    velocities: tuple
+    cadence_ratio: float
+    band_delta: float   # cutoff sharpness for spectrum diagnostics
 
     def __post_init__(self):
         check_ranges(self, (

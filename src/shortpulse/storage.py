@@ -179,12 +179,14 @@ def load_trajectory(traj_dir):
     """
     manifest = load_manifest(traj_dir)
     solver = manifest["solver"]
-    unknown = sorted(set(solver) - set(SolverConfig.__dataclass_fields__))
-    if unknown:
-        raise ConfigError(
-            f"{traj_dir}: unknown solver key(s) in {MANIFEST_NAME}: "
-            f"{', '.join(unknown)}; re-simulate"
-        )
+    fields = set(SolverConfig.__dataclass_fields__)
+    for what, keys in (("unknown", set(solver) - fields),
+                       ("missing", fields - set(solver))):
+        if keys:
+            raise ConfigError(
+                f"{traj_dir}: {what} solver key(s) in {MANIFEST_NAME}: "
+                f"{', '.join(sorted(keys))}; re-simulate"
+            )
     try:
         cfg = SolverConfig(**solver)
     except ConfigError as exc:

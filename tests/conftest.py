@@ -6,16 +6,26 @@ and the periodic-box artifacts the tests freeze, but cheap enough
 instant build a Snapshot instead of evolving.
 """
 
+import os
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from shortpulse.bands import CutoffSpec
-from shortpulse.evolve import SolverConfig, evolve
-from shortpulse.packets import PacketParams, probe_snapshot
+from shortpulse.config import default_config
+from shortpulse.evolve import evolve
+from shortpulse.packets import probe_snapshot
 from shortpulse.spectral import Field
+from oracles import solver_config
+
+# pyproject's pythonpath puts src/ on this process's path; the CLI tests'
+# child interpreters find the package through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 
 class PlainSnap:
@@ -39,7 +49,7 @@ MINI_CONFIG = dict(n=1 << 13, length=256.0, dt=0.02, t_final=64.0,
 
 @pytest.fixture(scope="session")
 def mini_traj():
-    cfg = SolverConfig(**MINI_CONFIG)
+    cfg = solver_config(**MINI_CONFIG)
     u0 = gaussian_pulse(cfg.grid())
     return evolve(u0, cfg)
 
@@ -51,7 +61,7 @@ def mini_rows(mini_traj):
 
 @pytest.fixture(scope="session")
 def mini_probe_records(mini_traj):
-    params = PacketParams()
+    params = default_config().probe
     records = []
     for snap in mini_traj.snapshots:
         if snap.t >= 1.0:

@@ -12,7 +12,8 @@ single coefficient L / sqrt(2 pi).  Multipliers on it give the derivative,
 the antiderivative, the free propagator and the smooth band projections;
 norms and sup norms are taken through it too.  Transform-level oracles take
 a grid and node values, real or complex, and return arrays.  Also here: a
-CSV reader, a snapshot's norm record and a Richardson convergence run.
+CSV reader, a snapshot's norm record, a Richardson convergence run and
+the solver settings the tests run.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from shortpulse import _kernels
+from shortpulse.config import default_config
 from shortpulse.evolve import evolve
 from shortpulse.norms import compute_record
 from shortpulse.spectral import SQRT2PI, Field, refined_sup
@@ -101,6 +103,11 @@ def norm_record(snap):
     g = snap.u.grid
     nl = _kernels.nonlinear_kernel(g.n, g.length).spectrum(snap.uh)
     return compute_record(snap, 4.5, 0.05, nl)
+
+
+def solver_config(**fields):
+    """The default config's solver settings with ``fields`` replaced."""
+    return dataclasses.replace(default_config().solver, **fields)
 
 
 def self_convergence(u0, cfg, dt_coarse, t_end=1.0, refine=8):

@@ -22,14 +22,15 @@ import numpy as np
 import pytest
 
 from shortpulse import counterexample
+from shortpulse.config import default_config
 from shortpulse.errors import InsufficientData
-from shortpulse.evolve import SolverConfig, evolve
+from shortpulse.evolve import evolve
 from shortpulse.norms import decay_fit
-from shortpulse.packets import (PacketParams, attach_residuals,
-                                phase_drift_fit, probe_snapshot,
-                                profile_remainder_series, w_stability_series)
+from shortpulse.packets import (attach_residuals, phase_drift_fit,
+                                probe_snapshot, profile_remainder_series,
+                                w_stability_series)
 from conftest import gaussian_pulse
-from oracles import mean_coefficient, self_convergence
+from oracles import mean_coefficient, self_convergence, solver_config
 
 PROBE_VELOCITIES = (-1.0, -(2.0 ** -0.5), -(2.0 ** 0.5))
 NORM_COLUMNS = ("L2", "Hs", "Hm1", "JdxL2", "Xs", "Linf", "uxLinf", "SuL2")
@@ -37,14 +38,14 @@ NORM_COLUMNS = ("L2", "Hs", "Hm1", "JdxL2", "Xs", "Linf", "uxLinf", "SuL2")
 
 @pytest.fixture(scope="module")
 def reference():
-    cfg = SolverConfig(n=1 << 15, length=800.0, dt=0.01, t_final=200.0,
-                       wrap_tol=0.02)
+    cfg = solver_config(n=1 << 15, length=800.0, dt=0.01, t_final=200.0,
+                        wrap_tol=0.02)
     return evolve(gaussian_pulse(cfg.grid()), cfg)
 
 
 @pytest.fixture(scope="module")
 def records(reference):
-    params = PacketParams()
+    params = default_config().probe
     out = []
     for snap in reference.snapshots:
         if snap.t >= 1.0:
@@ -182,8 +183,8 @@ def test_self_convergence_and_resolution(reference):
     ratio = self_convergence(u0, cfg, cfg.dt, t_end=1.0)[2]
     assert 10.0 <= ratio <= 22.0                         # measured 16.5
 
-    fine_cfg = SolverConfig(n=cfg.n * 2, length=cfg.length, dt=cfg.dt,
-                            t_final=1.0, wrap_tol=cfg.wrap_tol)
+    fine_cfg = solver_config(n=cfg.n * 2, length=cfg.length, dt=cfg.dt,
+                             t_final=1.0, wrap_tol=cfg.wrap_tol)
     fine = evolve(gaussian_pulse(fine_cfg.grid()), fine_cfg)
     coarse_rec = reference.snapshots[1].norms
     fine_rec = fine.snapshots[-1].norms

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface via subprocess, and the
 load-time config checks the CLI relies on."""
 
+import configparser
 import json
 import math
 import re
@@ -8,16 +9,17 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shortpulse import cli
-from shortpulse.config import default_config, load_config
+from shortpulse.config import (_SCHEMA, DEFAULT_VELOCITIES, default_config,
+                               load_config)
 from shortpulse.errors import ConfigError
 from shortpulse.evolve import Trajectory
 from shortpulse.norms import MONITOR_COLUMNS, NormRecord
-from shortpulse.packets import DEFAULT_VELOCITIES, PacketParams
 from shortpulse.spectral import Field
 from shortpulse.storage import read_field, save_trajectory, write_field
 from oracles import read_csv
@@ -173,7 +175,7 @@ def test_scatter_counts_the_probes_it_skips(mini_traj, tmp_path):
                    str(tmp_path / "traj"), "--out", str(tmp_path / "s"))
     assert proc.returncode == 0
     # rays whose packet support [vt - a w, vt + a w] reaches x = -L/2
-    t, a = 64.0, PacketParams().half_width
+    t, a = 64.0, default_config().probe.half_width
     out = sorted(v for v in DEFAULT_VELOCITIES
                  if v * t - a * np.sqrt(t) * abs(v) ** 0.75 <= -128.0)
     assert len(out) == 5
@@ -214,6 +216,23 @@ def test_scatter_rejects_a_manifest_with_a_retired_solver_key(tiny_run,
                    "--out", str(tmp_path / "s"))
     assert proc.returncode == 1
     assert "unknown solver key(s) in manifest.json: integrator" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ConfigError"
+
+
+def test_scatter_rejects_a_manifest_that_lacks_a_solver_key(tiny_run,
+                                                           tmp_path):
+    ini, out, _ = tiny_run
+    old = tmp_path / "old"
+    shutil.copytree(out, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    del manifest["solver"]["t_final"], manifest["solver"]["snap_h"]
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli("scatter", "--config", str(ini), "--traj", str(old),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 1
+    assert "missing solver key(s) in manifest.json: snap_h, t_final" \
+        in proc.stderr
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["status"] == "ConfigError"
 
@@ -324,6 +343,24 @@ def test_unknown_config_keys_fail_closed(tmp_path, key, value):
     proc = run_cli("simulate", "--config", str(ini), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
     assert f"unknown config key solver.{key}" in proc.stderr
+
+
+def test_the_readme_config_block_shows_the_schema_defaults():
+    # README's configuration reference says "All values shown are the
+    # defaults"; velocities = ... stands for the 17 default rays
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration reference", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";",))
+    parser.optionxform = str
+    parser.read_string(block)
+    shown = {(name, key) for name in parser.sections() for key in parser[name]}
+    assert shown == {(name, key) for name, keys in _SCHEMA.items()
+                     for key in keys}
+    for name, key in sorted(shown - {("probe", "velocities")}):
+        parse, default, _ = _SCHEMA[name][key]
+        assert parse(parser[name][key]) == default, f"{name}.{key}"
 
 
 def test_unknown_subcommand_exits_with_the_config_code():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
+import shortpulse.evolve as evolve_module
 from shortpulse._kernels import NonlinearKernel
 from shortpulse.config import default_config, with_overrides
 from shortpulse.errors import BlowUp, MeanDrift, StepRejected, WrapAround
-from shortpulse.evolve import TAIL_TOL, SolverConfig, Stepper, evolve
+from shortpulse.evolve import TAIL_TOL, Stepper, evolve
+from shortpulse.norms import NormRecord
 from shortpulse.spectral import Field, Grid
 from conftest import gaussian_pulse
 from oracles import (
@@ -16,6 +18,7 @@ from oracles import (
     free_propagate,
     nonlinearity,
     self_convergence,
+    solver_config,
 )
 
 # frozen from quadruple-resolution runs of the pinned data below
@@ -36,6 +39,11 @@ band_kernel_tol = 1e-15           # measured 7.1e-16 (n/4), 5.3e-16 (n/8)
 # top quarter, so a run that starts narrow may move the state by about
 # that much of max|u| before it widens, and no more.
 band_run_tol = 10.0 * TAIL_TOL    # measured 1.4e-14
+# A band run's state stays within band_run_tol of the same run held at n/2,
+# so each NormRecord column gets that bound of its scale; h1_rate_fd divides
+# a difference of ||u_x||^2 by dt/2, and gets the acceptance battery's 1e-8.
+held_band_tol = band_run_tol      # measured 2.3e-12 (uxLinf)
+held_band_rate_tol = 1e-8         # measured 0 (bitwise equal)
 
 MODES = ([3, 17, 40, 77, 170], [0.4, 0.3, 0.2, 0.1, 0.05],
          [0.0, 1.0, 2.0, 3.0, 4.0])
@@ -157,7 +165,7 @@ def test_kernel_scratch_does_not_leak_between_calls():
 
 
 def test_a_tail_crossing_the_tolerance_widens_the_band_once(monkeypatch):
-    cfg = SolverConfig(n=1 << 10, length=64.0, dt=0.02, t_final=1.0)
+    cfg = solver_config(n=1 << 10, length=64.0, dt=0.02, t_final=1.0)
     u0 = gaussian_pulse(cfg.grid(), eps=0.03)
     traj = evolve(u0, cfg)
     # starts on n/4, then one rejected step doubles the band mid-run
@@ -172,8 +180,26 @@ def test_a_tail_crossing_the_tolerance_widens_the_band_once(monkeypatch):
     assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < band_run_tol
 
 
+def test_every_norm_column_of_a_band_run_matches_the_run_held_at_n_over_2(
+        monkeypatch):
+    cfg = solver_config(n=1 << 12, length=64.0, dt=0.02, t_final=4.0)
+    u0 = gaussian_pulse(cfg.grid())
+    band = evolve(u0, cfg)
+    # a zero tolerance keeps every start and every check on n/2
+    monkeypatch.setattr(evolve_module, "TAIL_TOL", 0.0)
+    held = evolve(u0, cfg)
+    # the band run widens twice, to n/4 at t = 1.82, and stays below n/2
+    assert band.band == cfg.n // 4 and len(band.band_widenings) == 2
+    assert held.band == cfg.n // 2 and held.band_widenings == []
+    for col in NormRecord.COLUMNS:
+        a = np.array([getattr(s.norms, col) for s in band.snapshots])
+        b = np.array([getattr(s.norms, col) for s in held.snapshots])
+        tol = held_band_rate_tol if col == "h1_rate_fd" else held_band_tol
+        assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b)), col
+
+
 def test_tail_headroom_covers_only_the_steps_on_the_final_band(monkeypatch):
-    cfg = SolverConfig(n=1 << 11, length=64.0, dt=0.02, t_final=1.0)
+    cfg = solver_config(n=1 << 11, length=64.0, dt=0.02, t_final=1.0)
     levels, tail_level = [], Stepper._tail_level
 
     def keep_level(self, vh):
@@ -189,7 +215,7 @@ def test_tail_headroom_covers_only_the_steps_on_the_final_band(monkeypatch):
 
 
 def test_a_broad_datum_starts_on_the_full_grid():
-    cfg = SolverConfig(n=1 << 10, length=64.0, dt=0.02, t_final=1.0)
+    cfg = solver_config(n=1 << 10, length=64.0, dt=0.02, t_final=1.0)
     u0 = gaussian_pulse(cfg.grid(), eps=0.05, width=0.2)
     stepper = Stepper(cfg)
     assert stepper.start_band(stepper.spectrum_of(u0.values)) == cfg.n // 2
@@ -198,14 +224,14 @@ def test_a_broad_datum_starts_on_the_full_grid():
 
 
 def test_zero_time_step_is_the_identity():
-    cfg = SolverConfig(n=1 << 10, length=100.0, dt=0.01, t_final=1.0)
+    cfg = solver_config(n=1 << 10, length=100.0, dt=0.01, t_final=1.0)
     stepper = Stepper(cfg)
     vh = stepper.spectrum_of(gaussian_pulse(cfg.grid()).values)
     assert np.max(np.abs(stepper.step_raw(vh, 0.0, None) - vh)) < 1e-15
 
 
 def test_step_reduces_to_free_propagation_for_tiny_data():
-    cfg = SolverConfig(n=1 << 10, length=100.0, dt=0.1, t_final=1.0)
+    cfg = solver_config(n=1 << 10, length=100.0, dt=0.1, t_final=1.0)
     g = cfg.grid()
     u0 = gaussian_pulse(g, eps=1e-8)
     stepper = Stepper(cfg)
@@ -216,7 +242,7 @@ def test_step_reduces_to_free_propagation_for_tiny_data():
 
 
 def test_forward_then_backward_step_returns_home():
-    cfg = SolverConfig(n=1 << 10, length=100.0, dt=0.01, t_final=1.0)
+    cfg = solver_config(n=1 << 10, length=100.0, dt=0.01, t_final=1.0)
     stepper = Stepper(cfg)
     vh = stepper.spectrum_of(gaussian_pulse(cfg.grid()).values)
     back = stepper.step_raw(stepper.step_raw(vh, 0.01, None), -0.01, None)
@@ -226,7 +252,7 @@ def test_forward_then_backward_step_returns_home():
 def test_step_coefficient_cache_stays_bounded():
     # every snapshot ends on a one-off partial step; caching each of them
     # held 40 MB of coefficients by the end of a 322-snapshot n = 2^13 run
-    cfg = SolverConfig(n=1 << 8, length=64.0, dt=0.01, t_final=1.0)
+    cfg = solver_config(n=1 << 8, length=64.0, dt=0.01, t_final=1.0)
     stepper = Stepper(cfg)
     vh = stepper.spectrum_of(gaussian_pulse(cfg.grid()).values)
     for k in range(1, 40):
@@ -235,8 +261,8 @@ def test_step_coefficient_cache_stays_bounded():
 
 
 def test_snapshot_rate_probe_shares_its_first_stage(monkeypatch):
-    cfg = SolverConfig(n=1 << 8, length=64.0, dt=0.05, t_final=1.0,
-                       snap_t0=0.0)
+    cfg = solver_config(n=1 << 8, length=64.0, dt=0.05, t_final=1.0,
+                        snap_t0=0.0)
     states, calls = [], []
     make_snapshot, spectrum = Stepper.make_snapshot, NonlinearKernel.spectrum
 
@@ -265,7 +291,7 @@ def test_snapshot_rate_probe_shares_its_first_stage(monkeypatch):
 
 
 def test_halving_the_step_divides_the_error_by_sixteen():
-    cfg = SolverConfig(n=1 << 12, length=200.0, dt=0.02, t_final=1.0)
+    cfg = solver_config(n=1 << 12, length=200.0, dt=0.02, t_final=1.0)
     u0 = gaussian_pulse(cfg.grid())
     e1, e2, ratio = self_convergence(u0, cfg, dt_coarse=0.02)
     lo, hi = richardson_window
@@ -287,7 +313,7 @@ def test_snapshots_cache_consistent_derivatives(mini_traj):
 
 
 def test_snapshot_times_are_geometric_between_the_endpoints():
-    cfg = SolverConfig(n=1 << 8, length=64.0, dt=0.02, t_final=64.0)
+    cfg = solver_config(n=1 << 8, length=64.0, dt=0.02, t_final=64.0)
     times = cfg.snapshot_times()
     assert times[0] == 0.0 and times[-1] == cfg.t_final
     assert all(b > a for a, b in zip(times, times[1:]))
@@ -307,7 +333,7 @@ def test_config_hash_is_stable_and_sensitive():
 
 
 def test_zero_data_stays_zero():
-    cfg = SolverConfig(n=1 << 9, length=64.0, dt=0.05, t_final=1.0)
+    cfg = solver_config(n=1 << 9, length=64.0, dt=0.05, t_final=1.0)
     g = cfg.grid()
     traj = evolve(Field(g, np.zeros(g.n)), cfg)
     assert traj.status == "completed"
@@ -315,14 +341,14 @@ def test_zero_data_stays_zero():
 
 
 def test_nonzero_mean_data_is_rejected_up_front():
-    cfg = SolverConfig(n=1 << 9, length=64.0, dt=0.05, t_final=1.0)
+    cfg = solver_config(n=1 << 9, length=64.0, dt=0.05, t_final=1.0)
     g = cfg.grid()
     with pytest.raises(MeanDrift, match="mean"):
         evolve(Field(g, np.exp(-g.x ** 2)), cfg)
 
 
 def test_violent_data_trips_the_per_step_growth_gate():
-    cfg = SolverConfig(n=1 << 10, length=64.0, dt=0.25, t_final=2.0)
+    cfg = solver_config(n=1 << 10, length=64.0, dt=0.25, t_final=2.0)
     u0 = gaussian_pulse(cfg.grid(), eps=3.0)
     with pytest.raises(StepRejected, match="grew") as err:
         evolve(u0, cfg)
@@ -332,8 +358,8 @@ def test_violent_data_trips_the_per_step_growth_gate():
 
 
 def test_cumulative_growth_trips_the_blowup_gate():
-    cfg = SolverConfig(n=1 << 11, length=64.0, dt=0.005, t_final=2.0,
-                       growth_limit=1.10, snap_t0=0.05, snap_h=0.02)
+    cfg = solver_config(n=1 << 11, length=64.0, dt=0.005, t_final=2.0,
+                        growth_limit=1.10, snap_t0=0.05, snap_h=0.02)
     u0 = gaussian_pulse(cfg.grid(), eps=1.2)
     with pytest.raises(BlowUp, match="grew") as err:
         evolve(u0, cfg)
@@ -343,8 +369,8 @@ def test_cumulative_growth_trips_the_blowup_gate():
 
 
 def test_mass_reaching_the_box_edge_trips_the_wrap_gate():
-    cfg = SolverConfig(n=1 << 11, length=64.0, dt=0.02, t_final=16.0,
-                       wrap_tol=0.005)
+    cfg = solver_config(n=1 << 11, length=64.0, dt=0.02, t_final=16.0,
+                        wrap_tol=0.005)
     u0 = gaussian_pulse(cfg.grid())
     with pytest.raises(WrapAround) as err:
         evolve(u0, cfg)

@@ -1,5 +1,6 @@
 """Packet probes, the limit ODE, and the long-time profile."""
 
+import dataclasses
 import subprocess
 import sys
 from collections import Counter
@@ -10,12 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shortpulse.bands import bump
-from shortpulse.config import load_config
+from shortpulse.config import DEFAULT_VELOCITIES, default_config, load_config
 from shortpulse.errors import ConfigError, InsufficientData, OutOfBox, UnderResolved
 from shortpulse.packets import (
     BUMP_INTEGRAL,
-    DEFAULT_VELOCITIES,
-    PacketParams,
     ProbeRecord,
     _packet_on_support,
     _ray_coefficients,
@@ -128,7 +127,7 @@ def test_ray_phase_closed_values():
 
 def test_packet_center_value_and_support():
     g = Grid(1 << 13, 800.0)
-    params = PacketParams()
+    params = default_config().probe
     t, v = 25.0, -1.0
     psi = packet(t, v, params, g)
     center = int(np.argmin(np.abs(g.x - v * t)))
@@ -141,7 +140,7 @@ def test_packet_center_value_and_support():
 
 def test_packet_rejects_bad_arguments():
     g = Grid(1 << 13, 800.0)
-    params = PacketParams()
+    params = default_config().probe
     with pytest.raises(ValueError):
         packet(0.5, -1.0, params, g)
     with pytest.raises(ValueError):
@@ -157,14 +156,14 @@ def test_probe_amplitude_of_the_pure_carrier_is_sqrt_t():
     g = Grid(1 << 15, 800.0)
     t = 25.0
     snap = PlainSnap(t, g, np.exp(1j * phase(t, g.x)))
-    gm = gamma(snap, -1.0, PacketParams())
+    gm = gamma(snap, -1.0, default_config().probe)
     assert abs(gm - np.sqrt(t)) / np.sqrt(t) < gamma_phase_tol
 
 
 def test_probe_amplitude_is_linear():
     g = Grid(1 << 15, 800.0)
     t, v = 25.0, -1.0
-    params = PacketParams()
+    params = default_config().probe
     u1 = np.exp(1j * phase(t, g.x)) * np.exp(-((g.x + 25.0) / 10.0) ** 2)
     u2 = Field(g, np.cos(g.x) * np.exp(-((g.x + 30.0) / 15.0) ** 2))
     g1 = gamma(PlainSnap(t, g, u1), v, params)
@@ -176,7 +175,7 @@ def test_probe_amplitude_is_linear():
 def test_probe_amplitude_of_zero_is_zero():
     g = Grid(1 << 13, 800.0)
     snap = Snapshot(4.0, Field(g, np.zeros(g.n)))
-    assert gamma(snap, -1.0, PacketParams()) == 0.0
+    assert gamma(snap, -1.0, default_config().probe) == 0.0
 
 
 def test_probe_amplitude_obeys_the_sup_bound():
@@ -186,7 +185,7 @@ def test_probe_amplitude_obeys_the_sup_bound():
     t = 25.0
     u = Field(g, 0.1 * np.exp(1j * phase(t, g.x)).real
               * np.exp(-((g.x + 25.0) / 30.0) ** 2))
-    gm = gamma(Snapshot(t, u), -1.0, PacketParams())
+    gm = gamma(Snapshot(t, u), -1.0, default_config().probe)
     assert abs(gm) <= np.sqrt(t) * linf_norm(u) * (1.0 + 1e-9)
 
 
@@ -250,7 +249,7 @@ def test_phase_correction_preserves_the_modulus(re, im, t, v):
 
 
 def test_velocity_window_boundaries():
-    params = PacketParams()
+    params = default_config().probe
     assert params.in_window(100.0, -1.0)
     assert not params.in_window(100.0, -3.0)
     root2 = 2.0 ** 0.5
@@ -271,7 +270,7 @@ def test_bump_integral_has_the_closed_form(half_width):
 @pytest.mark.parametrize("delta_p", [0.5, 1.0, 2.0, 3.0])
 def test_packet_profile_has_unit_integral(delta_p):
     from scipy.integrate import quad
-    params = PacketParams(delta_p=delta_p)
+    params = dataclasses.replace(default_config().probe, delta_p=delta_p)
     a = params.half_width
     val, _ = quad(lambda y: params.chi(np.array([y]))[0], -a, a,
                   epsabs=1e-13, epsrel=1e-13)
@@ -289,7 +288,7 @@ def test_the_cli_import_path_leaves_out_scipy():
 
 
 def test_window_exponent_respects_the_regularity_ceiling(tmp_path):
-    assert alpha_ceiling(4.5) > PacketParams().alpha
+    assert alpha_ceiling(4.5) > default_config().probe.alpha
     ini = tmp_path / "alpha.ini"
     ini.write_text("[norms]\ns = 4.5\n[probe]\nalpha = 0.05\n")
     with pytest.raises(ConfigError, match="probe.alpha"):
@@ -319,7 +318,7 @@ def test_probe_records_carry_consistent_corrected_states(mini_probe_records):
 def test_shared_spectra_leave_probe_records_bit_identical(mini_traj):
     # the last snapshot (t = 64) drops some rays, so the skip path runs too
     snap = mini_traj.snapshots[-1]
-    params = PacketParams()
+    params = default_config().probe
     expected = {}
     for v in params.velocities:
         try:
@@ -345,7 +344,7 @@ def test_residual_attachment_fills_only_the_interior(mini_probe_records):
 
 def test_packet_spectrum_concentrates_as_time_grows(cutoff):
     g = Grid(1 << 13, 800.0)
-    params = PacketParams()
+    params = default_config().probe
     leaks = [spectrum_concentration(t, -1.0, params, g, cutoff)
              for t in (25.0, 100.0, 200.0)]
     for got, frozen in zip(leaks, concentration_frozen):
@@ -410,7 +409,7 @@ def test_band_limited_interpolation_is_exact_on_modes():
 
 def test_masked_carrier_ray_errors_shrink_with_time(cutoff):
     g = Grid(1 << 13, 800.0)
-    params = PacketParams()
+    params = default_config().probe
     c0 = 0.3 + 0.1j
     errs_u, errs_ux = [], []
     for t in (16.0, 36.0, 64.0):
@@ -430,7 +429,7 @@ def test_masked_carrier_ray_errors_shrink_with_time(cutoff):
 def test_free_flow_amplitude_modulus_is_steady():
     g = Grid(1 << 16, 4800.0)
     u0 = Field(g, 0.05 * np.cos(g.x) * np.exp(-(g.x / 12.0) ** 2))
-    params = PacketParams()
+    params = default_config().probe
     ts = 100.0 * 2.0 ** (np.arange(28) / 8.0)
     mods = [abs(gamma(Snapshot(t, Field(g, free_propagate(g, u0.values, t))),
                       -1.0, params))
@@ -455,7 +454,7 @@ def time_of_left_edge(v, params, grid, left):
 
 
 def test_packet_on_its_support_matches_the_whole_grid_packet(mini_traj):
-    params = PacketParams()
+    params = default_config().probe
     g = mini_traj.config.grid()
     snaps = [s for s in mini_traj.snapshots if s.t >= 1.0]
     # the support of this ray starts half a node spacing inside the box
@@ -488,7 +487,7 @@ def test_half_spectrum_ray_values_match_the_full_spectrum(mini_traj, which):
     noise = Field(g, np.random.default_rng(11).standard_normal(g.n))
     snap = mini_traj.snapshots[-1] if which == "mini t=64" \
         else Snapshot(4.0, noise)
-    params = PacketParams()
+    params = default_config().probe
     gam = 0.01 + 0.02j
     t = snap.t
     for v in params.velocities:

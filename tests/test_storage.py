@@ -10,14 +10,15 @@ import pytest
 from shortpulse import storage
 from shortpulse.errors import (ConfigError, CorruptSnapshot, MeanNotZero,
                                MissingSnapshots)
-from shortpulse.evolve import SolverConfig, evolve
+from shortpulse.evolve import evolve
 from shortpulse.norms import NormRecord
 from shortpulse.spectral import Field, Grid
 from shortpulse.storage import (load_trajectory, read_field, require_times,
                                 save_trajectory, write_csv, write_field,
                                 write_json)
 from conftest import gaussian_pulse
-from oracles import antiderivative, derivative, norm_record, read_csv
+from oracles import (antiderivative, derivative, norm_record, read_csv,
+                     solver_config)
 
 
 def format_cell(value):
@@ -32,8 +33,8 @@ def save(out, traj):
 
 @pytest.fixture(scope="module")
 def tiny_traj():
-    cfg = SolverConfig(n=1 << 8, length=64.0, dt=0.05, t_final=1.0,
-                       snap_t0=0.25, snap_h=1.0)
+    cfg = solver_config(n=1 << 8, length=64.0, dt=0.05, t_final=1.0,
+                        snap_t0=0.25, snap_h=1.0)
     return evolve(gaussian_pulse(cfg.grid()), cfg)
 
 
