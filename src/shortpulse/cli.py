@@ -87,7 +87,10 @@ def cmd_simulate(args):
         _log(f"simulate: aborted by monitor: {status}: {message}")
 
     widened = ", ".join(f"{t:g}" for t in traj.band_widenings) or "never"
-    _log(f"simulate: stepped band K={traj.band} of {cfg.solver.n // 2}, "
+    steps = "" if traj.h_min is None else \
+        f", h in [{traj.h_min:.4g}, {traj.h_max:.4g}]"
+    _log(f"simulate: {traj.steps} steps ({traj.rejected_steps} rejected"
+         f"{steps}); stepped band K={traj.band} of {cfg.solver.n // 2}, "
          f"widened at t={widened}")
     cut = bands.CutoffSpec(cfg.probe.band_delta)
 
@@ -122,10 +125,8 @@ def cmd_simulate(args):
         "files": written,
         "snapshots": len(traj.snapshots),
         "final_t": _jsonable(traj.snapshots[-1].t) if traj.snapshots else None,
-        "halvings": traj.halvings,
-        "band": traj.band,
-        "band_widenings": traj.band_widenings,
-        "tail_headroom": _jsonable(traj.tail_headroom),
+        **{name: getattr(traj, name) for name in storage.PROVENANCE
+           if name != "status"},
         "final_norms": None
         if last is None
         else {
@@ -463,12 +464,13 @@ def _selftest_checks():
     # 0.02 / 0.01.  The tolerance 1e-6 at dt = 0.02 sits 28x above that
     # drift and below the 1.9e-6 .. 1.3e-5 of steppers with one stage input
     # or weight wrong, and far below the 1.1e-3 at which the quartic part
-    # summed on the n grid, where u^4 aliases, stalls.
+    # summed on the n grid, where u^4 aliases, stalls.  The run steps at
+    # the fixed dt (step_tol = 0) those numbers were measured at.
     gh = Grid(n=1 << 10, length=64.0)
     u0 = Field(gh, 0.5 * (-2.0 * gh.x) * np.exp(-gh.x ** 2))
     run = evolve(u0, dataclasses.replace(
         default_config().solver, n=gh.n, length=gh.length, dt=0.02,
-        t_final=1.0, snap_t0=0.0))
+        step_tol=0.0, t_final=1.0, snap_t0=0.0))
     (q0, p0), (q1, p1) = (norms.hamiltonian(snap) for snap in
                           (run.snapshots[0], run.snapshots[-1]))
     checks.append((

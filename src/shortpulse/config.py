@@ -81,14 +81,13 @@ _SCHEMA = {
         "n": (_parse_int, 1 << 15, "solver.n"),
         "L": (_parse_float, 800.0, "solver.length"),
         "dt": (_parse_float, 0.01, "solver.dt"),
+        "step_tol": (_parse_float, 1e-10, "solver.step_tol"),
         "T": (_parse_float, 50.0, "solver.t_final"),
         "mean_tol": (_parse_float, 1e-10, "solver.mean_tol"),
         "wrap_tol": (_parse_float, 0.005, "solver.wrap_tol"),
         "outer_frac": (_parse_float, 0.05, "solver.outer_frac"),
         "snap_t0": (_parse_float, 1.0, "solver.snap_t0"),
         "snap_h": (_parse_float, 0.125, "solver.snap_h"),
-        "growth_limit": (_parse_float, 1.10, "solver.growth_limit"),
-        "max_halvings": (_parse_int, 4, "solver.max_halvings"),
         "blowup_factor": (_parse_float, 2.0, "solver.blowup_factor"),
     },
     "initial": {

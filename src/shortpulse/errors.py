@@ -15,7 +15,16 @@ class MonitorViolation(ShortPulseError):
 
 
 class StepRejected(MonitorViolation):
-    """A time step produced implausible growth or non-finite values."""
+    """A time step failed its finiteness or local-error check.
+
+    ``err`` is the step's error estimate (inf for a non-finite state).  The
+    stepper redoes such a step smaller; this reaches the caller only when
+    the step size collapses, or at once when stepping at a fixed dt.
+    """
+
+    def __init__(self, message, err):
+        super().__init__(message)
+        self.err = err
 
 
 class BandExceeded(ShortPulseError):

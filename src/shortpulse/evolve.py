@@ -14,6 +14,12 @@ the tail at the top of the band rises above :data:`TAIL_TOL`.  Snapshots
 pad the band back to the full grid for the diagnostics; S u, the rate
 probe and the next step's first stage share one cubic of the snapshot
 state on the band.
+
+The step size is error-controlled: the embedded third-order solution of
+ERK4(3)-IP (Balac & Mahe, Comput. Phys. Commun. 184 (2013) 1211) estimates
+each step's local error from the step's last stage and the cubic of its
+output, which is also the next step's first stage ("first same as last").
+``step_tol = 0`` steps at the fixed ``dt`` instead.
 """
 
 from __future__ import annotations
@@ -39,19 +45,26 @@ from .spectral import Field, Grid, Snapshot, check_zero_mean
 # the 0.11 / 0.9 datum widen to n/2.
 TAIL_TOL = 1e-10
 MIN_BAND = 16  # the narrowest band a run starts on
+# Largest linear phase h / xi_1 of an error-controlled step on row 1
+# (xi_1 = 2 pi / L), so h <= 4 pi / L.  The embedded estimate does not see
+# the error of the slowest rows: on the reference grid (n = 2^15, L = 800,
+# T = 16) at step_tol 1e-10 and no cap, it accepted steps of 13.9 rad on
+# row 1 and left a 4.8e-6 field error against fixed dt = 0.01.  Capped at
+# 2 rad, the worst norms.csv column stays within 7.4e-9 of its scale; 3
+# rad gave 7.5e-8 and 6 rad 5.4e-6, against the tests' 1e-8.
+PHASE_CAP = 2.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     n: int
     length: float
-    dt: float
+    dt: float                      # first trial step; the step when step_tol = 0
+    step_tol: float                # local error per step (0 = fixed dt)
     t_final: float
     mean_tol: float
     snap_t0: float                 # first geometric snapshot time (0 = none)
     snap_h: float                  # snapshots at t0 * 2^{m h}
-    growth_limit: float            # per-step H1 growth triggering rejection
-    max_halvings: int
     blowup_factor: float           # H1 doubling vs t=0 aborts the run
     wrap_tol: float                # L2 mass fraction in the outer box band
     outer_frac: float
@@ -62,12 +75,11 @@ class SolverConfig:
             ("n", lambda n: n >= 2 and n & (n - 1) == 0, "be a power of two >= 2"),
             ("length", lambda v: v > 0.0, "be positive"),
             ("dt", lambda v: v > 0.0, "be positive"),
+            ("step_tol", lambda v: v >= 0.0, "be >= 0"),
             ("t_final", lambda v: v > 0.0, "be positive"),
             ("mean_tol", lambda v: v > 0.0, "be positive"),
             ("snap_t0", lambda v: 0.0 <= v <= self.t_final, "lie in [0, T]"),
             ("snap_h", lambda v: v > 0.0, "be positive"),
-            ("growth_limit", lambda v: v > 1.0, "exceed 1"),
-            ("max_halvings", lambda v: v >= 0, "be >= 0"),
             ("blowup_factor", lambda v: v > 1.0, "exceed 1"),
             ("wrap_tol", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
             ("outer_frac", lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"),
@@ -103,7 +115,12 @@ class Trajectory:
     snapshots: list = dc_field(default_factory=list)
     code_version: str = __version__
     status: str = "completed"
-    halvings: int = 0
+    steps: int = 0                 # accepted steps
+    rejected_steps: int = 0        # steps redone smaller (not band redos)
+    # the smallest and largest accepted step not cut short to land on a
+    # snapshot time; None when there was none
+    h_min: float = None
+    h_max: float = None
     band: int = None               # the active band K at the end of the run
     band_widenings: list = dc_field(default_factory=list)  # t of each doubling
     # max top-quarter level / TAIL_TOL over the steps on the final band;
@@ -206,9 +223,11 @@ class Stepper:
     def step_raw(self, vh, dt, nl_vh):
         """One integrator step on the band of vh; no monitors.
 
-        ``nl_vh`` is nl(vh), the first stage's nonlinear term, when the
-        caller holds it, so that steps of several sizes from one state
-        evaluate it once; None makes the step evaluate it.
+        Returns the new state and the step's last stage d = dt nl(.), which
+        the embedded error estimate needs.  ``nl_vh`` is nl(vh), the first
+        stage's nonlinear term, when the caller holds it, so that steps of
+        several sizes from one state evaluate it once; None makes the step
+        evaluate it.
         """
         rows = len(vh)
         nl = self._nl
@@ -218,31 +237,39 @@ class Stepper:
         b = dt * nl(e * (vh + 0.5 * a))
         c = dt * nl(e * vh + 0.5 * b)
         d = dt * nl(e2 * vh + e * c)
-        return e2 * vh + (e2 * a + 2.0 * e * (b + c) + d) / 6.0
+        return e2 * vh + (e2 * a + 2.0 * e * (b + c) + d) / 6.0, d
 
     def step_checked(self, vh, dt, nl_vh):
-        """Step with rejection on non-finite output or >10% H1 growth, and
+        """One step with its monitors -> (state, nl(state), local error).
+
         :class:`BandExceeded` when the tail at the top of a band below n/2
-        rises above TAIL_TOL.  ``nl_vh`` is nl(vh) or None, as in
-        :meth:`step_raw`."""
-        out = self.step_raw(vh, dt, nl_vh)
+        rises above TAIL_TOL; :class:`StepRejected` on a non-finite state
+        or, when ``step_tol`` > 0, a local error above it.  The error is
+        ERK4(3)-IP's max|u4 - u3| / max|u4| on the rfft rows, where
+        u4 - u3 = (d - dt nl(u4)) / 10; nl(u4) is returned as the next
+        step's first stage.  ``nl_vh`` is nl(vh) or None, as in
+        :meth:`step_raw`.
+        """
+        out, d = self.step_raw(vh, dt, nl_vh)
         if not np.all(np.isfinite(out)):
-            raise StepRejected(f"non-finite state after step at dt={dt:g}")
-        h_old = self.h1_norm(vh)
-        h_new = self.h1_norm(out)
-        if h_new > self.cfg.growth_limit * h_old:
-            raise StepRejected(
-                f"H1 grew {h_new / h_old:.3f}x in one step at dt={dt:g}"
+            raise StepRejected(f"non-finite state after step at dt={dt:g}",
+                               np.inf)
+        level = self._tail_level(out) if len(out) <= self.nyq else None
+        if level is not None and level > TAIL_TOL:
+            raise BandExceeded(
+                f"tail {level:.2e} of max|v^| at the top of band "
+                f"{len(out) - 1} after a step at dt={dt:g}"
             )
-        if len(out) <= self.nyq:
-            level = self._tail_level(out)
-            if level > TAIL_TOL:
-                raise BandExceeded(
-                    f"tail {level:.2e} of max|v^| at the top of band "
-                    f"{len(out) - 1} after a step at dt={dt:g}"
-                )
+        nl_out = self._nl(out)
+        peak = np.max(np.abs(out))
+        err = float(np.max(np.abs(d - dt * nl_out)) / (10.0 * peak)) \
+            if peak > 0.0 else 0.0
+        if err > self.cfg.step_tol > 0.0:
+            raise StepRejected(f"local error {err:.2e} above step_tol "
+                               f"{self.cfg.step_tol:g} at dt={dt:g}", err)
+        if level is not None:
             self.tail_peak = max(level, self.tail_peak or 0.0)
-        return out
+        return out, nl_out, err
 
     def make_snapshot(self, t, vh):
         """The snapshot of a band state on the full grid."""
@@ -250,16 +277,29 @@ class Stepper:
         return Snapshot(t, Field(self.grid, self.values_of(full)), full)
 
 
+def _step_factor(err, tol):
+    """The step-size factor after a step of local error ``err``: the
+    fourth-order rule with safety 0.9, bounded to [0.2, 2]."""
+    if err == 0.0:
+        return 2.0
+    return min(2.0, max(0.2, 0.9 * (tol / err) ** 0.25))
+
+
 def evolve(u0, cfg):
     """Integrate from u0 at t = 0, emitting snapshots at the monitor cadence.
 
     Every emitted snapshot is held to the config's wrap-around, mean-drift
-    and blow-up bounds.  A step rejection halves dt (at most
-    ``cfg.max_halvings`` times for the whole run) and retries from the
-    last accepted state; a step whose tail exceeds the active band doubles
-    the band and retries the same way, without limit or cost against the
-    halvings.  Errors raised mid-run carry the partial trajectory in their
-    ``trajectory`` attribute.
+    and blow-up bounds.  With ``cfg.step_tol`` > 0 the step size is
+    error-controlled: the first trial step is ``cfg.dt``, each step is at
+    most :data:`PHASE_CAP` rad of linear phase on row 1 (h <= 4 pi / L), a
+    step is cut short to land on each snapshot time without changing the
+    proposed size, and a rejected step is redone smaller from the last
+    accepted state; a step that cannot meet the tolerance above dt/16
+    raises :class:`StepRejected`.  With ``step_tol`` = 0 every step is
+    ``cfg.dt`` (cut short at snapshots) and a non-finite state raises at
+    once.  A step whose tail exceeds the active band doubles the band and
+    is redone, which is no rejection.  Errors raised mid-run carry the
+    partial trajectory in their ``trajectory`` attribute.
     """
     g = cfg.grid()
     if u0.grid != g:
@@ -272,24 +312,27 @@ def evolve(u0, cfg):
 
     traj = Trajectory(config=cfg)
     h1_init = stepper.h1_norm(vh)
-    dt = cfg.dt
-    halvings = 0
+    tol = cfg.step_tol
+    h_cap = PHASE_CAP * 2.0 * np.pi / cfg.length if tol > 0.0 else np.inf
+    dt = min(cfg.dt, h_cap)  # the proposed step
     eps_t = 1e-12
 
-    def emit(t_now, vh_now):
-        """Append the snapshot of vh_now and return nl(vh_now)."""
+    def emit(t_now, vh_now, nl_now):
+        """Append the snapshot of vh_now and return nl(vh_now), which the
+        last step handed on as ``nl_now`` or None."""
         snap = stepper.make_snapshot(t_now, vh_now)
-        # one nl(v^) on the band serves S u in the record and both probe
-        # steps below
-        nl_now = stepper._nl(vh_now)
+        # one nl(v^) on the band serves S u in the record, both probe
+        # steps below and the next step's first stage
+        if nl_now is None:
+            nl_now = stepper._nl(vh_now)
         rec = snap.norms = norms.compute_record(
             snap, cfg.sobolev_s, cfg.outer_frac, nl_now)
         # d/dt ||u_x||^2 probed by a quarter-step centered difference;
         # the shorter spacing keeps the O(h^2) truncation error of the
         # difference quotient well below the identity's own tolerance
         probe = 0.25 * cfg.dt
-        up = stepper.step_raw(vh_now, probe, nl_now)
-        um = stepper.step_raw(vh_now, -probe, nl_now)
+        up = stepper.step_raw(vh_now, probe, nl_now)[0]
+        um = stepper.step_raw(vh_now, -probe, nl_now)[0]
         rec.h1_rate_fd = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * probe)
         traj.append(snap)
         if rec.wrapfrac >= cfg.wrap_tol:
@@ -310,32 +353,44 @@ def evolve(u0, cfg):
 
     try:
         t = 0.0
-        nl_vh = None  # nl(vh) when the last snapshot has evaluated it
+        nl_vh = None  # nl(vh) when a step or a snapshot has evaluated it
         for target in cfg.snapshot_times():
             while t < target * (1.0 - eps_t) - eps_t:
                 remaining = target - t
-                h = remaining if remaining <= dt * (1.0 + 1e-9) else dt
+                clipped = remaining <= dt * (1.0 + 1e-9)
+                h = remaining if clipped else dt
                 try:
-                    vh = stepper.step_checked(vh, h, nl_vh)
+                    out, nl_out, err = stepper.step_checked(vh, h, nl_vh)
                 except BandExceeded:
                     vh = stepper.widen(vh, 2 * (len(vh) - 1))
                     nl_vh = None
                     stepper.tail_peak = None
                     traj.band_widenings.append(t)
                     continue
-                except StepRejected:
-                    if halvings >= cfg.max_halvings:
+                except StepRejected as exc:
+                    traj.rejected_steps += 1
+                    if tol == 0.0:
                         raise
-                    dt *= 0.5
-                    halvings += 1
-                    traj.halvings = halvings
+                    dt = h * _step_factor(exc.err, tol)
+                    if dt < cfg.dt / 16.0:
+                        raise StepRejected(
+                            f"step-size collapse at t={t:g}: the step fell "
+                            f"to {dt:.3g} < dt/16 ({exc})", exc.err) from exc
                     continue
-                nl_vh = None
-                t = target if h == remaining else t + h
-            nl_vh = emit(target, vh)
-    except MonitorViolation as err:
-        traj.status = type(err).__name__
-        err.trajectory = traj
+                vh, nl_vh = out, nl_out
+                traj.steps += 1
+                if clipped:
+                    t = target
+                    continue
+                t += h
+                traj.h_min = min(h, traj.h_min or h)
+                traj.h_max = max(h, traj.h_max or h)
+                if tol > 0.0:
+                    dt = min(h_cap, h * _step_factor(err, tol))
+            nl_vh = emit(target, vh, nl_vh)
+    except MonitorViolation as violation:
+        traj.status = type(violation).__name__
+        violation.trajectory = traj
         raise
     finally:
         traj.band = len(vh) - 1

@@ -37,7 +37,8 @@ HEADER_BYTES = _HEADER.size  # 24
 
 MANIFEST_NAME = "manifest.json"
 # the run's outcome and stepping telemetry, as Trajectory fields
-PROVENANCE = ("status", "halvings", "band", "band_widenings", "tail_headroom")
+PROVENANCE = ("status", "steps", "rejected_steps", "h_min", "h_max", "band",
+              "band_widenings", "tail_headroom")
 
 
 # ---------------------------------------------------------------------------

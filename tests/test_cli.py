@@ -21,7 +21,8 @@ from shortpulse.errors import ConfigError
 from shortpulse.evolve import Trajectory
 from shortpulse.norms import MONITOR_COLUMNS, NormRecord
 from shortpulse.spectral import Field
-from shortpulse.storage import read_field, save_trajectory, write_field
+from shortpulse.storage import (PROVENANCE, read_field, save_trajectory,
+                                write_field)
 from oracles import read_csv
 
 TINY_INI = textwrap.dedent("""\
@@ -29,15 +30,17 @@ TINY_INI = textwrap.dedent("""\
     n = 0x400
     L = 64
     dt = 0.02
+    step_tol = 0
     T = 2
     snap_t0 = 1.0
     [initial]
     epsilon = 0.1
 """)
 
-TINY_HASH = "c73aad00c6a1dc47"
-RETUNED_HASH = "2b06b494ab24b0c4"   # same run with dt = 0.01
+TINY_HASH = "a466f2d708bb296f"
+RETUNED_HASH = "72960b2b987e534a"   # same run with dt = 0.01
 
+# measured at the fixed dt = 0.02 that TINY_INI pins with step_tol = 0
 tiny_final_norms = {"L2": 0.11195151349202641, "Linf": 0.08519106086423486,
                     "Xs": 11.759277264378559, "wrapfrac": 0.0017995627998332472}
 
@@ -113,12 +116,14 @@ def test_simulate_reports_and_stores_the_run(tiny_run):
     assert summary["config_hash"] == TINY_HASH
     assert summary["snapshots"] == 10
     assert summary["final_t"] == 2.0
-    assert summary["halvings"] == 0
+    # 100 steps of dt and 3 cut short to land on a snapshot time
+    assert summary["steps"] == 103 and summary["rejected_steps"] == 0
+    assert summary["h_min"] == summary["h_max"] == 0.02
     # the datum starts on n/4 and widens to n/2 on the step from t = 0.02
     assert summary["band"] == 512 and summary["band_widenings"] == [0.02]
     assert summary["tail_headroom"] is None  # n/2 has no top quarter to watch
     provenance = json.loads((out / "manifest.json").read_text())["provenance"]
-    for key in ("band", "band_widenings", "tail_headroom"):
+    for key in PROVENANCE:
         assert provenance[key] == summary[key]
     assert sorted(summary["files"]) == ["manifest.json", "norms.csv"]
     for key, frozen in tiny_final_norms.items():
@@ -126,6 +131,24 @@ def test_simulate_reports_and_stores_the_run(tiny_run):
     assert (out / "manifest.json").exists()
     bins = sorted(p.name for p in out.glob("snap_*.bin"))
     assert len(bins) == 10 and bins[0] == "snap_00000.bin"
+
+
+def test_simulate_reports_the_step_controller(tmp_path):
+    # the tiny run at the default step_tol: two steps are redone smaller
+    # and the longest steps exceed dt
+    ini = tmp_path / "controlled.ini"
+    ini.write_text(TINY_INI.replace("step_tol = 0\n", "")
+                   + "[output]\nformats = json\n")
+    proc = run_cli("simulate", "--config", str(ini), "--out",
+                   str(tmp_path / "run"))
+    assert proc.returncode == 0
+    summary = json.loads(proc.stdout)
+    assert summary["rejected_steps"] > 0
+    assert summary["h_min"] == 0.02 < summary["h_max"] <= 4 * math.pi / 64
+    assert summary["snapshots"] == 10 and summary["final_t"] == 2.0
+    assert (f"simulate: {summary['steps']} steps "
+            f"({summary['rejected_steps']} rejected, h in [0.02, "
+            f"{summary['h_max']:.4g}])") in proc.stderr
 
 
 def test_norms_table_is_traceable_and_complete(tiny_run):
@@ -307,8 +330,7 @@ OUT_OF_RANGE = [
     ("solver.wrap_tol", "0", ""), ("solver.wrap_tol", "1.5", ""),
     ("solver.outer_frac", "0.5", ""), ("solver.snap_t0", "-1", ""),
     ("solver.snap_t0", "64", "T = 32"), ("solver.snap_h", "0", ""),
-    ("solver.growth_limit", "0.5", ""), ("solver.max_halvings", "-1", ""),
-    ("solver.blowup_factor", "0.5", ""), ("initial.kind", "bogus", ""),
+    ("solver.step_tol", "-1e-10", ""), ("solver.blowup_factor", "0.5", ""), ("initial.kind", "bogus", ""),
     ("initial.width", "0", ""), ("initial.path", "", "kind = file"),
     ("initial.path", "no/such.bin", "kind = file"), ("norms.s", "2.5", ""),
     ("decomposition.delta", "0", ""), ("probe.delta_p", "0", ""),
@@ -330,12 +352,15 @@ def test_an_out_of_range_value_names_its_key(tmp_path, key, value, extra):
         load_config(ini)
 
 
-# the last three selected the retired ETDRK4, two-thirds and p = 2 paths
+# integrator, dealias and power selected the retired ETDRK4, two-thirds and
+# p = 2 paths; growth_limit and max_halvings set the retired step halving
 @pytest.mark.parametrize("key, value", [
     ("bogus_knob", "3"),
     ("integrator", "etdrk4"),
     ("dealias", "two-thirds"),
     ("power", "2"),
+    ("growth_limit", "1.10"),
+    ("max_halvings", "4"),
 ])
 def test_unknown_config_keys_fail_closed(tmp_path, key, value):
     ini = tmp_path / "bad.ini"

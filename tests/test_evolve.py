@@ -1,5 +1,7 @@
 """Stepper correctness, dealiasing, convergence order, and safety gates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -44,6 +46,9 @@ band_run_tol = 10.0 * TAIL_TOL    # measured 1.4e-14
 # a difference of ||u_x||^2 by dt/2, and gets the acceptance battery's 1e-8.
 held_band_tol = band_run_tol      # measured 2.3e-12 (uxLinf)
 held_band_rate_tol = 1e-8         # measured 0 (bitwise equal)
+# An error-controlled run against the fixed-dt run it replaces: the tests'
+# 1e-8 agreement bound, of each NormRecord column's scale.
+controlled_tol = 1e-8             # measured 7.4e-9 (JdxL2)
 
 MODES = ([3, 17, 40, 77, 170], [0.4, 0.3, 0.2, 0.1, 0.05],
          [0.0, 1.0, 2.0, 3.0, 4.0])
@@ -182,7 +187,9 @@ def test_a_tail_crossing_the_tolerance_widens_the_band_once(monkeypatch):
 
 def test_every_norm_column_of_a_band_run_matches_the_run_held_at_n_over_2(
         monkeypatch):
-    cfg = solver_config(n=1 << 12, length=64.0, dt=0.02, t_final=4.0)
+    # fixed steps, so that both runs step the same times
+    cfg = solver_config(n=1 << 12, length=64.0, dt=0.02, step_tol=0.0,
+                        t_final=4.0)
     u0 = gaussian_pulse(cfg.grid())
     band = evolve(u0, cfg)
     # a zero tolerance keeps every start and every check on n/2
@@ -227,7 +234,7 @@ def test_zero_time_step_is_the_identity():
     cfg = solver_config(n=1 << 10, length=100.0, dt=0.01, t_final=1.0)
     stepper = Stepper(cfg)
     vh = stepper.spectrum_of(gaussian_pulse(cfg.grid()).values)
-    assert np.max(np.abs(stepper.step_raw(vh, 0.0, None) - vh)) < 1e-15
+    assert np.max(np.abs(stepper.step_raw(vh, 0.0, None)[0] - vh)) < 1e-15
 
 
 def test_step_reduces_to_free_propagation_for_tiny_data():
@@ -236,7 +243,7 @@ def test_step_reduces_to_free_propagation_for_tiny_data():
     u0 = gaussian_pulse(g, eps=1e-8)
     stepper = Stepper(cfg)
     vh = stepper.spectrum_of(u0.values)
-    stepped = stepper.values_of(stepper.step_raw(vh, 0.1, None))
+    stepped = stepper.values_of(stepper.step_raw(vh, 0.1, None)[0])
     free = free_propagate(g, u0.values, 0.1)
     assert np.max(np.abs(stepped - free)) / np.max(np.abs(u0.values)) < 1e-14
 
@@ -245,7 +252,8 @@ def test_forward_then_backward_step_returns_home():
     cfg = solver_config(n=1 << 10, length=100.0, dt=0.01, t_final=1.0)
     stepper = Stepper(cfg)
     vh = stepper.spectrum_of(gaussian_pulse(cfg.grid()).values)
-    back = stepper.step_raw(stepper.step_raw(vh, 0.01, None), -0.01, None)
+    back = stepper.step_raw(stepper.step_raw(vh, 0.01, None)[0], -0.01,
+                            None)[0]
     assert np.max(np.abs(back - vh)) / np.max(np.abs(vh)) < 1e-12
 
 
@@ -261,8 +269,8 @@ def test_step_coefficient_cache_stays_bounded():
 
 
 def test_snapshot_rate_probe_shares_its_first_stage(monkeypatch):
-    cfg = solver_config(n=1 << 8, length=64.0, dt=0.05, t_final=1.0,
-                        snap_t0=0.0)
+    cfg = solver_config(n=1 << 8, length=64.0, dt=0.05, step_tol=0.0,
+                        t_final=1.0, snap_t0=0.0)
     states, calls = [], []
     make_snapshot, spectrum = Stepper.make_snapshot, NonlinearKernel.spectrum
 
@@ -279,13 +287,14 @@ def test_snapshot_rate_probe_shares_its_first_stage(monkeypatch):
     traj = evolve(gaussian_pulse(cfg.grid()), cfg)
     # 20 steps of 4 stages; per snapshot, one nl(vh) that S u in the record
     # and the +-h pair of probe steps share: 1 + 2 * 3, not 1 + 2 * 4; the
-    # step after the t = 0 snapshot starts from that nl(vh) too
+    # step after the t = 0 snapshot starts from that nl(vh), and each step's
+    # nl(out) is the next step's first stage and the final snapshot's nl(vh)
     assert len(traj.snapshots) == 2
     assert len(calls) == 20 * 4 - 1 + 2 * (1 + 2 * 3)
     stepper, h = Stepper(cfg), 0.25 * cfg.dt
     for snap, vh in zip(traj.snapshots, states):
-        up = stepper.step_raw(vh, h, None)
-        um = stepper.step_raw(vh, -h, None)
+        up = stepper.step_raw(vh, h, None)[0]
+        um = stepper.step_raw(vh, -h, None)[0]
         rate = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * h)
         assert snap.norms.h1_rate_fd == rate
 
@@ -298,6 +307,65 @@ def test_halving_the_step_divides_the_error_by_sixteen():
     assert lo <= ratio <= hi
     assert e1 < richardson_err_ceiling
     assert e2 < e1
+
+
+def test_a_zero_step_tol_reproduces_a_fixed_dt_step_loop(monkeypatch):
+    cfg = solver_config(n=1 << 9, length=64.0, dt=0.05, step_tol=0.0,
+                        t_final=1.0, snap_t0=0.25, snap_h=0.5)
+    u0 = gaussian_pulse(cfg.grid())
+    # the full band on both sides, so the loop below needs no band rule
+    monkeypatch.setattr(Stepper, "start_band", lambda self, vh: self.nyq)
+    traj = evolve(u0, cfg)
+    stepper = Stepper(cfg)
+    vh = stepper.spectrum_of(u0.values)
+    vh[0] = 0.0
+    t, states = 0.0, [vh]
+    for target in cfg.snapshot_times()[1:]:
+        while t < target * (1.0 - 1e-12) - 1e-12:
+            remaining = target - t
+            h = remaining if remaining <= cfg.dt * (1.0 + 1e-9) else cfg.dt
+            vh = stepper.step_raw(vh, h, None)[0]
+            t = target if h == remaining else t + h
+        states.append(vh)
+    assert len(traj.snapshots) == len(states) == 6
+    for snap, state in zip(traj.snapshots, states):
+        assert np.array_equal(snap.uh, state)
+    assert traj.h_min == traj.h_max == cfg.dt and traj.rejected_steps == 0
+
+
+def test_controlled_steps_obey_the_phase_cap_and_hit_the_snapshots(
+        monkeypatch):
+    cfg = solver_config(n=1 << 11, length=256.0, dt=0.02, t_final=4.0,
+                        snap_t0=0.5, snap_h=0.5)
+    accepted, step_checked = [], Stepper.step_checked
+
+    def keep_step(self, vh, dt, nl_vh):
+        out = step_checked(self, vh, dt, nl_vh)
+        accepted.append(dt)
+        return out
+
+    monkeypatch.setattr(Stepper, "step_checked", keep_step)
+    traj = evolve(gaussian_pulse(cfg.grid()), cfg)
+    cap = 4.0 * np.pi / cfg.length
+    assert traj.times == cfg.snapshot_times()
+    assert len(accepted) == traj.steps and max(accepted) <= cap
+    # the cap, not the tolerance, sets the longest steps on this box
+    assert traj.h_max == cap and traj.h_min == cfg.dt
+
+
+def test_controlled_and_fixed_steps_agree_in_every_norm_column():
+    # the ref_grid box and horizon, where the phase cap (h <= 4 pi / L =
+    # 0.0157), not the tolerance, sets the step; n is cut to keep it cheap
+    cfg = solver_config(n=1 << 12, length=800.0, dt=0.01, t_final=16.0)
+    u0 = gaussian_pulse(cfg.grid())
+    controlled = evolve(u0, cfg)
+    fixed = evolve(u0, dataclasses.replace(cfg, step_tol=0.0))
+    assert controlled.steps < fixed.steps
+    assert controlled.times == fixed.times
+    for col in NormRecord.COLUMNS:
+        a = np.array([getattr(s.norms, col) for s in controlled.snapshots])
+        b = np.array([getattr(s.norms, col) for s in fixed.snapshots])
+        assert np.max(np.abs(a - b)) <= controlled_tol * np.max(np.abs(b)), col
 
 
 def test_snapshots_cache_consistent_derivatives(mini_traj):
@@ -347,19 +415,34 @@ def test_nonzero_mean_data_is_rejected_up_front():
         evolve(Field(g, np.exp(-g.x ** 2)), cfg)
 
 
-def test_violent_data_trips_the_per_step_growth_gate():
+def test_violent_data_makes_the_controller_reject_and_shrink(monkeypatch):
     cfg = solver_config(n=1 << 10, length=64.0, dt=0.25, t_final=2.0)
     u0 = gaussian_pulse(cfg.grid(), eps=3.0)
-    with pytest.raises(StepRejected, match="grew") as err:
-        evolve(u0, cfg)
-    traj = err.value.trajectory
-    assert traj.status == "StepRejected"
-    assert traj.halvings == cfg.max_halvings
+    trials, step_checked = [], Stepper.step_checked
+
+    def keep_trial(self, vh, dt, nl_vh):
+        trials.append(dt)
+        return step_checked(self, vh, dt, nl_vh)
+
+    monkeypatch.setattr(Stepper, "step_checked", keep_trial)
+    try:
+        traj = evolve(u0, cfg)
+    except StepRejected as err:
+        assert "step-size collapse" in str(err)
+        traj = err.trajectory
+        assert traj.status == "StepRejected"
+    else:
+        assert traj.times == cfg.snapshot_times()
+    # the first trial is dt, capped at 2 rad of row-1 phase; each rejection
+    # redoes the step smaller, by a factor of at least 0.2
+    assert trials[0] == min(cfg.dt, 4.0 * np.pi / cfg.length)
+    assert traj.rejected_steps > 0
+    assert min(trials) < trials[0]
 
 
 def test_cumulative_growth_trips_the_blowup_gate():
     cfg = solver_config(n=1 << 11, length=64.0, dt=0.005, t_final=2.0,
-                        growth_limit=1.10, snap_t0=0.05, snap_h=0.02)
+                        snap_t0=0.05, snap_h=0.02)
     u0 = gaussian_pulse(cfg.grid(), eps=1.2)
     with pytest.raises(BlowUp, match="grew") as err:
         evolve(u0, cfg)
