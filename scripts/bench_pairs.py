@@ -77,7 +77,7 @@ def metric_row(parent, change, spec, claimed):
     sign = 1.0 if spec["better"] == "lower" else -1.0
     row = {"parent": _side(parent), "change": _side(change)}
     p, c = row["parent"], row["change"]
-    row["wins"] = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    row["wins"] = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
     row["median_change_rel"] = c["median"] / p["median"] - 1.0
     gain = sign * (p["median"] - c["median"])
     if claimed:
