@@ -11,6 +11,10 @@ parent first in even pairs and the change first in odd ones, and keeps each
 end-to-end metric from the run's final result line.  The workload's entry
 ``<workload>_<seed>`` is written into ``--out``, which keeps the entries of
 earlier invocations, so one file collects several workloads and seeds.
+``--workload reference_evolve`` times, in the same alternating pairs, the
+``evolve`` call of the T = 200 reference run (README's quick start: the
+default config with T = 200, wrap_tol = 0.02) and counts its checked
+steps, which include the band redos.
 
 Each metric row holds both sides' runs, medians and quartiles, the pairs
 the change wins and the status defined in the file's ``status`` field: the
@@ -35,6 +39,25 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+REFERENCE_EVOLVE = "reference_evolve"
+EVOLVE_SNIPPET = """
+import json, time
+from shortpulse.config import default_config, with_overrides
+from shortpulse.evolve import Stepper, evolve
+cfg = with_overrides(default_config(), "solver", {"T": 200.0, "wrap_tol": 0.02})
+u0 = cfg.initial_field()
+calls, checked = [], Stepper.step_checked
+
+def count(self, *args):
+    calls.append(1)
+    return checked(self, *args)
+
+Stepper.step_checked = count
+start = time.perf_counter()
+evolve(u0, cfg.solver)
+print(json.dumps({"evolve_s": time.perf_counter() - start,
+                  "checked_steps": len(calls)}))
+"""
 
 QUARTILES = "numpy.percentile, linear interpolation, over the runs of one side"
 WIN = "the change's value is better than the parent's in the same pair " \
@@ -64,6 +87,14 @@ def run_once(tree, workload, seed, seconds):
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_evolve(tree):
+    """The reference evolve timed in ``tree`` -> {evolve_s, checked_steps}."""
+    proc = subprocess.run(
+        [sys.executable, "-c", EVOLVE_SNIPPET], cwd=tree, capture_output=True,
+        text=True, check=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+    return json.loads(proc.stdout)
 
 
 def _side(runs):
@@ -115,31 +146,54 @@ def main(argv=None):
     trees = {side: checkout(rev, work / side)
              for side, rev in zip(SIDES, (args.parent, args.change))}
 
+    evolve_only = args.workload == REFERENCE_EVOLVE
     first, results = [], {side: [] for side in SIDES}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         first.append(order[0])
         for side in order:
-            result = run_once(trees[side], args.workload, args.seed,
-                              bench["run_seconds"])
+            if evolve_only:
+                result = run_evolve(trees[side])
+                print(f"pair {i} {side}: {result['evolve_s']:.2f} s evolve, "
+                      f"{result['checked_steps']} checked steps", file=sys.stderr)
+            else:
+                result = run_once(trees[side], args.workload, args.seed,
+                                  bench["run_seconds"])
+                print(f"pair {i} {side}: "
+                      f"{result['metrics']['wall_s']['value']:.3f} s wall, "
+                      f"{result['failed']} failed", file=sys.stderr)
             results[side].append(result)
-            print(f"pair {i} {side}: "
-                  f"{result['metrics']['wall_s']['value']:.3f} s wall, "
-                  f"{result['failed']} failed", file=sys.stderr)
 
-    entry = {
-        "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-        "first": first,
-        "failed_operations": {s: [r["failed"] for r in results[s]] for s in SIDES},
-        "attempted_operations": {s: [r["attempted"] for r in results[s]]
-                                 for s in SIDES},
-        "metrics": {
-            name: metric_row(*([r["metrics"][name]["value"] for r in results[s]]
-                               for s in SIDES),
-                             spec, claimed=name == args.claim)
-            for name, spec in specs.items()
-        },
-    }
+    if evolve_only:
+        entry = {
+            "workload": args.workload,
+            "what": "seconds in evolve of the T = 200 reference run (the "
+                    "default config with T = 200, wrap_tol = 0.02), one fresh "
+                    "interpreter per run; checked_steps counts "
+                    "Stepper.step_checked calls, band redos included",
+            "pairs": args.pairs, "first": first,
+            "checked_steps": {s: [r["checked_steps"] for r in results[s]]
+                              for s in SIDES},
+            "metrics": {"evolve_s": metric_row(
+                *([r["evolve_s"] for r in results[s]] for s in SIDES),
+                specs["wall_s"], claimed=False)},
+        }
+    else:
+            entry = {
+            "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+            "first": first,
+            "failed_operations": {s: [r["failed"] for r in results[s]]
+                                  for s in SIDES},
+            "attempted_operations": {s: [r["attempted"] for r in results[s]]
+                                     for s in SIDES},
+            "metrics": {
+                name: metric_row(
+                    *([r["metrics"][name]["value"] for r in results[s]]
+                      for s in SIDES),
+                    spec, claimed=name == args.claim)
+                for name, spec in specs.items()
+            },
+        }
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -155,8 +209,8 @@ def main(argv=None):
                          if w["metrics"][args.claim]["status"].startswith("claim"))
         doc["claim"] = (f"{args.claim} on {', '.join(claimed)} (workload_seed) "
                         "drops: the change must win at least nine tenths of "
-                        "the pairs and its median must beat the parent's by more than the "
-                        "parent's interquartile distance")
+                        "the pairs and its median must beat the parent's by "
+                        "more than the parent's interquartile distance")
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
