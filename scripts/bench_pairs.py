@@ -179,7 +179,7 @@ def main(argv=None):
                 specs["wall_s"], claimed=False)},
         }
     else:
-            entry = {
+        entry = {
             "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
             "first": first,
             "failed_operations": {s: [r["failed"] for r in results[s]]

@@ -48,10 +48,11 @@ MIN_BAND = 16  # the narrowest band a run starts on
 # Largest linear phase h / xi_1 of an error-controlled step on row 1
 # (xi_1 = 2 pi / L), so h <= 4 pi / L.  The embedded estimate does not see
 # the error of the slowest rows: on the reference grid (n = 2^15, L = 800,
-# T = 16) at step_tol 1e-10 and no cap, it accepted steps of 13.9 rad on
-# row 1 and left a 4.8e-6 field error against fixed dt = 0.01.  Capped at
-# 2 rad, the worst norms.csv column stays within 7.4e-9 of its scale; 3
-# rad gave 7.5e-8 and 6 rad 5.4e-6, against the tests' 1e-8.
+# T = 16) at step_tol 1e-10 and no cap, it accepted steps of 14.5 rad on
+# row 1 and left an error of 1.1e-5 of max|v^| in the final spectrum
+# against fixed dt = 0.01.  Capped at 2 rad, the worst norms.csv column
+# stays within 7.4e-9 of its scale; 3 rad gave 7.5e-8 and 6 rad 5.4e-6,
+# against the tests' 1e-8.
 PHASE_CAP = 2.0
 
 
