@@ -19,9 +19,10 @@ steps, which include the band redos.
 Each metric row holds both sides' runs, medians and quartiles, the pairs
 the change wins and the status defined in the file's ``status`` field: the
 claimed metric (``--claim``) is "claim met" when the change wins at least
-nine tenths of the pairs and its median beats the parent's by more than the
-parent's interquartile distance; every other row compares the medians
-against the metric's BENCHMARK.json bound.
+nine tenths of the pairs, its median beats the parent's by more than the
+parent's interquartile distance and its runs fail no more operations in sum
+than the parent's; every other row compares the medians against the
+metric's BENCHMARK.json bound.
 """
 
 import argparse
@@ -62,8 +63,10 @@ print(json.dumps({"evolve_s": time.perf_counter() - start,
 QUARTILES = "numpy.percentile, linear interpolation, over the runs of one side"
 WIN = "the change's value is better than the parent's in the same pair " \
       "(lower for every metric here)"
-STATUS = ("claim: met or not met by the rule above; other rows: 'lower in "
-          "every run' when every change run beats every parent run, else "
+STATUS = ("claim: met or not met by the rule above, and not met whenever "
+          "the change's runs fail more operations in sum than the parent's; "
+          "other rows: 'lower in every run' when every change run beats "
+          "every parent run, else "
           "'unresolved' when either side's interquartile distance over its "
           "median exceeds the metric's BENCHMARK.json bound, else 'within "
           "bound' when the change's median is no worse than the parent's by "
@@ -103,8 +106,9 @@ def _side(runs):
             "runs": runs}
 
 
-def metric_row(parent, change, spec, claimed):
-    """Both sides' statistics of one metric and its status."""
+def metric_row(parent, change, spec, claimed, failed):
+    """Both sides' statistics of one metric and its status; ``failed``
+    holds the (parent, change) sums of failed operations over the runs."""
     sign = 1.0 if spec["better"] == "lower" else -1.0
     row = {"parent": _side(parent), "change": _side(change)}
     p, c = row["parent"], row["change"]
@@ -113,7 +117,7 @@ def metric_row(parent, change, spec, claimed):
     gain = sign * (p["median"] - c["median"])
     if claimed:
         met = (row["wins"] >= math.ceil(0.9 * len(parent))
-               and gain > p["q3"] - p["q1"])
+               and gain > p["q3"] - p["q1"] and failed[1] <= failed[0])
         row["status"] = "claim met" if met else "claim not met"
     elif all(sign * (a - b) > 0 for a in parent for b in change):
         row["status"] = "lower in every run"
@@ -176,21 +180,22 @@ def main(argv=None):
                               for s in SIDES},
             "metrics": {"evolve_s": metric_row(
                 *([r["evolve_s"] for r in results[s]] for s in SIDES),
-                specs["wall_s"], claimed=False)},
+                specs["wall_s"], claimed=False, failed=(0, 0))},
         }
     else:
+        failed = {s: [r["failed"] for r in results[s]] for s in SIDES}
         entry = {
             "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
             "first": first,
-            "failed_operations": {s: [r["failed"] for r in results[s]]
-                                  for s in SIDES},
+            "failed_operations": failed,
             "attempted_operations": {s: [r["attempted"] for r in results[s]]
                                      for s in SIDES},
             "metrics": {
                 name: metric_row(
                     *([r["metrics"][name]["value"] for r in results[s]]
                       for s in SIDES),
-                    spec, claimed=name == args.claim)
+                    spec, claimed=name == args.claim,
+                    failed=tuple(sum(failed[s]) for s in SIDES))
                 for name, spec in specs.items()
             },
         }

@@ -20,7 +20,6 @@ elliptic remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -111,22 +110,6 @@ class CutoffSpec:
 # ----------------------------------------------------------------------
 # traveling / elliptic splitting
 
-@dataclass
-class Decomposition:
-    """Result of :func:`hyp_ell_decompose` at one time: complex node values
-    on the snapshot's grid.
-
-    ``hyp_plus`` is the sum of the windowed band pieces over scales N <= t;
-    ``ell_plus`` is defined as u^+ - hyp_plus, so the parts recompose u^+
-    exactly by construction, and u = 2 Re(hyp_plus + ell_plus) for a real
-    zero-mean u with an empty Nyquist row.
-    """
-
-    u_plus: np.ndarray
-    hyp_plus: np.ndarray
-    ell_plus: np.ndarray
-
-
 def _window_on_support(grid, t, scale, spec):
     """The spatial window of band N at time t, selecting x ~ -t/N^2 (the
     stationary region of the band's group lines): (slice, values) on the
@@ -171,24 +154,23 @@ def _plus_band_symbol(grid, delta, scale):
 
 
 def hyp_ell_decompose(snap, spec):
-    """Split a snapshot's u into a traveling part (frequency bands windowed
-    around their group lines x ~ -t/N^2) and the exact elliptic complement.
+    """The traveling part hyp^+ of a snapshot's u: its frequency bands
+    windowed around their group lines x ~ -t/N^2, as complex node values.
 
-    Requires t >= 1.  The traveling part is 2 Re sum_{N <= t} w_N P_N P^+ u
-    over lattice scales with grid content; the elliptic part is defined as
-    u minus the traveling part, so recomposition is exact by construction.
-    Each band and u^+ are filled from the rows 0 < k < n/2 of the
-    snapshot's rfft ``uh`` and inverted by one n-point complex ifft: the
-    continuum normalization of P_N P^+ cancels between its two transforms.
-    Bands whose window misses every node add nothing and are not inverted.
+    Requires t >= 1.  hyp^+ = sum_{N <= t} w_N P_N P^+ u over lattice
+    scales with grid content; the elliptic remainder of the split is
+    u - 2 Re hyp^+, which the caller takes from the real field.  Each band
+    is filled from the rows 0 < k < n/2 of the snapshot's rfft ``uh`` and
+    inverted by one n-point complex ifft: the continuum normalization of
+    P_N P^+ cancels between its two transforms.  Bands whose window misses
+    every node add nothing and are not inverted.
     """
     t = snap.t
     if not t >= 1.0:
         raise ValueError(f"decomposition needs t >= 1, got t = {t}")
     g = snap.u.grid
-    nyq = g.n // 2
     lo = g.dxi * 2.0 ** (-spec.delta)
-    hi = min(t, g.dxi * nyq * 2.0 ** spec.delta)
+    hi = min(t, g.dxi * (g.n // 2) * 2.0 ** spec.delta)
     total = np.zeros(g.n, dtype=np.complex128)
     if lo <= hi:
         for scale in spec.lattice(lo, hi):
@@ -201,7 +183,4 @@ def hyp_ell_decompose(snap, spec):
             band_h = np.zeros(g.n, dtype=np.complex128)
             band_h[rows] = sym * snap.uh[rows]
             total[support] += w * np.fft.ifft(band_h)[support]
-    plus_h = np.zeros(g.n, dtype=np.complex128)
-    plus_h[1:nyq] = snap.uh[1:nyq]
-    u_plus = np.fft.ifft(plus_h)
-    return Decomposition(u_plus=u_plus, hyp_plus=total, ell_plus=u_plus - total)
+    return total

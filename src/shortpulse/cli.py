@@ -105,14 +105,9 @@ def cmd_simulate(args):
     rows = [monitor_row(snap) for snap in traj.snapshots]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "bin" in cfg.formats:
-        storage.save_trajectory(out_dir, traj, cfg.raw, chash)
-        written.append(storage.MANIFEST_NAME)
-    if "csv" in cfg.formats:
-        header = list(norms.NormRecord.COLUMNS) + list(norms.MONITOR_COLUMNS)
-        storage.write_csv(out_dir / "norms.csv", header, rows, chash)
-        written.append("norms.csv")
+    storage.save_trajectory(out_dir, traj, cfg.raw, chash)
+    header = list(norms.NormRecord.COLUMNS) + list(norms.MONITOR_COLUMNS)
+    storage.write_csv(out_dir / "norms.csv", header, rows, chash)
 
     last = traj.snapshots[-1].norms if traj.snapshots else None
     summary = {
@@ -122,7 +117,7 @@ def cmd_simulate(args):
         "config_hash": chash,
         "code_version": __version__,
         "out_dir": str(out_dir),
-        "files": written,
+        "files": [storage.MANIFEST_NAME, "norms.csv"],
         "snapshots": len(traj.snapshots),
         "final_t": _jsonable(traj.snapshots[-1].t) if traj.snapshots else None,
         **{name: getattr(traj, name) for name in storage.PROVENANCE
@@ -147,8 +142,9 @@ def cmd_simulate(args):
 def _probe_times(cfg, t_max):
     """The cadence the probe stage requires: t0 * r^j up to the stored end."""
     t0 = cfg.solver.snap_t0
-    if t0 <= 0.0:
-        raise ConfigError("probing needs solver.snap_t0 > 0 (a first probe time)")
+    if t0 < 1.0:
+        raise ConfigError("probing needs solver.snap_t0 >= 1 (the packets "
+                          f"need t >= 1), got {t0:g}")
     r = cfg.probe.cadence_ratio
     times = []
     t = t0
@@ -439,13 +435,17 @@ def _selftest_checks():
         1e-10,
     ))
 
+    # the monitors' elliptic part u - 2 Re hyp^+ against 2 Re(P^+ u - hyp^+)
     snap = Snapshot(30.0, u)
-    dec = bands.hyp_ell_decompose(snap, cut)
-    recon = 2.0 * np.real(dec.hyp_plus + dec.ell_plus)
+    hyp = bands.hyp_ell_decompose(snap, cut)
+    plus_h = np.zeros(g.n, dtype=np.complex128)
+    plus_h[1:g.n // 2] = snap.uh[1:g.n // 2]
+    ell = u.values - 2.0 * np.real(hyp)
+    recon = 2.0 * np.real(np.fft.ifft(plus_h) - hyp)
     scale_u = float(np.max(np.abs(u.values)))
     checks.append((
         "hyp_ell_recomposition",
-        float(np.max(np.abs(recon - u.values)) / scale_u),
+        float(np.max(np.abs(recon - ell)) / scale_u),
         1e-12,
     ))
 

@@ -2,15 +2,16 @@
 
 INI-style files (``configparser`` flavour, ``key = value``), one section per
 concern; :data:`_SCHEMA` declares every key once, with its parser, its
-default and the constructor field it fills.  Unknown sections or keys are errors (fail-closed), and every module
-precondition that can be checked from the numbers alone is checked at load
-time, so a config that loads is a config that runs.  Each range check lives
-on the type that holds the value (:class:`SolverConfig`,
-:class:`PacketParams`, :class:`ExperimentConfig`), so a stored trajectory's
-solver settings pass the same checks; :func:`_validate` adds only the
-checks that span two sections or read the file system.  The solver has one
-path -- IFRK4 with the exactly padded cubic -- so there is no key selecting an
-integrator, a dealias mode or a power.  The effective values -- defaults and
+default and the constructor field it fills.  Unknown sections or keys are
+errors (fail-closed), and every module precondition that can be checked from
+the numbers alone is checked at load time, so a config that loads is a
+config that runs.  Each range check lives on the type that holds the value
+(:class:`SolverConfig`, :class:`PacketParams`, :class:`ExperimentConfig`),
+so a stored trajectory's solver settings pass the same checks;
+:func:`_validate` adds only the checks that span two sections.  The solver
+has one path -- IFRK4 with the exactly padded cubic -- so there is no key
+selecting an integrator, a dealias mode or a power, and one datum, the
+Gaussian derivative of ``[initial]``.  The effective values -- defaults and
 command-line overrides filled in -- are hashed (sha256, 16 hex digits) by
 :meth:`ExperimentConfig.hash`, the one identity of a run, and that hash is
 stamped on every output file a run produces.
@@ -20,20 +21,15 @@ import configparser
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counterexample import MIN_SCALE
-from .errors import ConfigError, CorruptSnapshot, check_ranges
+from .errors import ConfigError, check_ranges
 from .evolve import SolverConfig
 from .packets import PacketParams, alpha_ceiling
 from .spectral import Field
-from . import storage
-
-_FORMATS = ("bin", "csv", "json")
-_INITIAL_KINDS = ("gaussian_derivative", "file")
 
 
 def _parse_int(text):
@@ -61,14 +57,6 @@ def _parse_velocities(text):
     return values
 
 
-def _parse_formats(text):
-    values = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    for tok in values:
-        if tok not in _FORMATS:
-            raise ValueError(f"unknown format {tok!r} (choose from {_FORMATS})")
-    return values
-
-
 # the 17 probe rays -4 .. -1/4 a quarter octave apart: velocities = default
 DEFAULT_VELOCITIES = tuple(-(2.0 ** (k / 4.0)) for k in range(-8, 9))
 
@@ -91,10 +79,8 @@ _SCHEMA = {
         "blowup_factor": (_parse_float, 2.0, "solver.blowup_factor"),
     },
     "initial": {
-        "kind": (_parse_str, "gaussian_derivative", "initial_kind"),
         "epsilon": (_parse_float, 0.1, "epsilon"),
         "width": (_parse_float, 1.0, "width"),
-        "path": (_parse_str, "", "initial_path"),
     },
     "norms": {"s": (_parse_float, 4.5, "solver.sobolev_s")},
     "decomposition": {"delta": (_parse_float, 1.0, "probe.band_delta")},
@@ -109,10 +95,7 @@ _SCHEMA = {
         "N_min": (_parse_int, 32, "n_min"),
         "N_max": (_parse_int, 1024, "n_max"),
     },
-    "output": {
-        "dir": (_parse_str, "out", "output_dir"),
-        "formats": (_parse_formats, _FORMATS, "formats"),
-    },
+    "output": {"dir": (_parse_str, "out", "output_dir")},
 }
 
 # field name -> (section, key, owner) of each row, the owner "solver",
@@ -133,22 +116,17 @@ class ExperimentConfig:
     """Validated, fully-defaulted settings for one experiment."""
 
     solver: SolverConfig
-    initial_kind: str
     epsilon: float
     width: float
-    initial_path: str
     probe: PacketParams
     rho: float
     n_min: int
     n_max: int
     output_dir: str
-    formats: tuple
     raw: dict
 
     def __post_init__(self):
         check_ranges(self, (
-            ("initial_kind", lambda v: v in _INITIAL_KINDS,
-             f"be one of {_INITIAL_KINDS}"),
             ("width", lambda v: v > 0.0, "be positive"),
             ("rho", lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"),
             ("n_min", _dyadic_scale, f"be a power of two >= {MIN_SCALE}"),
@@ -168,16 +146,11 @@ class ExperimentConfig:
         return scales
 
     def initial_field(self):
+        """The datum: epsilon times the derivative of exp(-(x/width)^2)."""
         grid = self.solver.grid()
-        if self.initial_kind == "gaussian_derivative":
-            x, w = grid.x, self.width
-            values = self.epsilon * (-2.0 * x / w**2) * np.exp(-((x / w) ** 2))
-            return Field(grid, values)
-        try:
-            _, fld = storage.read_field(self.initial_path, grid)
-        except CorruptSnapshot as exc:
-            raise ConfigError(f"initial.path: {exc}") from exc
-        return fld
+        x, w = grid.x, self.width
+        values = self.epsilon * (-2.0 * x / w**2) * np.exp(-((x / w) ** 2))
+        return Field(grid, values)
 
 
 def _raw_defaults():
@@ -203,8 +176,8 @@ def _read_ini(path):
 
 
 def _validate(cfg):
-    """The checks that span two sections or read the file system; raises
-    ConfigError naming the offending key."""
+    """The checks that span two sections; raises ConfigError naming the
+    offending key."""
     sol, prb = cfg.solver, cfg.probe
     # scatter probes t0 * r^j and needs a stored snapshot at each, so r must
     # step a whole number of snapshot intervals 2^snap_h; the slack is far
@@ -223,11 +196,6 @@ def _validate(cfg):
             "probe.alpha")
     if cfg.n_min > cfg.n_max:
         raise ConfigError("must not exceed N_max", "appendix.N_min")
-    if cfg.initial_kind == "file":
-        if not cfg.initial_path:
-            raise ConfigError("required when initial.kind = file", "initial.path")
-        if not os.path.exists(cfg.initial_path):
-            raise ConfigError(f"no such file: {cfg.initial_path}", "initial.path")
 
 
 def _build(raw):

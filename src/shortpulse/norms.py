@@ -200,8 +200,8 @@ def decomposition_monitors(snap, spec, s):
     * ``p32_hyp``:   sup_x |u^{hyp,+}| / [t^{-1/2} min((|x|/t)^{s/4-1/2},
       (|x|/t)^{-3/4}) ||u||_{X^s}]
     * ``p32_hyp_x``: the same with dx u^{hyp,+} and exponents (s/4-1, -5/4)
-    * ``p32_ell``:   ||2 Re u^{ell,+}||_inf / [t^{-(2s-1)/(2s+2)} (1+log t)
-      ||u||_{X^s}]
+    * ``p32_ell``:   ||u - 2 Re u^{hyp,+}||_inf / [t^{-(2s-1)/(2s+2)}
+      (1+log t) ||u||_{X^s}]
     * ``p32_ell_x``: the derivative analogue with exponent (2s-3)/(2s+2)
     * ``c34_jwt``:   || sqrt|x| J_+ dx u^{hyp,+} ||_{L2} / ||u||_{X^s}
 
@@ -216,7 +216,7 @@ def decomposition_monitors(snap, spec, s):
     xs = snap.norms.Xs
     if xs == 0.0:
         return dict.fromkeys(MONITOR_COLUMNS, 0.0)
-    dec = hyp_ell_decompose(snap, spec)
+    hyp = hyp_ell_decompose(snap, spec)
     neg = g.x < 0.0
     r = np.abs(g.x[neg]) / t
 
@@ -226,18 +226,15 @@ def decomposition_monitors(snap, spec, s):
 
     # dx u^{hyp,+}: the windowed sum is not band-limited, so it takes a
     # whole-grid transform pair; i xi is zero on the Nyquist row
-    hyp = dec.hyp_plus
     ik = 1j * g.xi
     ik[g.n // 2] = 0.0
     hyp_x = np.fft.ifft(ik * np.fft.fft(hyp))
     ell_decay = t ** (-(2 * s - 1) / (2 * s + 2)) * (1 + np.log(t))
     ellx_decay = t ** (-(2 * s - 3) / (2 * s + 2)) * (1 + np.log(t))
-    ell = 2.0 * np.real(dec.ell_plus)
-    # dx u^{ell,+} = P^+ u_x - dx u^{hyp,+}, P^+ u_x on the rows of u^+
-    nyq = g.n // 2
-    ux_plus = np.zeros(g.n, dtype=np.complex128)
-    ux_plus[1:nyq] = ik[1:nyq] * snap.uh[1:nyq]
-    ell_x = 2.0 * np.real(np.fft.ifft(ux_plus) - hyp_x)
+    # the elliptic part from the real field: u = 2 Re u^+ when the xi = 0
+    # and Nyquist rows are zero, as on every snapshot simulate takes
+    ell = snap.u.values - 2.0 * np.real(hyp)
+    ell_x = snap.u_x.values - 2.0 * np.real(hyp_x)
     # dx^{-1} hyp_x is hyp without its xi = 0 and Nyquist rows: its mean
     # and its projection on the alternating mode (-1)^j (the FFT phase
     # (-1)^k, since k and j share parity)

@@ -79,7 +79,7 @@ def test_mass_and_mean_conservation(reference, rows):
     assert np.max(np.abs(l2 - l2[0])) / l2[0] <= 1e-8    # measured 9.8e-15
     worst_mean = max(abs(mean_coefficient(s.u.grid, s.u.values))
                      for s in reference.snapshots)
-    assert worst_mean <= 1e-10                           # measured 7.8e-17
+    assert worst_mean <= 1e-10                           # measured 1.05e-17
 
 
 def test_h1_flux_identity(rows):
@@ -89,7 +89,7 @@ def test_h1_flux_identity(rows):
     flux = np.array([r.h1_rate_flux for r in rows])
     scale = np.max(np.abs(flux))
     rel = np.abs(fd - flux) / np.maximum(np.abs(flux), 1e-12 * scale)
-    assert np.max(rel) <= 1e-3                           # measured 4.0e-4
+    assert np.max(rel) <= 1e-3                           # measured 1.472e-4
 
 
 def test_sup_norm_decay_rate(rows):

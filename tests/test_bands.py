@@ -164,20 +164,20 @@ def test_signed_projections_split_mass_evenly(cutoff):
 
 
 def test_traveling_and_elliptic_parts_recompose_exactly(cutoff):
+    # the elliptic part the monitors take from the real field, u - 2 Re
+    # hyp^+, is 2 Re(P^+ u - hyp^+) with P^+ u from the oracle
     g = Grid(1 << 10, 256.0)
     u = broadband_field(g)
-    dec = hyp_ell_decompose(Snapshot(16.0, u), cutoff)
-    total = dec.hyp_plus + dec.ell_plus
-    assert np.max(np.abs(total - dec.u_plus)) < recomposition_tol
-    back = 2.0 * np.real(total)
-    assert np.max(np.abs(back - u.values)) < recomposition_tol
+    hyp = hyp_ell_decompose(Snapshot(16.0, u), cutoff)
+    ell = u.values - 2.0 * np.real(hyp)
+    ell_plus = project_sign(g, u.values, +1) - hyp
+    assert np.max(np.abs(2.0 * np.real(ell_plus) - ell)) < recomposition_tol
 
 
 def test_traveling_part_lives_left_of_the_origin(cutoff):
     g = Grid(1 << 10, 256.0)
     u = broadband_field(g)
-    dec = hyp_ell_decompose(Snapshot(16.0, u), cutoff)
-    hyp = 2.0 * np.real(dec.hyp_plus)
+    hyp = 2.0 * np.real(hyp_ell_decompose(Snapshot(16.0, u), cutoff))
     assert np.max(np.abs(hyp[g.x >= 0.0])) == 0.0
     assert np.max(np.abs(hyp)) > 0.0
 
@@ -214,7 +214,7 @@ def decompose_band_by_band(u, t, spec, invert):
     ``invert(symbol)`` and windowed on the whole grid: the oracle for the
     cached symbols, the skipped empty-window bands, the windows evaluated
     on their support and the summation into one total.  Returns
-    (u_plus, hyp_plus, ell_plus, the number of empty-window bands)."""
+    (hyp_plus, the number of empty-window bands)."""
     g = u.grid
     lo = g.dxi * 2.0 ** (-spec.delta)
     hi = min(float(t), g.dxi * (g.n // 2) * 2.0 ** spec.delta)
@@ -235,8 +235,7 @@ def decompose_band_by_band(u, t, spec, invert):
         assert np.max(np.abs(w - plain)) <= window_rounding_tol
         total += w * band_plus
         empty += not np.any(w)
-    u_plus = invert(plus_mask)
-    return u_plus, total, u_plus - total, empty
+    return total, empty
 
 
 def noise_field(grid, seed=7):
@@ -260,14 +259,10 @@ def noise_field(grid, seed=7):
 def test_decomposition_is_bit_identical_to_the_band_by_band_split(
         cutoff, n, length, t, some_empty):
     u = noise_field(Grid(n, length))
-    u_plus, hyp, ell, empty = decompose_band_by_band(u, t, cutoff,
-                                                     from_rfft_rows(u))
+    hyp, empty = decompose_band_by_band(u, t, cutoff, from_rfft_rows(u))
     assert (empty > 0) == some_empty
     for _ in range(2):  # the second pass reads the cached band symbols
-        dec = hyp_ell_decompose(Snapshot(t, u), cutoff)
-        assert np.array_equal(dec.u_plus, u_plus)
-        assert np.array_equal(dec.hyp_plus, hyp)
-        assert np.array_equal(dec.ell_plus, ell)
+        assert np.array_equal(hyp_ell_decompose(Snapshot(t, u), cutoff), hyp)
     assert np.max(np.abs(hyp)) > 0.0
 
 
@@ -277,11 +272,10 @@ def test_decomposition_matches_the_continuum_normalized_split(cutoff, t):
     # and inverse transforms, so the rfft-row split agrees with the
     # whole-grid one to rounding
     u = noise_field(Grid(1 << 10, 256.0))
-    want = decompose_band_by_band(u, t, cutoff, from_continuum_transform(u))
-    dec = hyp_ell_decompose(Snapshot(t, u), cutoff)
-    scale = np.max(np.abs(want[0]))
-    for got, ref in zip((dec.u_plus, dec.hyp_plus, dec.ell_plus), want):
-        assert np.max(np.abs(got - ref)) <= continuum_split_tol * scale
+    want, _ = decompose_band_by_band(u, t, cutoff, from_continuum_transform(u))
+    got = hyp_ell_decompose(Snapshot(t, u), cutoff)
+    scale = np.max(np.abs(project_sign(u.grid, u.values, +1)))
+    assert np.max(np.abs(got - want)) <= continuum_split_tol * scale
 
 
 def test_decomposition_needs_unit_time(cutoff):

@@ -37,8 +37,8 @@ TINY_INI = textwrap.dedent("""\
     epsilon = 0.1
 """)
 
-TINY_HASH = "a466f2d708bb296f"
-RETUNED_HASH = "72960b2b987e534a"   # same run with dt = 0.01
+TINY_HASH = "b8edf15ff0634c07"
+RETUNED_HASH = "cb16d281352d2fa4"   # same run with dt = 0.01
 
 # measured at the fixed dt = 0.02 that TINY_INI pins with step_tol = 0
 tiny_final_norms = {"L2": 0.11195151349202641, "Linf": 0.08519106086423486,
@@ -137,8 +137,7 @@ def test_simulate_reports_the_step_controller(tmp_path):
     # the tiny run at the default step_tol: two steps are redone smaller
     # and the longest steps exceed dt
     ini = tmp_path / "controlled.ini"
-    ini.write_text(TINY_INI.replace("step_tol = 0\n", "")
-                   + "[output]\nformats = json\n")
+    ini.write_text(TINY_INI.replace("step_tol = 0\n", ""))
     proc = run_cli("simulate", "--config", str(ini), "--out",
                    str(tmp_path / "run"))
     assert proc.returncode == 0
@@ -210,6 +209,26 @@ def test_scatter_counts_the_probes_it_skips(mini_traj, tmp_path):
     assert stored["skipped_probes"] == summary["skipped_probes"]
     assert "12 probe records, 5 (t, v) skipped; v=-4 OutOfBox x1" \
         in proc.stderr
+
+
+def test_scatter_rejects_probe_times_before_one(tmp_path):
+    # snapshots from t = 0.5, which the packets cannot probe (they need
+    # t >= 1): scatter reports a ConfigError instead of a traceback
+    ini = tmp_path / "early.ini"
+    ini.write_text("[solver]\nn = 0x400\nL = 64\ndt = 0.02\nT = 4\n"
+                   "snap_t0 = 0.5\nsnap_h = 0.5\nwrap_tol = 1.0\n"
+                   f"[probe]\ncadence_ratio = {2.0 ** 0.5!r}\n")
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", str(ini), "--out",
+                   str(out)).returncode == 0
+    proc = run_cli("scatter", "--config", str(ini), "--traj", str(out),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["command"] == "scatter"
+    assert summary["status"] == "ConfigError"
+    assert "solver.snap_t0 >= 1" in summary["error"]
 
 
 def test_scatter_refuses_a_mismatched_config_hash(tiny_run, tmp_path):
@@ -330,9 +349,8 @@ OUT_OF_RANGE = [
     ("solver.wrap_tol", "0", ""), ("solver.wrap_tol", "1.5", ""),
     ("solver.outer_frac", "0.5", ""), ("solver.snap_t0", "-1", ""),
     ("solver.snap_t0", "64", "T = 32"), ("solver.snap_h", "0", ""),
-    ("solver.step_tol", "-1e-10", ""), ("solver.blowup_factor", "0.5", ""), ("initial.kind", "bogus", ""),
-    ("initial.width", "0", ""), ("initial.path", "", "kind = file"),
-    ("initial.path", "no/such.bin", "kind = file"), ("norms.s", "2.5", ""),
+    ("solver.step_tol", "-1e-10", ""), ("solver.blowup_factor", "0.5", ""),
+    ("initial.width", "0", ""), ("norms.s", "2.5", ""),
     ("decomposition.delta", "0", ""), ("probe.delta_p", "0", ""),
     ("probe.alpha", "0", ""), ("probe.alpha", "0.05", ""),
     ("probe.velocities", "-1, 0.5", ""), ("probe.cadence_ratio", "1", ""),
@@ -353,7 +371,10 @@ def test_an_out_of_range_value_names_its_key(tmp_path, key, value, extra):
 
 
 # integrator, dealias and power selected the retired ETDRK4, two-thirds and
-# p = 2 paths; growth_limit and max_halvings set the retired step halving
+# p = 2 paths; growth_limit and max_halvings set the retired step halving;
+# initial.kind and initial.path read the retired file datum, and
+# output.formats selected the retired partial outputs.  A key without a
+# section is a [solver] key.
 @pytest.mark.parametrize("key, value", [
     ("bogus_knob", "3"),
     ("integrator", "etdrk4"),
@@ -361,13 +382,19 @@ def test_an_out_of_range_value_names_its_key(tmp_path, key, value, extra):
     ("power", "2"),
     ("growth_limit", "1.10"),
     ("max_halvings", "4"),
+    ("initial.kind", "gaussian_derivative"),
+    ("initial.path", "datum.bin"),
+    ("output.formats", "bin,csv"),
 ])
 def test_unknown_config_keys_fail_closed(tmp_path, key, value):
+    section, _, name = key.rpartition(".")
+    section = section or "solver"
     ini = tmp_path / "bad.ini"
-    ini.write_text(f"[solver]\nn = 0x400\n{key} = {value}\n")
+    ini.write_text("[solver]\nn = 0x400\n" + ("" if section == "solver" else
+                   f"[{section}]\n") + f"{name} = {value}\n")
     proc = run_cli("simulate", "--config", str(ini), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
-    assert f"unknown config key solver.{key}" in proc.stderr
+    assert f"unknown config key {section}.{name}" in proc.stderr
 
 
 def test_the_readme_config_block_shows_the_schema_defaults():

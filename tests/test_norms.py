@@ -37,6 +37,7 @@ from oracles import (
     mean_coefficient,
     norm_record,
     project_band,
+    project_sign,
 )
 
 # ---- frozen mini-trajectory readings ---------------------------------
@@ -61,7 +62,7 @@ c34_bounded_ceiling = 1.0             # measured max 0.246 (trend recorded)
 
 # ---- frozen synthetic-oracle readings --------------------------------
 record_rounding_tol = 1e-14           # measured 3.4e-15 (uxLinf)
-monitor_rounding_tol = 1e-14          # measured 4.3e-15 (p32_ell_x)
+monitor_rounding_tol = 1e-14          # measured 3.5e-15 (p32_ell_x)
 jconj_tol = 1e-8                      # measured 5.6e-10
 jplus_tol = 1e-6                      # measured 6.1e-12
 scaling_tol = 1e-10
@@ -183,19 +184,24 @@ def test_record_norms_match_their_full_transform_forms(mini_traj):
 
 
 def test_monitors_match_their_transform_pair_forms(mini_traj, cutoff):
-    # dx u^{ell,+} and dx^{-1} dx u^{hyp,+} by derivative / antiderivative
-    # transform pairs, as the monitors' definitions read
+    # u^{ell,+} = P^+ u - u^{hyp,+} with P^+ u from the oracle's sign
+    # projection, and dx u^{ell,+} and dx^{-1} dx u^{hyp,+} by derivative /
+    # antiderivative transform pairs, as the monitors' definitions read
     s = 4.5
     for snap in [snap for snap in mini_traj.snapshots if snap.t >= 1.0][::4]:
         t, g, xs = snap.t, snap.u.grid, snap.norms.Xs
         got = decomposition_monitors(snap, cutoff, s)
-        dec = hyp_ell_decompose(snap, cutoff)
-        ell_x = 2.0 * np.real(derivative(g, dec.ell_plus))
-        decay = t ** (-(2 * s - 3) / (2 * s + 2)) * (1 + np.log(t))
-        jwt = jplus_field(t, g, derivative(g, dec.hyp_plus))
+        hyp = hyp_ell_decompose(snap, cutoff)
+        ell_plus = project_sign(g, snap.u.values, +1) - hyp
+        ell_x = 2.0 * np.real(derivative(g, ell_plus))
+        log_t = 1 + np.log(t)
+        jwt = jplus_field(t, g, derivative(g, hyp))
         weighted = np.sqrt(np.abs(g.x)) * jwt
         want = {
-            "p32_ell_x": np.max(np.abs(ell_x)) / (decay * xs),
+            "p32_ell": np.max(np.abs(2.0 * np.real(ell_plus)))
+            / (t ** (-(2 * s - 1) / (2 * s + 2)) * log_t * xs),
+            "p32_ell_x": np.max(np.abs(ell_x))
+            / (t ** (-(2 * s - 3) / (2 * s + 2)) * log_t * xs),
             "c34_jwt": np.sqrt(g.dx * np.sum(np.abs(weighted) ** 2)) / xs,
         }
         for name, value in want.items():
