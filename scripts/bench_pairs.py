@@ -14,7 +14,12 @@ earlier invocations, so one file collects several workloads and seeds.
 ``--workload reference_evolve`` times, in the same alternating pairs, the
 ``evolve`` call of the T = 200 reference run (README's quick start: the
 default config with T = 200, wrap_tol = 0.02) and counts its checked
-steps, which include the band redos.
+steps, which include the band redos.  ``evolve`` fills each snapshot's
+whole norms.csv row, so the timed call includes the decomposition
+monitors: on a 2-core x86_64 host (Python 3.11.7, numpy 2.4.6) they took
+0.48-0.62 s over the run's 63 snapshots at t >= 1, about 8 ms each at
+n = 2^15.  An ``evolve_s`` of a commit whose ``evolve`` leaves the
+monitors out, such as BENCH_19.json's 48.1 s, does not compare with it.
 
 Each metric row holds both sides' runs, medians and quartiles, the pairs
 the change wins and the status defined in the file's ``status`` field: the

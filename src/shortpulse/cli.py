@@ -55,8 +55,6 @@ def _emit(document):
 
 def _jsonable(value):
     """nan/inf have no strict-JSON encoding; map them to null."""
-    if value is None:
-        return None
     value = float(value)
     return value if np.isfinite(value) else None
 
@@ -92,22 +90,9 @@ def cmd_simulate(args):
     _log(f"simulate: {traj.steps} steps ({traj.rejected_steps} rejected"
          f"{steps}); stepped band K={traj.band} of {cfg.solver.n // 2}, "
          f"widened at t={widened}")
-    cut = bands.CutoffSpec(cfg.probe.band_delta)
-
-    def monitor_row(snap):
-        base = snap.norms.as_row()
-        if snap.t >= 1.0:
-            mon = norms.decomposition_monitors(snap, cut, cfg.solver.sobolev_s)
-        else:
-            mon = dict.fromkeys(norms.MONITOR_COLUMNS, float("nan"))
-        return base + [mon[c] for c in norms.MONITOR_COLUMNS]
-
-    rows = [monitor_row(snap) for snap in traj.snapshots]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     storage.save_trajectory(out_dir, traj, cfg.raw, chash)
-    header = list(norms.NormRecord.COLUMNS) + list(norms.MONITOR_COLUMNS)
-    storage.write_csv(out_dir / "norms.csv", header, rows, chash)
 
     last = traj.snapshots[-1].norms if traj.snapshots else None
     summary = {
@@ -117,7 +102,7 @@ def cmd_simulate(args):
         "config_hash": chash,
         "code_version": __version__,
         "out_dir": str(out_dir),
-        "files": [storage.MANIFEST_NAME, "norms.csv"],
+        "files": [storage.MANIFEST_NAME, storage.NORMS_NAME],
         "snapshots": len(traj.snapshots),
         "final_t": _jsonable(traj.snapshots[-1].t) if traj.snapshots else None,
         **{name: getattr(traj, name) for name in storage.PROVENANCE
@@ -155,11 +140,15 @@ def _probe_times(cfg, t_max):
 
 
 def _fit_or_none(fn, degenerate, name):
+    """The finite value of ``fn()``, else None, ``name`` listed as degenerate."""
     try:
-        return fn()
+        value = float(fn())
     except (InsufficientData, ValueError):
-        degenerate.append(name)
-        return None
+        value = np.nan
+    if np.isfinite(value):
+        return value
+    degenerate.append(name)
+    return None
 
 
 def cmd_scatter(args):
@@ -200,56 +189,53 @@ def cmd_scatter(args):
     degenerate = []
 
     def linf_slope():
-        # only the snapshots the fit window keeps pay for their sup norms
-        fit = [s for s in snaps if 10.0 <= s.t <= t_max]
-        ts = np.array([s.t for s in fit])
-        ys = np.array([sum(norms.sup_norms(s, s.u_x)) for s in fit])
-        return norms.decay_fit(ts, ys)[0]
+        fit = [s.norms for s in snaps if 10.0 <= s.t <= t_max]
+        return norms.decay_fit([r.t for r in fit],
+                               [r.Linf + r.uxLinf for r in fit])[0]
 
     fit_vs = [v for v in SUMMARY_VELOCITIES if v in cfg.probe.velocities]
     if not fit_vs:
         fit_vs = sorted(cfg.probe.velocities)
 
-    def residual_slope():
-        slopes = []
+    def max_over_rays(keep, fit, what):
+        """Max over the fit rays v of ``fit(ts, series, v)`` on v's records in
+        [20, t_max] that ``keep`` takes, in time order, if 8 or more."""
+        values = []
         for v in fit_vs:
-            series = [
-                r for r in records
-                if r.v == v and r.ode_residual is not None and 20.0 <= r.t <= t_max
-            ]
-            if len(series) < 8:
-                continue
-            ts = np.array([r.t for r in series])
-            ys = np.array([abs(r.ode_residual) for r in series])
-            slopes.append(norms.decay_fit(ts, ys)[0])
-        if not slopes:
-            raise InsufficientData("no velocity had enough residual samples")
-        return max(slopes)
+            series = sorted((r for r in records if r.v == v
+                             and 20.0 <= r.t <= t_max and keep(r)),
+                            key=lambda r: r.t)
+            if len(series) >= 8:
+                values.append(fit([r.t for r in series], series, v))
+        if not values:
+            raise InsufficientData(f"no velocity had enough {what} samples")
+        return max(values)
+
+    def residual_slope():
+        return max_over_rays(
+            lambda r: r.ode_residual is not None,
+            lambda ts, series, v: norms.decay_fit(
+                ts, [abs(r.ode_residual) for r in series])[0],
+            "residual")
+
+    def phase_relerr():
+        return max_over_rays(
+            lambda r: True,
+            lambda ts, series, v: packets.phase_drift_fit(
+                ts, [r.gamma for r in series], v)[2],
+            "phase")
 
     def w_slope():
         ts, sups = packets.w_stability_series(records)
         return norms.decay_fit(ts, sups)[0]
 
-    def phase_relerr():
-        errs = []
-        for v in fit_vs:
-            series = sorted(
-                (r for r in records if r.v == v and 20.0 <= r.t <= t_max),
-                key=lambda r: r.t,
-            )
-            if len(series) < 8:
-                continue
-            ts = [r.t for r in series]
-            gams = [r.gamma for r in series]
-            errs.append(packets.phase_drift_fit(ts, gams, v)[2])
-        if not errs:
-            raise InsufficientData("no velocity had enough phase samples")
-        return max(errs)
-
     def remainder_slope():
         ts, sups = packets.profile_remainder_series(records)
         return norms.decay_fit(ts, sups, window=(20.0, t_max))[0]
 
+    fits = {"linf_slope": linf_slope, "ode_residual_slope": residual_slope,
+            "W_stability_slope": w_slope, "phase_drift_relerr": phase_relerr,
+            "profile_remainder_slope": remainder_slope}
     summary = {
         "command": "scatter",
         "config_hash": chash,
@@ -258,17 +244,8 @@ def cmd_scatter(args):
         "records": len(records),
         "skipped_probes": skipped_probes,
         "velocities": sorted({r.v for r in records}),
-        "linf_slope": _jsonable(_fit_or_none(linf_slope, degenerate, "linf_slope")),
-        "ode_residual_slope": _jsonable(
-            _fit_or_none(residual_slope, degenerate, "ode_residual_slope")
-        ),
-        "W_stability_slope": _jsonable(_fit_or_none(w_slope, degenerate, "W_stability_slope")),
-        "phase_drift_relerr": _jsonable(
-            _fit_or_none(phase_relerr, degenerate, "phase_drift_relerr")
-        ),
-        "profile_remainder_slope": _jsonable(
-            _fit_or_none(remainder_slope, degenerate, "profile_remainder_slope")
-        ),
+        **{name: _fit_or_none(fn, degenerate, name)
+           for name, fn in fits.items()},
         "degenerate": degenerate,
     }
 

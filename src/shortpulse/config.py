@@ -83,7 +83,7 @@ _SCHEMA = {
         "width": (_parse_float, 1.0, "width"),
     },
     "norms": {"s": (_parse_float, 4.5, "solver.sobolev_s")},
-    "decomposition": {"delta": (_parse_float, 1.0, "probe.band_delta")},
+    "decomposition": {"delta": (_parse_float, 1.0, "solver.band_delta")},
     "probe": {
         "delta_p": (_parse_float, 1.0, "probe.delta_p"),
         "alpha": (_parse_float, 0.04, "probe.alpha"),

@@ -61,7 +61,7 @@ class QuadratureUnderResolved(MonitorViolation):
 
 
 class CorruptSnapshot(ShortPulseError):
-    """A snapshot file failed its header or length checks."""
+    """A stored snapshot file or its norms.csv failed its checks."""
 
 
 class MissingSnapshots(ShortPulseError):

@@ -70,6 +70,7 @@ class SolverConfig:
     wrap_tol: float                # L2 mass fraction in the outer box band
     outer_frac: float
     sobolev_s: float
+    band_delta: float              # cutoff sharpness of the monitors' bands
 
     def __post_init__(self):
         check_ranges(self, (
@@ -85,6 +86,7 @@ class SolverConfig:
             ("wrap_tol", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
             ("outer_frac", lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"),
             ("sobolev_s", lambda v: v >= 3.0, "be >= 3"),
+            ("band_delta", lambda v: v > 0.0, "be positive"),
         ))
 
     def grid(self):
@@ -322,19 +324,18 @@ def evolve(u0, cfg):
         """Append the snapshot of vh_now and return nl(vh_now), which the
         last step handed on as ``nl_now`` or None."""
         snap = stepper.make_snapshot(t_now, vh_now)
-        # one nl(v^) on the band serves S u in the record, both probe
-        # steps below and the next step's first stage
+        # one nl(v^) on the band serves both probe steps below, S u in the
+        # record and the next step's first stage
         if nl_now is None:
             nl_now = stepper._nl(vh_now)
-        rec = snap.norms = norms.compute_record(
-            snap, cfg.sobolev_s, cfg.outer_frac, nl_now)
         # d/dt ||u_x||^2 probed by a quarter-step centered difference;
         # the shorter spacing keeps the O(h^2) truncation error of the
         # difference quotient well below the identity's own tolerance
         probe = 0.25 * cfg.dt
         up = stepper.step_raw(vh_now, probe, nl_now)[0]
         um = stepper.step_raw(vh_now, -probe, nl_now)[0]
-        rec.h1_rate_fd = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * probe)
+        rate = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * probe)
+        rec = snap.norms = norms.compute_record(snap, cfg, nl_now, rate)
         traj.append(snap)
         if rec.wrapfrac >= cfg.wrap_tol:
             raise WrapAround(

@@ -15,13 +15,13 @@ when the monitor is quiet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .bands import hyp_ell_decompose, smoothstep
+from .bands import CutoffSpec, hyp_ell_decompose, smoothstep
 from .errors import InsufficientData
 from .spectral import Field, Grid, Snapshot, l2_norm, refined_sup
 
@@ -30,7 +30,8 @@ TAPER_FRAC = 0.02  # x is tapered on this outer fraction of the box per side
 
 @dataclass
 class NormRecord:
-    """One row of the per-snapshot norm table."""
+    """One row of norms.csv, in ``COLUMNS`` order; the five decomposition
+    monitors from ``p32_hyp`` on are NaN before t = 1."""
 
     t: float
     L2: float
@@ -42,21 +43,20 @@ class NormRecord:
     uxLinf: float
     SuL2: float
     wrapfrac: float
-    # the H1 flux identity d/dt ||u_x||^2 = 6 int u u_x^3, both sides; the
-    # stepper fills in the difference quotient after construction (see
-    # evolve.evolve), NaN until it does
-    h1_rate_fd: float = dc_field(default=float("nan"), init=False)
+    # both sides of the H1 flux identity d/dt ||u_x||^2 = 6 int u u_x^3
+    h1_rate_fd: float
     h1_rate_flux: float
-
-    COLUMNS = ("t", "L2", "Hs", "Hm1", "JdxL2", "Xs",
-               "Linf", "uxLinf", "SuL2", "wrapfrac",
-               "h1_rate_fd", "h1_rate_flux")
+    p32_hyp: float
+    p32_hyp_x: float
+    p32_ell: float
+    p32_ell_x: float
+    c34_jwt: float
 
     def as_row(self):
         return [getattr(self, name) for name in self.COLUMNS]
 
 
-assert NormRecord.COLUMNS == tuple(f.name for f in dc_fields(NormRecord))
+NormRecord.COLUMNS = tuple(f.name for f in dc_fields(NormRecord))
 
 
 # ----------------------------------------------------------------------
@@ -153,49 +153,45 @@ def sup_norms(snap, ux):
             refined_sup(ux.values, ik * snap.uh))
 
 
-def compute_record(snap, s, outer_frac, nl):
-    """Assemble the full :class:`NormRecord` for a snapshot.
+def compute_record(snap, cfg, nl, h1_rate_fd):
+    """The full :class:`NormRecord` of a snapshot: the one per-snapshot pass.
 
-    Hs, Hm1 and both sup norms come from the snapshot's half-spectrum; u_x
-    and J dx u are derived once and shared.  ``nl`` is passed on to
-    :func:`s_field` (the stepper holds it for its rate probe).
+    ``cfg`` is the run's :class:`shortpulse.evolve.SolverConfig`.  Hs, Hm1
+    and both sup norms come from the snapshot's half-spectrum; u_x is taken
+    once and shared by J dx u, the sup norms, the H1 flux and the monitors.
+    ``nl`` goes to :func:`s_field`; ``h1_rate_fd`` is the stepper's probe.
     """
     u = snap.u
     g = u.grid
     xi = _kernels.rfft_xi(g.n, g.length)
     power = spectral_power(snap)
-    hs = float(np.sqrt(np.sum((1.0 + xi ** 2) ** s * power)))
+    hs = float(np.sqrt(np.sum((1.0 + xi ** 2) ** cfg.sobolev_s * power)))
     hm1 = float(np.sqrt(np.sum(power[1:] / xi[1:] ** 2)))
     ux = snap.u_x
     j = j_field(snap, ux)
     jn = l2_norm(j)
-    linf, uxlinf = sup_norms(snap, ux)
+    xs = float(np.sqrt(hs ** 2 + hm1 ** 2 + jn ** 2))
+    if snap.t >= 1.0:
+        monitors = decomposition_monitors(
+            snap, ux, xs, CutoffSpec(cfg.band_delta), cfg.sobolev_s)
+    else:
+        monitors = (float("nan"),) * 5
     uv, uxv = u.values, ux.values
     return NormRecord(
-        t=float(snap.t),
-        L2=l2_norm(u),
-        Hs=hs,
-        Hm1=hm1,
-        JdxL2=jn,
-        Xs=float(np.sqrt(hs ** 2 + hm1 ** 2 + jn ** 2)),
-        Linf=linf,
-        uxLinf=uxlinf,
-        SuL2=l2_norm(s_field(snap, j, nl)),
-        wrapfrac=wrap_fraction(u, outer_frac),
-        h1_rate_flux=6.0 * g.dx * float(np.sum(uv * (uxv * uxv * uxv))),
-    )
+        float(snap.t), l2_norm(u), hs, hm1, jn, xs, *sup_norms(snap, ux),
+        l2_norm(s_field(snap, j, nl)), wrap_fraction(u, cfg.outer_frac),
+        h1_rate_fd, 6.0 * g.dx * float(np.sum(uv * (uxv * uxv * uxv))),
+        *monitors)
 
 
 # ----------------------------------------------------------------------
 # decomposition monitors (empirical constants, one row per snapshot)
 
-MONITOR_COLUMNS = ("p32_hyp", "p32_hyp_x", "p32_ell", "p32_ell_x", "c34_jwt")
+def decomposition_monitors(snap, ux, xs, spec, s):
+    """Empirical constants for the pointwise-decay and weighted bounds, for
+    the snapshot's u_x ``ux`` and ||u||_{X^s} ``xs``.
 
-
-def decomposition_monitors(snap, spec, s):
-    """Empirical constants for the pointwise-decay and weighted bounds.
-
-    Returns a dict with keys :data:`MONITOR_COLUMNS`:
+    Returns, in :class:`NormRecord` column order:
 
     * ``p32_hyp``:   sup_x |u^{hyp,+}| / [t^{-1/2} min((|x|/t)^{s/4-1/2},
       (|x|/t)^{-3/4}) ||u||_{X^s}]
@@ -207,15 +203,12 @@ def decomposition_monitors(snap, spec, s):
 
     The constants are reported, not asserted; boundedness along a
     trajectory (no growth trend) is what the property tests check.
-    All entries are 0.0 for a zero field.  ||u||_{X^s} is read from the
-    snapshot's :class:`NormRecord`, which ``evolve`` computes at the
-    solver's ``sobolev_s``.
+    All five are 0.0 for a zero field.
     """
     t = float(snap.t)
     g = snap.u.grid
-    xs = snap.norms.Xs
     if xs == 0.0:
-        return dict.fromkeys(MONITOR_COLUMNS, 0.0)
+        return (0.0,) * 5
     hyp = hyp_ell_decompose(snap, spec)
     neg = g.x < 0.0
     r = np.abs(g.x[neg]) / t
@@ -234,7 +227,7 @@ def decomposition_monitors(snap, spec, s):
     # the elliptic part from the real field: u = 2 Re u^+ when the xi = 0
     # and Nyquist rows are zero, as on every snapshot simulate takes
     ell = snap.u.values - 2.0 * np.real(hyp)
-    ell_x = snap.u_x.values - 2.0 * np.real(hyp_x)
+    ell_x = ux.values - 2.0 * np.real(hyp_x)
     # dx^{-1} hyp_x is hyp without its xi = 0 and Nyquist rows: its mean
     # and its projection on the alternating mode (-1)^j (the FFT phase
     # (-1)^k, since k and j share parity)
@@ -243,13 +236,11 @@ def decomposition_monitors(snap, spec, s):
     root_x = np.sqrt(np.abs(g.x))
     jwt = root_x * hyp_x - 1j * np.sqrt(t) * hyp_anti    # J_+ hyp_x
     weighted = root_x * jwt
-    return {
-        "p32_hyp": hyp_sup(hyp, s / 4 - 0.5, 0.75),
-        "p32_hyp_x": hyp_sup(hyp_x, s / 4 - 1.0, 1.25),
-        "p32_ell": float(np.max(np.abs(ell)) / (ell_decay * xs)),
-        "p32_ell_x": float(np.max(np.abs(ell_x)) / (ellx_decay * xs)),
-        "c34_jwt": float(np.sqrt(g.dx * np.sum(np.abs(weighted) ** 2))) / xs,
-    }
+    return (hyp_sup(hyp, s / 4 - 0.5, 0.75),
+            hyp_sup(hyp_x, s / 4 - 1.0, 1.25),
+            float(np.max(np.abs(ell)) / (ell_decay * xs)),
+            float(np.max(np.abs(ell_x)) / (ellx_decay * xs)),
+            float(np.sqrt(g.dx * np.sum(np.abs(weighted) ** 2))) / xs)
 
 
 # ----------------------------------------------------------------------

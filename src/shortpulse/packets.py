@@ -48,7 +48,6 @@ class PacketParams:
     alpha: float
     velocities: tuple
     cadence_ratio: float
-    band_delta: float   # cutoff sharpness for spectrum diagnostics
 
     def __post_init__(self):
         check_ranges(self, (
@@ -56,7 +55,6 @@ class PacketParams:
             ("alpha", lambda v: v > 0.0, "be positive"),
             ("velocities", lambda vs: all(v < 0.0 for v in vs), "all be negative"),
             ("cadence_ratio", lambda v: v > 1.0, "exceed 1"),
-            ("band_delta", lambda v: v > 0.0, "be positive"),
         ))
 
     @property

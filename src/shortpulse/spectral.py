@@ -106,10 +106,11 @@ class Field:
 
 class Snapshot:
     """The real solution at one time: node values ``u``, their rfft ``uh``
-    (as given, else ``numpy.fft.rfft(u)`` with its Nyquist row) and, once
-    computed, its :class:`shortpulse.norms.NormRecord`.  ``u_x`` and
-    ``u_anti`` (dx^{-1} u) are not stored: each access is one inverse rfft
-    of ``uh`` times the symbol, so a caller that needs one twice keeps it.
+    (as given, else ``numpy.fft.rfft(u)`` with its Nyquist row) and its
+    :class:`shortpulse.norms.NormRecord`, set by ``evolve`` and on loading.
+    ``u_x`` and ``u_anti`` (dx^{-1} u) are not stored: each access is one
+    inverse rfft of ``uh`` times the symbol, so a caller that needs one
+    twice keeps it.
     """
 
     __slots__ = ("t", "u", "uh", "norms")

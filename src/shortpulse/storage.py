@@ -1,4 +1,4 @@
-"""Snapshot files, CSV tables, and trajectory manifests.
+"""Snapshot files, CSV tables, and trajectory directories.
 
 Snapshot file layout (format tag ``SPFLD01``)::
 
@@ -7,10 +7,12 @@ Snapshot file layout (format tag ``SPFLD01``)::
     bytes 16..23   sample time t, IEEE-754 binary64 little-endian
     bytes 24..     n node values, binary64 little-endian
 
-A trajectory directory holds one ``manifest.json`` plus one snapshot file
-per stored time.  The manifest is the source of truth for the grid and the
+A trajectory directory holds one ``manifest.json``, one snapshot file per
+stored time and ``norms.csv``, one :class:`shortpulse.norms.NormRecord` row
+per snapshot.  The manifest is the source of truth for the grid and the
 snapshot index; the per-file headers exist so a single snapshot is
-self-describing.
+self-describing.  :func:`load_trajectory` gives each snapshot the record of
+its run, bit for bit.
 
 CSV dialect: comma separator, ``.`` decimal point, 17 significant digits,
 mandatory header row.  Every table starts with a single ``#`` comment line
@@ -29,6 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, CorruptSnapshot, MissingSnapshots
 from .evolve import SolverConfig, Trajectory
+from .norms import NormRecord
 from .spectral import Field, Snapshot, check_zero_mean
 
 MAGIC = b"SPFLD01\x00"
@@ -36,6 +39,7 @@ _HEADER = struct.Struct("<8sQd")
 HEADER_BYTES = _HEADER.size  # 24
 
 MANIFEST_NAME = "manifest.json"
+NORMS_NAME = "norms.csv"
 # the run's outcome and stepping telemetry, as Trajectory fields
 PROVENANCE = ("status", "steps", "rejected_steps", "h_min", "h_max", "band",
               "band_widenings", "tail_headroom")
@@ -129,12 +133,13 @@ def write_json(path, document):
 
 
 def save_trajectory(out_dir, traj, experiment, config_hash):
-    """Persist a trajectory; returns the manifest path.
+    """Persist a trajectory and its norms.csv; returns the manifest path.
 
     ``experiment`` is the full experiment-config dict (all sections) and
     ``config_hash`` its :meth:`shortpulse.config.ExperimentConfig.hash`.
-    The manifest's only non-deterministic field is
-    ``metadata.created_utc``.
+    Every snapshot carries its :class:`NormRecord`, as ``evolve`` and
+    :func:`load_trajectory` leave it.  The manifest's only
+    non-deterministic field is ``metadata.created_utc``.
     """
     os.makedirs(out_dir, exist_ok=True)
     index = []
@@ -155,6 +160,8 @@ def save_trajectory(out_dir, traj, experiment, config_hash):
         "snapshots": index,
         "metadata": {"created_utc": datetime.now(timezone.utc).isoformat()},
     }
+    write_csv(os.path.join(out_dir, NORMS_NAME), NormRecord.COLUMNS,
+              [snap.norms.as_row() for snap in traj.snapshots], config_hash)
     path = os.path.join(out_dir, MANIFEST_NAME)
     write_json(path, manifest)
     return path
@@ -168,15 +175,31 @@ def load_manifest(traj_dir):
         return json.load(fh)
 
 
+def _read_records(traj_dir, count):
+    """The :class:`NormRecord` rows of a directory's norms.csv, which must
+    have the header :attr:`NormRecord.COLUMNS` and ``count`` rows."""
+    path = os.path.join(traj_dir, NORMS_NAME)
+    try:
+        with open(path) as fh:
+            header, *rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        if header != list(NormRecord.COLUMNS):
+            raise ValueError(f"header {','.join(header)}")
+        if len(rows) != count:
+            raise ValueError(f"{len(rows)} rows for {count} snapshots")
+        return [NormRecord(*map(float, cells)) for cells in rows]
+    except (OSError, ValueError, TypeError) as exc:
+        raise CorruptSnapshot(f"cannot load {path}: {exc}; re-simulate") from None
+
+
 def load_trajectory(traj_dir):
     """Rebuild a Trajectory from a directory.
 
-    Snapshot norms are left unset.  The file format holds the bare node
-    values; each snapshot recomputes its spectrum, from which derivative and
-    antiderivative follow, so every stored field must have zero mean (to the
-    stored ``mean_tol``).  The run's config hash stays in the manifest; a
-    :data:`PROVENANCE` field that an older manifest lacks takes its
-    Trajectory default.
+    The file format holds the bare node values; each snapshot recomputes its
+    spectrum, from which derivative and antiderivative follow, so every
+    stored field must have zero mean (to the stored ``mean_tol``).  Each
+    snapshot gets its norms.csv row back, whose t must be the snapshot's.
+    The run's config hash stays in the manifest; a :data:`PROVENANCE` field
+    that an older manifest lacks takes its Trajectory default.
     """
     manifest = load_manifest(traj_dir)
     solver = manifest["solver"]
@@ -197,7 +220,8 @@ def load_trajectory(traj_dir):
     prov = manifest["provenance"]
     traj = Trajectory(config=cfg, code_version=prov["code_version"],
                       **{name: prov[name] for name in PROVENANCE if name in prov})
-    for entry in manifest["snapshots"]:
+    records = _read_records(traj_dir, len(manifest["snapshots"]))
+    for entry, record in zip(manifest["snapshots"], records):
         path = os.path.join(traj_dir, entry["file"])
         t, u = read_field(path, grid)
         if abs(t - entry["t"]) > 1e-9 * max(1.0, abs(entry["t"])):
@@ -205,7 +229,12 @@ def load_trajectory(traj_dir):
                 f"{path}: header t={t} disagrees with manifest t={entry['t']}"
             )
         check_zero_mean(u, cfg.mean_tol, "antiderivative")
-        traj.append(Snapshot(t, u))
+        if record.t != t:
+            raise CorruptSnapshot(f"{path}: t={t} disagrees with its "
+                                  f"{NORMS_NAME} row t={record.t}")
+        snap = Snapshot(t, u)
+        snap.norms = record
+        traj.append(snap)
     return traj, manifest
 
 

@@ -12,8 +12,9 @@ single coefficient L / sqrt(2 pi).  Multipliers on it give the derivative,
 the antiderivative, the free propagator and the smooth band projections;
 norms and sup norms are taken through it too.  Transform-level oracles take
 a grid and node values, real or complex, and return arrays.  Also here: a
-CSV reader, a snapshot's norm record, a Richardson convergence run and
-the solver settings the tests run.
+CSV reader, a snapshot's norm record, the column gaps between two runs'
+records, a Richardson convergence run and the solver settings the tests
+run.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ from scipy import fft as sfft
 from shortpulse import _kernels
 from shortpulse.config import default_config
 from shortpulse.evolve import evolve
-from shortpulse.norms import compute_record
+from shortpulse.norms import NormRecord, compute_record
 from shortpulse.spectral import SQRT2PI, Field, refined_sup
 
 
@@ -97,12 +98,27 @@ def nonlinearity(u):
     return Field(u.grid, sfft.irfft(kern.spectrum(sfft.rfft(u.values)), n))
 
 
-def norm_record(snap):
+def norm_record(snap, h1_rate_fd=float("nan")):
     """The :class:`NormRecord` of a snapshot at the solver's defaults
-    (s = 4.5, outer fraction 0.05), with dx(u^3) on the full grid."""
+    (s = 4.5, outer fraction 0.05, band delta 1), with dx(u^3) on the full
+    grid and ``h1_rate_fd``, the rate probe only the stepper takes."""
     g = snap.u.grid
     nl = _kernels.nonlinear_kernel(g.n, g.length).spectrum(snap.uh)
-    return compute_record(snap, 4.5, 0.05, nl)
+    return compute_record(snap, default_config().solver, nl, h1_rate_fd)
+
+
+def column_gaps(records, others):
+    """{column: (largest gap, scale)} of two runs' NormRecord lists, the
+    scale being the column's largest magnitude in ``others``; both runs
+    must have NaN in the same places (the monitors before t = 1), which
+    both maxima skip."""
+    gaps = {}
+    for col in NormRecord.COLUMNS:
+        a = np.array([getattr(r, col) for r in records])
+        b = np.array([getattr(r, col) for r in others])
+        assert np.array_equal(np.isnan(a), np.isnan(b)), col
+        gaps[col] = np.nanmax(np.abs(a - b)), np.nanmax(np.abs(b))
+    return gaps
 
 
 def solver_config(**fields):

@@ -27,12 +27,13 @@ from shortpulse import counterexample
 from shortpulse.config import default_config
 from shortpulse.errors import InsufficientData
 from shortpulse.evolve import evolve
-from shortpulse.norms import NormRecord, decay_fit
+from shortpulse.norms import decay_fit
 from shortpulse.packets import (attach_residuals, phase_drift_fit,
                                 probe_snapshot, profile_remainder_series,
                                 w_stability_series)
 from conftest import gaussian_pulse
-from oracles import mean_coefficient, self_convergence, solver_config
+from oracles import (column_gaps, mean_coefficient, self_convergence,
+                     solver_config)
 
 PROBE_VELOCITIES = (-1.0, -(2.0 ** -0.5), -(2.0 ** 0.5))
 NORM_COLUMNS = ("L2", "Hs", "Hm1", "JdxL2", "Xs", "Linf", "uxLinf", "SuL2")
@@ -210,7 +211,8 @@ def test_controlled_reference_run_matches_the_fixed_one(reference):
     # measured 12,770 steps against 20,029, none rejected
     assert 1.5 * controlled.steps <= reference.steps
     assert controlled.times == reference.times
-    for col in NormRecord.COLUMNS:                       # measured <= 3.3e-9
-        a = np.array([getattr(s.norms, col) for s in controlled.snapshots])
-        b = np.array([getattr(s.norms, col) for s in reference.snapshots])
-        assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(b)), col
+    gaps = column_gaps([s.norms for s in controlled.snapshots],
+                       [s.norms for s in reference.snapshots])
+    # measured <= 3.3e-9, and <= 2.1e-9 for a monitor (c34_jwt)
+    for col, (gap, scale) in gaps.items():
+        assert gap <= 1e-8 * scale, col

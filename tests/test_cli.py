@@ -19,7 +19,7 @@ from shortpulse.config import (_SCHEMA, DEFAULT_VELOCITIES, default_config,
                                load_config)
 from shortpulse.errors import ConfigError
 from shortpulse.evolve import Trajectory
-from shortpulse.norms import MONITOR_COLUMNS, NormRecord
+from shortpulse.norms import NormRecord
 from shortpulse.spectral import Field
 from shortpulse.storage import (PROVENANCE, read_field, save_trajectory,
                                 write_field)
@@ -156,11 +156,11 @@ def test_norms_table_is_traceable_and_complete(tiny_run):
     first = path.read_text().splitlines()[0]
     assert first.startswith(f"# config_hash={TINY_HASH}")
     header, rows = read_csv(path)
-    assert header == list(NormRecord.COLUMNS) + list(MONITOR_COLUMNS)
+    assert header == list(NormRecord.COLUMNS)
     assert len(rows) == 10
     ts = [row[0] for row in rows]
     assert ts == sorted(ts) and ts[0] == 0.0 and ts[-1] == 2.0
-    i_mon = len(NormRecord.COLUMNS)
+    i_mon = NormRecord.COLUMNS.index("p32_hyp")
     assert all(math.isfinite(c) for row in rows for c in row[:i_mon])
     assert all(math.isnan(c) for c in rows[0][i_mon:])     # t = 0: no bands
     assert all(math.isfinite(c) for c in rows[-1][i_mon:])
@@ -181,6 +181,25 @@ def test_scatter_on_a_zero_field_reports_degenerate_fits(zero_run):
         assert (scat_out / name).exists()
     stored = json.loads((scat_out / "scatter_summary.json").read_text())
     assert stored == summary
+
+
+def test_a_non_finite_fit_is_listed_as_degenerate(tmp_path):
+    # on a zero field |gamma| = 0, so the phase fit's target is 0 and its
+    # relative error inf; by T = 48 a fit ray holds the 8 samples it needs
+    ini = tmp_path / "zero48.ini"
+    ini.write_text(TINY_INI.replace("epsilon = 0.1", "epsilon = 0.0")
+                   .replace("T = 2", "T = 48"))
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", str(ini), "--out",
+                   str(out)).returncode == 0
+    proc = run_cli("scatter", "--config", str(ini), "--traj", str(out),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 0
+    summary = json.loads(proc.stdout)
+    assert summary["phase_drift_relerr"] is None
+    assert "phase_drift_relerr" in summary["degenerate"]
+    assert all((summary[key] is None) == (key in summary["degenerate"])
+               for key in FIT_KEYS)
 
 
 def test_scatter_counts_the_probes_it_skips(mini_traj, tmp_path):
@@ -264,19 +283,23 @@ def test_scatter_rejects_a_manifest_with_a_retired_solver_key(tiny_run,
 
 def test_scatter_rejects_a_manifest_that_lacks_a_solver_key(tiny_run,
                                                            tmp_path):
+    # band_delta: manifests written before it moved from [probe] to the
+    # solver settings lack it
     ini, out, _ = tiny_run
-    old = tmp_path / "old"
-    shutil.copytree(out, old)
-    manifest = json.loads((old / "manifest.json").read_text())
-    del manifest["solver"]["t_final"], manifest["solver"]["snap_h"]
-    (old / "manifest.json").write_text(json.dumps(manifest))
-    proc = run_cli("scatter", "--config", str(ini), "--traj", str(old),
-                   "--out", str(tmp_path / "s"))
-    assert proc.returncode == 1
-    assert "missing solver key(s) in manifest.json: snap_h, t_final" \
-        in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert json.loads(proc.stdout)["status"] == "ConfigError"
+    for keys in (("t_final", "snap_h"), ("band_delta",)):
+        old = tmp_path / "-".join(keys)
+        shutil.copytree(out, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        for key in keys:
+            del manifest["solver"][key]
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("scatter", "--config", str(ini), "--traj", str(old),
+                       "--out", str(tmp_path / "s"))
+        assert proc.returncode == 1
+        assert ("missing solver key(s) in manifest.json: "
+                f"{', '.join(sorted(keys))}; re-simulate") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["status"] == "ConfigError"
 
 
 def test_scatter_rejects_a_manifest_with_an_out_of_range_solver_value(

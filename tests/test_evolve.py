@@ -11,11 +11,11 @@ from shortpulse._kernels import NonlinearKernel
 from shortpulse.config import default_config, with_overrides
 from shortpulse.errors import BlowUp, MeanDrift, StepRejected, WrapAround
 from shortpulse.evolve import TAIL_TOL, Stepper, evolve
-from shortpulse.norms import NormRecord
 from shortpulse.spectral import Field, Grid
 from conftest import gaussian_pulse
 from oracles import (
     antiderivative,
+    column_gaps,
     derivative,
     free_propagate,
     nonlinearity,
@@ -44,11 +44,11 @@ band_run_tol = 10.0 * TAIL_TOL    # measured 1.4e-14
 # A band run's state stays within band_run_tol of the same run held at n/2,
 # so each NormRecord column gets that bound of its scale; h1_rate_fd divides
 # a difference of ||u_x||^2 by dt/2, and gets the acceptance battery's 1e-8.
-held_band_tol = band_run_tol      # measured 2.3e-12 (uxLinf)
+held_band_tol = band_run_tol      # measured 2.3e-12 (uxLinf), 6.7e-13 (c34_jwt)
 held_band_rate_tol = 1e-8         # measured 0 (bitwise equal)
 # An error-controlled run against the fixed-dt run it replaces: the tests'
 # 1e-8 agreement bound, of each NormRecord column's scale.
-controlled_tol = 1e-8             # measured 7.4e-9 (JdxL2)
+controlled_tol = 1e-8             # measured 7.4e-9 (JdxL2), 2.1e-9 (p32_ell_x)
 
 MODES = ([3, 17, 40, 77, 170], [0.4, 0.3, 0.2, 0.1, 0.05],
          [0.0, 1.0, 2.0, 3.0, 4.0])
@@ -198,11 +198,11 @@ def test_every_norm_column_of_a_band_run_matches_the_run_held_at_n_over_2(
     # the band run widens twice, to n/4 at t = 1.82, and stays below n/2
     assert band.band == cfg.n // 4 and len(band.band_widenings) == 2
     assert held.band == cfg.n // 2 and held.band_widenings == []
-    for col in NormRecord.COLUMNS:
-        a = np.array([getattr(s.norms, col) for s in band.snapshots])
-        b = np.array([getattr(s.norms, col) for s in held.snapshots])
+    gaps = column_gaps([s.norms for s in band.snapshots],
+                       [s.norms for s in held.snapshots])
+    for col, (gap, scale) in gaps.items():
         tol = held_band_rate_tol if col == "h1_rate_fd" else held_band_tol
-        assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b)), col
+        assert gap <= tol * scale, col
 
 
 def test_tail_headroom_covers_only_the_steps_on_the_final_band(monkeypatch):
@@ -362,10 +362,10 @@ def test_controlled_and_fixed_steps_agree_in_every_norm_column():
     fixed = evolve(u0, dataclasses.replace(cfg, step_tol=0.0))
     assert controlled.steps < fixed.steps
     assert controlled.times == fixed.times
-    for col in NormRecord.COLUMNS:
-        a = np.array([getattr(s.norms, col) for s in controlled.snapshots])
-        b = np.array([getattr(s.norms, col) for s in fixed.snapshots])
-        assert np.max(np.abs(a - b)) <= controlled_tol * np.max(np.abs(b)), col
+    gaps = column_gaps([s.norms for s in controlled.snapshots],
+                       [s.norms for s in fixed.snapshots])
+    for col, (gap, scale) in gaps.items():
+        assert gap <= controlled_tol * scale, col
 
 
 def test_snapshots_cache_consistent_derivatives(mini_traj):

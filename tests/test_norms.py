@@ -12,7 +12,6 @@ from shortpulse._kernels import nonlinear_kernel
 from shortpulse.bands import hyp_ell_decompose
 from shortpulse.errors import InsufficientData
 from shortpulse.norms import (
-    MONITOR_COLUMNS,
     NormRecord,
     decay_fit,
     decomposition_monitors,
@@ -59,6 +58,7 @@ monitor_ceilings = {
     "p32_ell_x": (0.05, 0.20),    # measured -0.470, 0.076
 }
 c34_bounded_ceiling = 1.0             # measured max 0.246 (trend recorded)
+MONITORS = NormRecord.COLUMNS[-5:]    # the last five norms.csv columns
 
 # ---- frozen synthetic-oracle readings --------------------------------
 record_rounding_tol = 1e-14           # measured 3.4e-15 (uxLinf)
@@ -150,19 +150,29 @@ def test_record_components_recompose_the_weighted_norm(mini_traj):
 def test_record_rows_follow_the_declared_column_order(mini_traj):
     r = mini_traj.snapshots[-1].norms
     row = r.as_row()
-    assert len(row) == len(NormRecord.COLUMNS)
+    assert len(row) == len(NormRecord.COLUMNS) == 17
     assert row[NormRecord.COLUMNS.index("t")] == r.t
     assert row[NormRecord.COLUMNS.index("Xs")] == r.Xs
+    assert MONITORS == ("p32_hyp", "p32_hyp_x", "p32_ell", "p32_ell_x",
+                        "c34_jwt")
 
 
-def test_decomposition_monitors_stay_bounded(mini_traj, cutoff):
+def test_record_monitors_are_nan_before_t_one_and_the_monitors_after(
+        mini_traj, cutoff):
+    for snap in mini_traj.snapshots[::8]:
+        got = tuple(getattr(snap.norms, name) for name in MONITORS)
+        if snap.t < 1.0:
+            assert all(np.isnan(got)), snap.t
+        else:
+            assert got == decomposition_monitors(
+                snap, snap.u_x, snap.norms.Xs, cutoff, 4.5), snap.t
+
+
+def test_decomposition_monitors_stay_bounded(mini_traj):
     snaps = [s for s in mini_traj.snapshots if s.t >= 1.0]
     ts = np.array([s.t for s in snaps])
-    series = {name: [] for name in MONITOR_COLUMNS}
-    for snap in snaps:
-        mon = decomposition_monitors(snap, cutoff, 4.5)
-        for name in MONITOR_COLUMNS:
-            series[name].append(mon[name])
+    series = {name: [getattr(s.norms, name) for s in snaps]
+              for name in MONITORS}
     late = ts >= 10.0
     for name, (slope_ceiling, max_ceiling) in monitor_ceilings.items():
         vals = np.asarray(series[name])
@@ -190,7 +200,8 @@ def test_monitors_match_their_transform_pair_forms(mini_traj, cutoff):
     s = 4.5
     for snap in [snap for snap in mini_traj.snapshots if snap.t >= 1.0][::4]:
         t, g, xs = snap.t, snap.u.grid, snap.norms.Xs
-        got = decomposition_monitors(snap, cutoff, s)
+        got = dict(zip(MONITORS, decomposition_monitors(
+            snap, snap.u_x, xs, cutoff, s)))
         hyp = hyp_ell_decompose(snap, cutoff)
         ell_plus = project_sign(g, snap.u.values, +1) - hyp
         ell_x = 2.0 * np.real(derivative(g, ell_plus))
