@@ -47,10 +47,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 REFERENCE_EVOLVE = "reference_evolve"
 EVOLVE_SNIPPET = """
-import json, time
-from shortpulse.config import default_config, with_overrides
+import dataclasses, json, time
+from shortpulse.config import default_config
 from shortpulse.evolve import Stepper, evolve
-cfg = with_overrides(default_config(), "solver", {"T": 200.0, "wrap_tol": 0.02})
+cfg = default_config()
+solver = dataclasses.replace(cfg.solver, t_final=200.0, wrap_tol=0.02)
 u0 = cfg.initial_field()
 calls, checked = [], Stepper.step_checked
 
@@ -60,7 +61,7 @@ def count(self, *args):
 
 Stepper.step_checked = count
 start = time.perf_counter()
-evolve(u0, cfg.solver)
+evolve(u0, solver)
 print(json.dumps({"evolve_s": time.perf_counter() - start,
                   "checked_steps": len(calls)}))
 """

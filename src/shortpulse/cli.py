@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels, bands, counterexample, norms, packets, storage
-from .config import default_config, load_config, with_overrides
+from .config import default_config, load_config
 from .errors import (
     ConfigError,
     InsufficientData,
@@ -40,8 +40,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MONITOR = 2
 
-# canonical rays for the fit summary (criterion-style trio); probes cover
-# whatever the config lists, the summary fits these when available
+# the rays the fit summary takes (criterion-style trio), all of them among
+# packets.VELOCITIES
 SUMMARY_VELOCITIES = (-1.0, -(2.0 ** -0.5), -(2.0 ** 0.5))
 
 
@@ -130,12 +130,14 @@ def _probe_times(cfg, t_max):
     if t0 < 1.0:
         raise ConfigError("probing needs solver.snap_t0 >= 1 (the packets "
                           f"need t >= 1), got {t0:g}")
-    r = cfg.probe.cadence_ratio
     times = []
     t = t0
     while t <= t_max * (1.0 + 1e-9):
         times.append(t)
-        t = t0 * r ** len(times)
+        t = t0 * cfg.cadence_ratio ** len(times)
+    if not times:
+        raise MissingSnapshots(f"the trajectory ends at t={t_max:g}, before "
+                               f"the first probe time solver.snap_t0 = {t0:g}")
     return times
 
 
@@ -156,7 +158,7 @@ def cmd_scatter(args):
     chash = cfg.hash()
     traj_dir = Path(args.traj) if args.traj else out_dir
     traj, manifest = storage.load_trajectory(traj_dir)
-    stored_hash = manifest["provenance"]["config_hash"]
+    stored_hash = manifest["provenance"].get("config_hash")
     if stored_hash != chash and not args.force:
         raise ConfigError(
             f"trajectory {traj_dir} was produced under config hash {stored_hash}, "
@@ -167,19 +169,19 @@ def cmd_scatter(args):
 
     times = _probe_times(cfg, traj.times[-1])
     snaps = storage.require_times(traj, times)
-    _log(f"scatter: probing {len(snaps)} snapshots x {len(cfg.probe.velocities)} "
+    _log(f"scatter: probing {len(snaps)} snapshots x {len(packets.VELOCITIES)} "
          f"velocities from {traj_dir} [{chash}]")
 
     skipped = Counter()
     records = [rec for snap in snaps
-               for rec in packets.probe_snapshot(snap, cfg.probe, skipped)]
+               for rec in packets.probe_snapshot(snap, skipped)]
     skipped_probes = [{"v": v, "reason": reason, "count": count}
                       for (v, reason), count in sorted(skipped.items())]
     _log(f"scatter: {len(records)} probe records, {sum(skipped.values())} "
          f"(t, v) skipped" + "".join(
              f"; v={row['v']:.4g} {row['reason']} x{row['count']}"
              for row in skipped_probes))
-    for v in cfg.probe.velocities:
+    for v in packets.VELOCITIES:
         try:
             packets.attach_residuals(records, v)
         except InsufficientData:
@@ -193,15 +195,11 @@ def cmd_scatter(args):
         return norms.decay_fit([r.t for r in fit],
                                [r.Linf + r.uxLinf for r in fit])[0]
 
-    fit_vs = [v for v in SUMMARY_VELOCITIES if v in cfg.probe.velocities]
-    if not fit_vs:
-        fit_vs = sorted(cfg.probe.velocities)
-
     def max_over_rays(keep, fit, what):
         """Max over the fit rays v of ``fit(ts, series, v)`` on v's records in
         [20, t_max] that ``keep`` takes, in time order, if 8 or more."""
         values = []
-        for v in fit_vs:
+        for v in SUMMARY_VELOCITIES:
             series = sorted((r for r in records if r.v == v
                              and 20.0 <= r.t <= t_max and keep(r)),
                             key=lambda r: r.t)
@@ -295,8 +293,6 @@ def cmd_scatter(args):
 
 def cmd_appendix(args):
     cfg, out_dir = _load_experiment(args)
-    cfg = with_overrides(cfg, "appendix",
-                         {"rho": args.rho, "N_min": args.n_min, "N_max": args.n_max})
     rho, scales = cfg.rho, cfg.appendix_scales()
 
     chash = cfg.hash()
@@ -493,8 +489,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="experiment config file (INI)")
     common.add_argument("--out", metavar="DIR", help="output directory (default: config output.dir)")
-    common.add_argument("--force", action="store_true",
-                        help="ignore config-hash mismatches on stored trajectories")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     p = sub.add_parser("simulate", parents=[common],
@@ -504,14 +498,13 @@ def build_parser():
                        help="run wave-packet probes over a stored trajectory")
     p.add_argument("--traj", metavar="DIR",
                    help="trajectory directory (default: the output directory)")
+    p.add_argument("--force", action="store_true",
+                   help="ignore a config-hash mismatch on the trajectory")
     p.set_defaults(func=cmd_scatter)
     p = sub.add_parser("appendix", parents=[common],
                        help="scan the endpoint estimate family over dyadic scales")
-    p.add_argument("--rho", type=float, help="interpolation parameter in (0, 1/2)")
-    p.add_argument("--N-min", type=int, dest="n_min", help="first dyadic scale")
-    p.add_argument("--N-max", type=int, dest="n_max", help="last dyadic scale")
     p.set_defaults(func=cmd_appendix)
-    p = sub.add_parser("selftest", parents=[common],
+    p = sub.add_parser("selftest",
                        help="run the identity suite and report pass/fail")
     p.set_defaults(func=cmd_selftest)
     return parser

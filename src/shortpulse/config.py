@@ -6,15 +6,16 @@ default and the constructor field it fills.  Unknown sections or keys are
 errors (fail-closed), and every module precondition that can be checked from
 the numbers alone is checked at load time, so a config that loads is a
 config that runs.  Each range check lives on the type that holds the value
-(:class:`SolverConfig`, :class:`PacketParams`, :class:`ExperimentConfig`),
-so a stored trajectory's solver settings pass the same checks;
-:func:`_validate` adds only the checks that span two sections.  The solver
-has one path -- IFRK4 with the exactly padded cubic -- so there is no key
-selecting an integrator, a dealias mode or a power, and one datum, the
-Gaussian derivative of ``[initial]``.  The effective values -- defaults and
-command-line overrides filled in -- are hashed (sha256, 16 hex digits) by
-:meth:`ExperimentConfig.hash`, the one identity of a run, and that hash is
-stamped on every output file a run produces.
+(:class:`SolverConfig`, :class:`ExperimentConfig`), so a stored
+trajectory's solver settings pass the same checks; :func:`_validate` adds
+only the checks that span two sections.  The solver has one path -- IFRK4
+with the exactly padded cubic -- so there is no key selecting an
+integrator, a dealias mode or a power, and one datum, the Gaussian
+derivative of ``[initial]``.  The paper's analysis constants are module
+constants of :mod:`shortpulse.norms` and :mod:`shortpulse.packets`, not
+keys.  The effective values -- defaults filled in -- are hashed (sha256, 16
+hex digits) by :meth:`ExperimentConfig.hash`, the one identity of a run,
+and that hash is stamped on every output file a run produces.
 """
 
 import configparser
@@ -28,7 +29,6 @@ import numpy as np
 from .counterexample import MIN_SCALE
 from .errors import ConfigError, check_ranges
 from .evolve import SolverConfig
-from .packets import PacketParams, alpha_ceiling
 from .spectral import Field
 
 
@@ -47,23 +47,9 @@ def _parse_str(text):
     return text.strip()
 
 
-def _parse_velocities(text):
-    text = text.strip()
-    if text == "default":
-        return DEFAULT_VELOCITIES
-    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if not values:
-        raise ValueError("empty velocity list")
-    return values
-
-
-# the 17 probe rays -4 .. -1/4 a quarter octave apart: velocities = default
-DEFAULT_VELOCITIES = tuple(-(2.0 ** (k / 4.0)) for k in range(-8, 9))
-
 # section -> key -> (parser, default, field): the one declaration of each
 # key.  The field is the constructor argument the key fills: "solver.<name>"
-# of SolverConfig, "probe.<name>" of PacketParams, a bare <name> of
-# ExperimentConfig.
+# of SolverConfig, a bare <name> of ExperimentConfig.
 _SCHEMA = {
     "solver": {
         "n": (_parse_int, 1 << 15, "solver.n"),
@@ -82,14 +68,7 @@ _SCHEMA = {
         "epsilon": (_parse_float, 0.1, "epsilon"),
         "width": (_parse_float, 1.0, "width"),
     },
-    "norms": {"s": (_parse_float, 4.5, "solver.sobolev_s")},
-    "decomposition": {"delta": (_parse_float, 1.0, "solver.band_delta")},
-    "probe": {
-        "delta_p": (_parse_float, 1.0, "probe.delta_p"),
-        "alpha": (_parse_float, 0.04, "probe.alpha"),
-        "velocities": (_parse_velocities, DEFAULT_VELOCITIES, "probe.velocities"),
-        "cadence_ratio": (_parse_float, 2.0 ** 0.125, "probe.cadence_ratio"),
-    },
+    "probe": {"cadence_ratio": (_parse_float, 2.0 ** 0.125, "cadence_ratio")},
     "appendix": {
         "rho": (_parse_float, 0.25, "rho"),
         "N_min": (_parse_int, 32, "n_min"),
@@ -98,9 +77,9 @@ _SCHEMA = {
     "output": {"dir": (_parse_str, "out", "output_dir")},
 }
 
-# field name -> (section, key, owner) of each row, the owner "solver",
-# "probe" or "" (ExperimentConfig).  Names are unique across the three, so a
-# range error, which names its field, is reported by the row's key.
+# field name -> (section, key, owner) of each row, the owner "solver" or ""
+# (ExperimentConfig).  Names are unique across the two, so a range error,
+# which names its field, is reported by the row's key.
 _FIELDS = {name: (section, key, owner)
            for section, keys in _SCHEMA.items()
            for key, (_, _, field) in keys.items()
@@ -118,7 +97,7 @@ class ExperimentConfig:
     solver: SolverConfig
     epsilon: float
     width: float
-    probe: PacketParams
+    cadence_ratio: float
     rho: float
     n_min: int
     n_max: int
@@ -128,6 +107,7 @@ class ExperimentConfig:
     def __post_init__(self):
         check_ranges(self, (
             ("width", lambda v: v > 0.0, "be positive"),
+            ("cadence_ratio", lambda v: v > 1.0, "exceed 1"),
             ("rho", lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"),
             ("n_min", _dyadic_scale, f"be a power of two >= {MIN_SCALE}"),
             ("n_max", _dyadic_scale, f"be a power of two >= {MIN_SCALE}"),
@@ -178,34 +158,26 @@ def _read_ini(path):
 def _validate(cfg):
     """The checks that span two sections; raises ConfigError naming the
     offending key."""
-    sol, prb = cfg.solver, cfg.probe
     # scatter probes t0 * r^j and needs a stored snapshot at each, so r must
     # step a whole number of snapshot intervals 2^snap_h; the slack is far
     # below the 1e-9 relative time matching of storage.require_times
-    steps = math.log2(prb.cadence_ratio) / sol.snap_h
+    steps = math.log2(cfg.cadence_ratio) / cfg.solver.snap_h
     if abs(steps - round(steps)) > 1e-12 * max(1.0, steps):
         raise ConfigError(
             f"must be an integer power of 2 ** solver.snap_h = "
-            f"{2.0 ** sol.snap_h!r}, got {prb.cadence_ratio!r}",
+            f"{2.0 ** cfg.solver.snap_h!r}, got {cfg.cadence_ratio!r}",
             "probe.cadence_ratio")
-    ceiling = alpha_ceiling(sol.sobolev_s)
-    if not prb.alpha < ceiling:
-        raise ConfigError(
-            f"must be below min(2/45, 2/(2s+1), 2(s-4)/(3(s+1))) = "
-            f"{ceiling:.6g} for norms.s = {sol.sobolev_s}, got {prb.alpha}",
-            "probe.alpha")
     if cfg.n_min > cfg.n_max:
         raise ConfigError("must not exceed N_max", "appendix.N_min")
 
 
 def _build(raw):
-    args = {"solver": {}, "probe": {}, "": {}}
+    args = {"solver": {}, "": {}}
     for name, (section, key, owner) in _FIELDS.items():
         args[owner][name] = raw[section][key]
     try:
-        cfg = ExperimentConfig(solver=SolverConfig(**args["solver"]),
-                               probe=PacketParams(**args["probe"]),
-                               raw=raw, **args[""])
+        cfg = ExperimentConfig(solver=SolverConfig(**args["solver"]), raw=raw,
+                               **args[""])
     except ConfigError as exc:
         section, key, _ = _FIELDS[exc.key]
         raise ConfigError(exc.reason, f"{section}.{key}") from None
@@ -216,16 +188,6 @@ def _build(raw):
 def default_config():
     """The effective config when no file is given."""
     return _build(_raw_defaults())
-
-
-def with_overrides(cfg, section, values):
-    """``cfg`` with the non-None ``values`` set in ``section``, re-validated.
-
-    The overrides land in ``raw``, so the config hash covers them.
-    """
-    raw = {name: dict(keys) for name, keys in cfg.raw.items()}
-    raw[section].update({k: v for k, v in values.items() if v is not None})
-    return _build(raw)
 
 
 def load_config(path):

@@ -69,8 +69,6 @@ class SolverConfig:
     blowup_factor: float           # H1 doubling vs t=0 aborts the run
     wrap_tol: float                # L2 mass fraction in the outer box band
     outer_frac: float
-    sobolev_s: float
-    band_delta: float              # cutoff sharpness of the monitors' bands
 
     def __post_init__(self):
         check_ranges(self, (
@@ -85,8 +83,6 @@ class SolverConfig:
             ("blowup_factor", lambda v: v > 1.0, "exceed 1"),
             ("wrap_tol", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
             ("outer_frac", lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"),
-            ("sobolev_s", lambda v: v >= 3.0, "be >= 3"),
-            ("band_delta", lambda v: v > 0.0, "be positive"),
         ))
 
     def grid(self):

@@ -26,6 +26,8 @@ from .errors import InsufficientData
 from .spectral import Field, Grid, Snapshot, l2_norm, refined_sup
 
 TAPER_FRAC = 0.02  # x is tapered on this outer fraction of the box per side
+SOBOLEV_S = 4.5    # the working norm's Sobolev index s
+MONITOR_CUTOFF = CutoffSpec(1.0)  # the decomposition monitors' dyadic bands
 
 
 @dataclass
@@ -165,15 +167,14 @@ def compute_record(snap, cfg, nl, h1_rate_fd):
     g = u.grid
     xi = _kernels.rfft_xi(g.n, g.length)
     power = spectral_power(snap)
-    hs = float(np.sqrt(np.sum((1.0 + xi ** 2) ** cfg.sobolev_s * power)))
+    hs = float(np.sqrt(np.sum((1.0 + xi ** 2) ** SOBOLEV_S * power)))
     hm1 = float(np.sqrt(np.sum(power[1:] / xi[1:] ** 2)))
     ux = snap.u_x
     j = j_field(snap, ux)
     jn = l2_norm(j)
     xs = float(np.sqrt(hs ** 2 + hm1 ** 2 + jn ** 2))
     if snap.t >= 1.0:
-        monitors = decomposition_monitors(
-            snap, ux, xs, CutoffSpec(cfg.band_delta), cfg.sobolev_s)
+        monitors = decomposition_monitors(snap, ux, xs)
     else:
         monitors = (float("nan"),) * 5
     uv, uxv = u.values, ux.values
@@ -187,9 +188,10 @@ def compute_record(snap, cfg, nl, h1_rate_fd):
 # ----------------------------------------------------------------------
 # decomposition monitors (empirical constants, one row per snapshot)
 
-def decomposition_monitors(snap, ux, xs, spec, s):
+def decomposition_monitors(snap, ux, xs):
     """Empirical constants for the pointwise-decay and weighted bounds, for
-    the snapshot's u_x ``ux`` and ||u||_{X^s} ``xs``.
+    the snapshot's u_x ``ux`` and ||u||_{X^s} ``xs``, s = :data:`SOBOLEV_S`,
+    on the bands of :data:`MONITOR_CUTOFF`.
 
     Returns, in :class:`NormRecord` column order:
 
@@ -205,11 +207,11 @@ def decomposition_monitors(snap, ux, xs, spec, s):
     trajectory (no growth trend) is what the property tests check.
     All five are 0.0 for a zero field.
     """
-    t = float(snap.t)
+    t, s = float(snap.t), SOBOLEV_S
     g = snap.u.grid
     if xs == 0.0:
         return (0.0,) * 5
-    hyp = hyp_ell_decompose(snap, spec)
+    hyp = hyp_ell_decompose(snap, MONITOR_CUTOFF)
     neg = g.x < 0.0
     r = np.abs(g.x[neg]) / t
 

@@ -27,48 +27,29 @@ import numpy as np
 
 from ._kernels import derivative_symbols
 from .bands import bump
-from .errors import InsufficientData, OutOfBox, UnderResolved, check_ranges
+from .errors import InsufficientData, OutOfBox, UnderResolved
 
 #: The integral of exp(-1/(1 - y^2)) over (-1, 1) (40-digit quadrature), so
 #: that bump(., a) integrates to a * BUMP_INTEGRAL by the substitution y / a.
 BUMP_INTEGRAL = 0.44399381616807943782
+#: Support half-width a = 1 - 2^{-delta_p} of the bump chi, at the packet
+#: frequency-window exponent delta_p = 1.
+HALF_WIDTH = 0.5
+#: Velocity-window exponent, below min(2/45, 2/(2s+1), 2(s-4)/(3(s+1))) =
+#: 0.0444 at the working norm's s = :data:`shortpulse.norms.SOBOLEV_S`.
+ALPHA = 0.04
+#: The 17 probe rays -1/4 .. -4, a quarter octave apart.
+VELOCITIES = tuple(-(2.0 ** (k / 4.0)) for k in range(-8, 9))
 
 
-def alpha_ceiling(s):
-    """Window exponents alpha must stay below this for regularity s."""
-    return min(2.0 / 45.0, 2.0 / (2.0 * s + 1.0),
-               2.0 * (s - 4.0) / (3.0 * (s + 1.0)))
+def in_window(t, v):
+    """Velocity window: t^-alpha <= -v <= t^alpha."""
+    return bool(t ** -ALPHA <= -v <= t ** ALPHA)
 
 
-@dataclass(frozen=True)
-class PacketParams:
-    """Probe configuration: packet shape, velocity set, cadence, window."""
-
-    delta_p: float
-    alpha: float
-    velocities: tuple
-    cadence_ratio: float
-
-    def __post_init__(self):
-        check_ranges(self, (
-            ("delta_p", lambda v: v > 0.0, "be positive"),
-            ("alpha", lambda v: v > 0.0, "be positive"),
-            ("velocities", lambda vs: all(v < 0.0 for v in vs), "all be negative"),
-            ("cadence_ratio", lambda v: v > 1.0, "exceed 1"),
-        ))
-
-    @property
-    def half_width(self):
-        """Support half-width a = 1 - 2^{-delta_p} of the bump chi."""
-        return 1.0 - 2.0 ** (-self.delta_p)
-
-    def in_window(self, t, v):
-        """Velocity window: t^-alpha <= -v <= t^alpha."""
-        return bool(t ** -self.alpha <= -v <= t ** self.alpha)
-
-    def chi(self, y):
-        """The unit-integral bump: supp chi = [-a, a], integral chi = 1."""
-        return bump(y, self.half_width) / (self.half_width * BUMP_INTEGRAL)
+def chi(y):
+    """The unit-integral bump: supp chi = [-a, a], integral chi = 1."""
+    return bump(y, HALF_WIDTH) / (HALF_WIDTH * BUMP_INTEGRAL)
 
 
 @dataclass
@@ -93,7 +74,7 @@ def phase(t, x):
     return -2.0 * np.sqrt(t * np.abs(x))
 
 
-def _packet_on_support(t, v, params, grid):
+def _packet_on_support(t, v, grid):
     """(slice, values) of Psi_v(t, .) on the nodes inside its support.
 
     chi vanishes outside (vt - a w, vt + a w), so the packet is exactly
@@ -111,8 +92,7 @@ def _packet_on_support(t, v, params, grid):
         raise UnderResolved(
             f"dx = {grid.dx:.4g} exceeds pi sqrt|v|/4 = "
             f"{np.pi * np.sqrt(np.abs(v)) / 4.0:.4g} at v = {v}")
-    a = params.half_width
-    left, right = v * t - a * width, v * t + a * width
+    left, right = v * t - HALF_WIDTH * width, v * t + HALF_WIDTH * width
     half = grid.length / 2.0
     if left <= -half or right >= half:
         raise OutOfBox(
@@ -121,14 +101,14 @@ def _packet_on_support(t, v, params, grid):
     support = slice(int(np.searchsorted(grid.x, left, side="right")),
                     int(np.searchsorted(grid.x, right, side="left")))
     x = grid.x[support]
-    vals = np.abs(v) ** -0.75 * params.chi((x - v * t) / width) \
+    vals = np.abs(v) ** -0.75 * chi((x - v * t) / width) \
         * np.exp(1j * phase(t, x))
     return support, vals
 
 
-def gamma(snap, v, params):
+def gamma(snap, v):
     """The probe amplitude gamma(t,v) by rectangle-rule quadrature."""
-    support, psi = _packet_on_support(snap.t, v, params, snap.u.grid)
+    support, psi = _packet_on_support(snap.t, v, snap.u.grid)
     u = np.asarray(snap.u.values)[support]
     return complex(snap.u.grid.dx * np.sum(u * np.conj(psi)))
 
@@ -215,8 +195,8 @@ def prop42_errors(snap, v, gam, coeffs):
     return float(err_u), float(err_ux)
 
 
-def probe_snapshot(snap, params, skipped):
-    """Probe one snapshot at every configured velocity.
+def probe_snapshot(snap, skipped):
+    """Probe one snapshot at every ray of :data:`VELOCITIES`.
 
     Velocities whose packet does not fit the box or the resolution are
     skipped (the probe set is ray-dependent by design); each skip adds one
@@ -226,9 +206,9 @@ def probe_snapshot(snap, params, skipped):
     """
     coeffs = _ray_coefficients(snap)
     records = []
-    for v in params.velocities:
+    for v in VELOCITIES:
         try:
-            gam = gamma(snap, v, params)
+            gam = gamma(snap, v)
         except (OutOfBox, UnderResolved) as exc:
             skipped[(float(v), type(exc).__name__)] += 1
             continue
@@ -236,7 +216,7 @@ def probe_snapshot(snap, params, skipped):
         records.append(ProbeRecord(
             t=float(snap.t), v=float(v), gamma=gam, w=extract_w(snap.t, v, gam),
             approx_err_u=err_u, approx_err_ux=err_ux,
-            in_window=params.in_window(snap.t, v)))
+            in_window=in_window(snap.t, v)))
     return records
 
 

@@ -171,8 +171,11 @@ def load_manifest(traj_dir):
     path = os.path.join(traj_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise ConfigError(f"no {MANIFEST_NAME} in {traj_dir}")
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CorruptSnapshot(f"cannot load {path}: {exc}; re-simulate") from None
 
 
 def _read_records(traj_dir, count):
@@ -199,9 +202,19 @@ def load_trajectory(traj_dir):
     stored field must have zero mean (to the stored ``mean_tol``).  Each
     snapshot gets its norms.csv row back, whose t must be the snapshot's.
     The run's config hash stays in the manifest; a :data:`PROVENANCE` field
-    that an older manifest lacks takes its Trajectory default.
+    that an older manifest lacks takes its Trajectory default.  A manifest
+    entry that is missing or of the wrong type, or a listed snapshot file
+    that cannot be read, raises :class:`CorruptSnapshot`.
     """
     manifest = load_manifest(traj_dir)
+    try:
+        return _rebuild(traj_dir, manifest), manifest
+    except (KeyError, TypeError, OSError) as exc:
+        raise CorruptSnapshot(f"cannot load {traj_dir}: {type(exc).__name__} "
+                              f"{exc}; re-simulate") from None
+
+
+def _rebuild(traj_dir, manifest):
     solver = manifest["solver"]
     fields = set(SolverConfig.__dataclass_fields__)
     for what, keys in (("unknown", set(solver) - fields),
@@ -235,7 +248,7 @@ def load_trajectory(traj_dir):
         snap = Snapshot(t, u)
         snap.norms = record
         traj.append(snap)
-    return traj, manifest
+    return traj
 
 
 def require_times(traj, times):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from shortpulse.bands import CutoffSpec
-from shortpulse.config import default_config
 from shortpulse.evolve import evolve
 from shortpulse.packets import probe_snapshot
 from shortpulse.spectral import Field
@@ -64,11 +63,10 @@ def mini_rows(mini_traj):
 
 @pytest.fixture(scope="session")
 def mini_probe_records(mini_traj):
-    params = default_config().probe
     records = []
     for snap in mini_traj.snapshots:
         if snap.t >= 1.0:
-            records.extend(probe_snapshot(snap, params, Counter()))
+            records.extend(probe_snapshot(snap, Counter()))
     return records
 
 

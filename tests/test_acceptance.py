@@ -51,11 +51,10 @@ def reference():
 
 @pytest.fixture(scope="module")
 def records(reference):
-    params = default_config().probe
     out = []
     for snap in reference.snapshots:
         if snap.t >= 1.0:
-            out.extend(probe_snapshot(snap, params, Counter()))
+            out.extend(probe_snapshot(snap, Counter()))
     for v in PROBE_VELOCITIES:
         try:
             attach_residuals(out, v)

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from shortpulse import cli
-from shortpulse.config import (_SCHEMA, DEFAULT_VELOCITIES, default_config,
-                               load_config)
+from shortpulse.config import _SCHEMA, load_config
 from shortpulse.errors import ConfigError
 from shortpulse.evolve import Trajectory
 from shortpulse.norms import NormRecord
+from shortpulse.packets import HALF_WIDTH, VELOCITIES
 from shortpulse.spectral import Field
 from shortpulse.storage import (PROVENANCE, read_field, save_trajectory,
                                 write_field)
@@ -37,8 +37,8 @@ TINY_INI = textwrap.dedent("""\
     epsilon = 0.1
 """)
 
-TINY_HASH = "b8edf15ff0634c07"
-RETUNED_HASH = "cb16d281352d2fa4"   # same run with dt = 0.01
+TINY_HASH = "9d42fa13ff2bc9dd"
+RETUNED_HASH = "26465472e22a6a91"   # same run with dt = 0.01
 
 # measured at the fixed dt = 0.02 that TINY_INI pins with step_tol = 0
 tiny_final_norms = {"L2": 0.11195151349202641, "Linf": 0.08519106086423486,
@@ -216,12 +216,12 @@ def test_scatter_counts_the_probes_it_skips(mini_traj, tmp_path):
                    str(tmp_path / "traj"), "--out", str(tmp_path / "s"))
     assert proc.returncode == 0
     # rays whose packet support [vt - a w, vt + a w] reaches x = -L/2
-    t, a = 64.0, default_config().probe.half_width
-    out = sorted(v for v in DEFAULT_VELOCITIES
+    t, a = 64.0, HALF_WIDTH
+    out = sorted(v for v in VELOCITIES
                  if v * t - a * np.sqrt(t) * abs(v) ** 0.75 <= -128.0)
     assert len(out) == 5
     summary = json.loads(proc.stdout)
-    assert summary["records"] == len(DEFAULT_VELOCITIES) - len(out)
+    assert summary["records"] == len(VELOCITIES) - len(out)
     assert summary["skipped_probes"] == [
         {"v": v, "reason": "OutOfBox", "count": 1} for v in out]
     stored = json.loads((tmp_path / "s" / "scatter_summary.json").read_text())
@@ -267,39 +267,91 @@ def test_scatter_refuses_a_mismatched_config_hash(tiny_run, tmp_path):
 
 def test_scatter_rejects_a_manifest_with_a_retired_solver_key(tiny_run,
                                                               tmp_path):
+    # band_delta and sobolev_s: manifests written while decomposition.delta
+    # and norms.s were config keys hold them
     ini, out, _ = tiny_run
     old = tmp_path / "old"
     shutil.copytree(out, old)
     manifest = json.loads((old / "manifest.json").read_text())
-    manifest["solver"]["integrator"] = "ifrk4"
+    manifest["solver"].update(integrator="ifrk4", band_delta=1.0, sobolev_s=4.5)
     (old / "manifest.json").write_text(json.dumps(manifest))
     proc = run_cli("scatter", "--config", str(ini), "--traj", str(old),
                    "--out", str(tmp_path / "s"))
     assert proc.returncode == 1
-    assert "unknown solver key(s) in manifest.json: integrator" in proc.stderr
+    assert ("unknown solver key(s) in manifest.json: band_delta, integrator, "
+            "sobolev_s; re-simulate") in proc.stderr
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["status"] == "ConfigError"
 
 
 def test_scatter_rejects_a_manifest_that_lacks_a_solver_key(tiny_run,
                                                            tmp_path):
-    # band_delta: manifests written before it moved from [probe] to the
-    # solver settings lack it
     ini, out, _ = tiny_run
-    for keys in (("t_final", "snap_h"), ("band_delta",)):
-        old = tmp_path / "-".join(keys)
-        shutil.copytree(out, old)
-        manifest = json.loads((old / "manifest.json").read_text())
-        for key in keys:
-            del manifest["solver"][key]
-        (old / "manifest.json").write_text(json.dumps(manifest))
-        proc = run_cli("scatter", "--config", str(ini), "--traj", str(old),
-                       "--out", str(tmp_path / "s"))
-        assert proc.returncode == 1
-        assert ("missing solver key(s) in manifest.json: "
-                f"{', '.join(sorted(keys))}; re-simulate") in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert json.loads(proc.stdout)["status"] == "ConfigError"
+    old = tmp_path / "old"
+    shutil.copytree(out, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    del manifest["solver"]["t_final"], manifest["solver"]["snap_h"]
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli("scatter", "--config", str(ini), "--traj", str(old),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 1
+    assert ("missing solver key(s) in manifest.json: snap_h, t_final; "
+            "re-simulate") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ConfigError"
+
+
+DAMAGES = {"manifest_not_json": "CorruptSnapshot",
+           "no_provenance": "CorruptSnapshot",
+           "entry_without_t": "CorruptSnapshot",
+           "snapshot_file_missing": "CorruptSnapshot",
+           "no_config_hash": "ConfigError"}   # no stored hash matches the config
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_scatter_reports_a_damaged_trajectory(tiny_run, tmp_path, damage):
+    ini, out, _ = tiny_run
+    bad = tmp_path / "bad"
+    shutil.copytree(out, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    if damage == "no_provenance":
+        del manifest["provenance"]
+    if damage == "no_config_hash":
+        del manifest["provenance"]["config_hash"]
+    if damage == "entry_without_t":
+        del manifest["snapshots"][-1]["t"]
+    if damage == "snapshot_file_missing":
+        (bad / manifest["snapshots"][-1]["file"]).unlink()
+    (bad / "manifest.json").write_text(
+        "{" if damage == "manifest_not_json" else json.dumps(manifest))
+    proc = run_cli("scatter", "--config", str(ini), "--traj", str(bad),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "re-simulate" in proc.stderr
+    assert json.loads(proc.stdout)["status"] == DAMAGES[damage]
+
+
+def test_scatter_reports_a_trajectory_that_ends_before_the_first_probe(
+        tmp_path):
+    # the wrap monitor stops this run at t = 0, so its one snapshot lies
+    # before snap_t0 = 1
+    ini = tmp_path / "wide.ini"
+    ini.write_text(TINY_INI.replace("snap_t0 = 1.0\n", "snap_t0 = 1.0\n"
+                                    "wrap_tol = 1e-9\nouter_frac = 0.45\n")
+                   + "width = 6\n")
+    out = tmp_path / "run"
+    sim = run_cli("simulate", "--config", str(ini), "--out", str(out))
+    assert sim.returncode == 2
+    assert json.loads(sim.stdout)["snapshots"] == 1
+    proc = run_cli("scatter", "--config", str(ini), "--traj", str(out),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["status"] == "MissingSnapshots"
+    assert "ends at t=0, before the first probe time solver.snap_t0 = 1" \
+        in summary["error"]
 
 
 def test_scatter_rejects_a_manifest_with_an_out_of_range_solver_value(
@@ -358,7 +410,7 @@ def test_probe_cadence_must_land_on_stored_snapshots(tmp_path, snap_h, ratio,
     ini.write_text(f"[solver]\nsnap_h = {snap_h!r}\n"
                    f"[probe]\ncadence_ratio = {ratio!r}\n")
     if loads:
-        assert load_config(ini).probe.cadence_ratio == ratio
+        assert load_config(ini).cadence_ratio == ratio
     else:
         with pytest.raises(ConfigError, match="probe.cadence_ratio"):
             load_config(ini)
@@ -373,10 +425,7 @@ OUT_OF_RANGE = [
     ("solver.outer_frac", "0.5", ""), ("solver.snap_t0", "-1", ""),
     ("solver.snap_t0", "64", "T = 32"), ("solver.snap_h", "0", ""),
     ("solver.step_tol", "-1e-10", ""), ("solver.blowup_factor", "0.5", ""),
-    ("initial.width", "0", ""), ("norms.s", "2.5", ""),
-    ("decomposition.delta", "0", ""), ("probe.delta_p", "0", ""),
-    ("probe.alpha", "0", ""), ("probe.alpha", "0.05", ""),
-    ("probe.velocities", "-1, 0.5", ""), ("probe.cadence_ratio", "1", ""),
+    ("initial.width", "0", ""), ("probe.cadence_ratio", "1", ""),
     ("probe.cadence_ratio", "1.1", ""), ("appendix.rho", "0.5", ""),
     ("appendix.N_min", "8", ""), ("appendix.N_min", "2048", ""),
     ("appendix.N_max", "48", ""),
@@ -395,9 +444,11 @@ def test_an_out_of_range_value_names_its_key(tmp_path, key, value, extra):
 
 # integrator, dealias and power selected the retired ETDRK4, two-thirds and
 # p = 2 paths; growth_limit and max_halvings set the retired step halving;
-# initial.kind and initial.path read the retired file datum, and
-# output.formats selected the retired partial outputs.  A key without a
-# section is a [solver] key.
+# initial.kind and initial.path read the retired file datum,
+# output.formats selected the retired partial outputs, and norms.s,
+# decomposition.delta, probe.delta_p, probe.alpha and probe.velocities set
+# what are now the constants of norms and packets.  A key without a section
+# is a [solver] key; a key of a retired section names its section.
 @pytest.mark.parametrize("key, value", [
     ("bogus_knob", "3"),
     ("integrator", "etdrk4"),
@@ -408,6 +459,11 @@ def test_an_out_of_range_value_names_its_key(tmp_path, key, value, extra):
     ("initial.kind", "gaussian_derivative"),
     ("initial.path", "datum.bin"),
     ("output.formats", "bin,csv"),
+    ("norms.s", "4.5"),
+    ("decomposition.delta", "1.0"),
+    ("probe.delta_p", "1.0"),
+    ("probe.alpha", "0.04"),
+    ("probe.velocities", "default"),
 ])
 def test_unknown_config_keys_fail_closed(tmp_path, key, value):
     section, _, name = key.rpartition(".")
@@ -417,12 +473,13 @@ def test_unknown_config_keys_fail_closed(tmp_path, key, value):
                    f"[{section}]\n") + f"{name} = {value}\n")
     proc = run_cli("simulate", "--config", str(ini), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
-    assert f"unknown config key {section}.{name}" in proc.stderr
+    assert (f"unknown config key {section}.{name}" if section in _SCHEMA
+            else f"unknown config section [{section}]") in proc.stderr
 
 
 def test_the_readme_config_block_shows_the_schema_defaults():
     # README's configuration reference says "All values shown are the
-    # defaults"; velocities = ... stands for the 17 default rays
+    # defaults"
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration reference", 1)[1]
     block = section.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -433,7 +490,7 @@ def test_the_readme_config_block_shows_the_schema_defaults():
     shown = {(name, key) for name in parser.sections() for key in parser[name]}
     assert shown == {(name, key) for name, keys in _SCHEMA.items()
                      for key in keys}
-    for name, key in sorted(shown - {("probe", "velocities")}):
+    for name, key in sorted(shown):
         parse, default, _ = _SCHEMA[name][key]
         assert parse(parser[name][key]) == default, f"{name}.{key}"
 
@@ -466,27 +523,43 @@ def test_endpoint_scan_produces_the_frozen_verdict(tmp_path):
 
 def test_endpoint_scan_rejects_an_out_of_range_weight(tmp_path):
     ini = tmp_path / "app.ini"
-    ini.write_text("[appendix]\nrho = 0.25\n")
-    proc = run_cli("appendix", "--config", str(ini), "--rho", "0.6",
-                   "--out", str(tmp_path / "o"))
+    ini.write_text("[appendix]\nrho = 0.6\n")
+    proc = run_cli("appendix", "--config", str(ini), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
-    assert "(0, 1/2)" in proc.stderr
+    assert "appendix.rho: must lie in (0, 1/2)" in proc.stderr
 
 
-def test_endpoint_scan_takes_its_range_from_the_command_line(tmp_path):
-    proc = run_cli("appendix", "--N-min", "64", "--N-max", "256",
-                   "--out", str(tmp_path / "o"))
+def test_endpoint_scan_takes_its_range_from_the_config(tmp_path):
+    ini = tmp_path / "range.ini"
+    ini.write_text("[appendix]\nN_min = 64\nN_max = 256\n")
+    proc = run_cli("appendix", "--config", str(ini), "--out", str(tmp_path / "o"))
     assert proc.returncode == 0
     summary = json.loads(proc.stdout)
     assert summary["scales"] == [64, 128, 256]
-    # the overrides are part of the hashed config, as if set in the file
-    ini = tmp_path / "range.ini"
-    ini.write_text("[appendix]\nN_min = 64\nN_max = 256\n")
     assert summary["config_hash"] == load_config(ini).hash()
-    assert summary["config_hash"] != default_config().hash()
-    proc = run_cli("appendix", "--N-min", "48", "--out", str(tmp_path / "p"))
+    ini.write_text("[appendix]\nN_min = 48\n")
+    proc = run_cli("appendix", "--config", str(ini), "--out", str(tmp_path / "p"))
     assert proc.returncode == 1
     assert "appendix.N_min: must be a power of two" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--force"], ["appendix", "--force"], ["selftest", "--force"],
+    ["selftest", "--config", "x.ini"], ["selftest", "--out", "o"],
+    ["appendix", "--rho", "0.25"], ["appendix", "--N-min", "64"],
+], ids=" ".join)
+def test_a_flag_is_refused_by_a_command_that_does_not_read_it(argv):
+    assert cli.main(argv) == 1
+
+
+def test_the_benchmark_command_lines_parse():
+    parse = cli.build_parser().parse_args
+    for command in ("simulate", "appendix"):
+        args = parse([command, "--config", "c.ini", "--out", "o"])
+        assert (args.config, args.out) == ("c.ini", "o")
+    args = parse(["scatter", "--config", "c.ini", "--traj", "o", "--out", "o",
+                  "--force"])
+    assert (args.config, args.traj, args.out, args.force) == ("c.ini", "o", "o", True)
 
 
 def test_wrap_abort_exits_with_the_monitor_code(tmp_path):

@@ -8,7 +8,7 @@ from scipy import fft as sfft
 
 import shortpulse.evolve as evolve_module
 from shortpulse._kernels import NonlinearKernel
-from shortpulse.config import default_config, with_overrides
+from shortpulse.config import load_config
 from shortpulse.errors import BlowUp, MeanDrift, StepRejected, WrapAround
 from shortpulse.evolve import TAIL_TOL, Stepper, evolve
 from shortpulse.spectral import Field, Grid
@@ -391,10 +391,14 @@ def test_snapshot_times_are_geometric_between_the_endpoints():
     assert interior[0] == cfg.snap_t0
 
 
-def test_config_hash_is_stable_and_sensitive():
+def test_config_hash_is_stable_and_sensitive(tmp_path):
     # a run's one identity is its experiment config's hash
-    a, b, c = (with_overrides(default_config(), "solver", {"dt": dt})
-               for dt in (0.02, 0.02, 0.01))
+    def config(dt):
+        ini = tmp_path / f"dt{dt}.ini"
+        ini.write_text(f"[solver]\ndt = {dt}\n")
+        return load_config(ini)
+
+    a, b, c = (config(dt) for dt in (0.02, 0.02, 0.01))
     assert a.hash() == b.hash()
     assert a.hash() != c.hash()
     assert len(a.hash()) == 16

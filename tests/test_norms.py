@@ -158,14 +158,14 @@ def test_record_rows_follow_the_declared_column_order(mini_traj):
 
 
 def test_record_monitors_are_nan_before_t_one_and_the_monitors_after(
-        mini_traj, cutoff):
+        mini_traj):
     for snap in mini_traj.snapshots[::8]:
         got = tuple(getattr(snap.norms, name) for name in MONITORS)
         if snap.t < 1.0:
             assert all(np.isnan(got)), snap.t
         else:
             assert got == decomposition_monitors(
-                snap, snap.u_x, snap.norms.Xs, cutoff, 4.5), snap.t
+                snap, snap.u_x, snap.norms.Xs), snap.t
 
 
 def test_decomposition_monitors_stay_bounded(mini_traj):
@@ -200,8 +200,7 @@ def test_monitors_match_their_transform_pair_forms(mini_traj, cutoff):
     s = 4.5
     for snap in [snap for snap in mini_traj.snapshots if snap.t >= 1.0][::4]:
         t, g, xs = snap.t, snap.u.grid, snap.norms.Xs
-        got = dict(zip(MONITORS, decomposition_monitors(
-            snap, snap.u_x, xs, cutoff, s)))
+        got = dict(zip(MONITORS, decomposition_monitors(snap, snap.u_x, xs)))
         hyp = hyp_ell_decompose(snap, cutoff)
         ell_plus = project_sign(g, snap.u.values, +1) - hyp
         ell_x = 2.0 * np.real(derivative(g, ell_plus))

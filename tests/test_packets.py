@@ -1,6 +1,5 @@
 """Packet probes, the limit ODE, and the long-time profile."""
 
-import dataclasses
 import subprocess
 import sys
 from collections import Counter
@@ -10,18 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shortpulse import packets
 from shortpulse.bands import bump
-from shortpulse.config import DEFAULT_VELOCITIES, default_config, load_config
-from shortpulse.errors import ConfigError, InsufficientData, OutOfBox, UnderResolved
+from shortpulse.cli import SUMMARY_VELOCITIES
+from shortpulse.errors import InsufficientData, OutOfBox, UnderResolved
+from shortpulse.norms import SOBOLEV_S
 from shortpulse.packets import (
+    ALPHA,
     BUMP_INTEGRAL,
+    HALF_WIDTH,
+    VELOCITIES,
     ProbeRecord,
     _packet_on_support,
     _ray_coefficients,
-    alpha_ceiling,
     attach_residuals,
+    chi,
     extract_w,
     gamma,
+    in_window,
     ode_residual_series,
     phase,
     phase_drift_fit,
@@ -57,19 +62,19 @@ synthetic_ray_errors_u = (0.028020029334892918, 0.0071479489249517414,
                           0.0015155732784390141)
 
 
-def packet(t, v, params, grid):
+def packet(t, v, grid):
     """Psi_v(t, .) on the whole grid, zero off its support."""
-    support, vals = _packet_on_support(t, v, params, grid)
+    support, vals = _packet_on_support(t, v, grid)
     full = np.zeros(grid.n, dtype=np.complex128)
     full[support] = vals
     return full
 
 
-def spectrum_concentration(t, v, params, grid, spec):
+def spectrum_concentration(t, v, grid, spec):
     """||(1 - P^+_{N/2^d <= . <= 2^d N}) Psi_v|| / ||Psi_v||, N the nearest
     scaled dyadic to xi_v: the fraction of the packet's L2 mass outside
     the band around N."""
-    psi = packet(t, v, params, grid)
+    psi = packet(t, v, grid)
     xi_v = abs(v) ** -0.5
     n_v = 2.0 ** (spec.delta * round(np.log2(xi_v) / spec.delta))
     kept = project_plus_range(grid, psi, n_v * 2.0 ** -spec.delta,
@@ -127,55 +132,52 @@ def test_ray_phase_closed_values():
 
 def test_packet_center_value_and_support():
     g = Grid(1 << 13, 800.0)
-    params = default_config().probe
     t, v = 25.0, -1.0
-    psi = packet(t, v, params, g)
+    psi = packet(t, v, g)
     center = int(np.argmin(np.abs(g.x - v * t)))
-    expected = np.abs(v) ** -0.75 * params.chi(np.array([0.0]))[0]
+    expected = np.abs(v) ** -0.75 * chi(np.array([0.0]))[0]
     assert abs(psi[center]) == pytest.approx(expected, rel=1e-6)
     width = np.sqrt(t) * np.abs(v) ** 0.75
-    outside = np.abs(g.x - v * t) > params.half_width * width
+    outside = np.abs(g.x - v * t) > HALF_WIDTH * width
     assert np.max(np.abs(psi[outside])) == 0.0
 
 
 def test_packet_rejects_bad_arguments():
     g = Grid(1 << 13, 800.0)
-    params = default_config().probe
     with pytest.raises(ValueError):
-        packet(0.5, -1.0, params, g)
+        packet(0.5, -1.0, g)
     with pytest.raises(ValueError):
-        packet(4.0, 1.0, params, g)
+        packet(4.0, 1.0, g)
     coarse = Grid(1 << 7, 800.0)
     with pytest.raises(UnderResolved):
-        packet(4.0, -1.0, params, coarse)
+        packet(4.0, -1.0, coarse)
     with pytest.raises(OutOfBox):
-        packet(500.0, -1.0, params, g)
+        packet(500.0, -1.0, g)
 
 
 def test_probe_amplitude_of_the_pure_carrier_is_sqrt_t():
     g = Grid(1 << 15, 800.0)
     t = 25.0
     snap = PlainSnap(t, g, np.exp(1j * phase(t, g.x)))
-    gm = gamma(snap, -1.0, default_config().probe)
+    gm = gamma(snap, -1.0)
     assert abs(gm - np.sqrt(t)) / np.sqrt(t) < gamma_phase_tol
 
 
 def test_probe_amplitude_is_linear():
     g = Grid(1 << 15, 800.0)
     t, v = 25.0, -1.0
-    params = default_config().probe
     u1 = np.exp(1j * phase(t, g.x)) * np.exp(-((g.x + 25.0) / 10.0) ** 2)
     u2 = Field(g, np.cos(g.x) * np.exp(-((g.x + 30.0) / 15.0) ** 2))
-    g1 = gamma(PlainSnap(t, g, u1), v, params)
-    g2 = gamma(Snapshot(t, u2), v, params)
-    g12 = gamma(PlainSnap(t, g, 2.0 * u1 + 3.0 * u2.values), v, params)
+    g1 = gamma(PlainSnap(t, g, u1), v)
+    g2 = gamma(Snapshot(t, u2), v)
+    g12 = gamma(PlainSnap(t, g, 2.0 * u1 + 3.0 * u2.values), v)
     assert abs(g12 - (2.0 * g1 + 3.0 * g2)) / abs(g12) < gamma_linearity_tol
 
 
 def test_probe_amplitude_of_zero_is_zero():
     g = Grid(1 << 13, 800.0)
     snap = Snapshot(4.0, Field(g, np.zeros(g.n)))
-    assert gamma(snap, -1.0, default_config().probe) == 0.0
+    assert gamma(snap, -1.0) == 0.0
 
 
 def test_probe_amplitude_obeys_the_sup_bound():
@@ -185,7 +187,7 @@ def test_probe_amplitude_obeys_the_sup_bound():
     t = 25.0
     u = Field(g, 0.1 * np.exp(1j * phase(t, g.x)).real
               * np.exp(-((g.x + 25.0) / 30.0) ** 2))
-    gm = gamma(Snapshot(t, u), -1.0, default_config().probe)
+    gm = gamma(Snapshot(t, u), -1.0)
     assert abs(gm) <= np.sqrt(t) * linf_norm(u) * (1.0 + 1e-9)
 
 
@@ -249,12 +251,11 @@ def test_phase_correction_preserves_the_modulus(re, im, t, v):
 
 
 def test_velocity_window_boundaries():
-    params = default_config().probe
-    assert params.in_window(100.0, -1.0)
-    assert not params.in_window(100.0, -3.0)
+    assert in_window(100.0, -1.0)
+    assert not in_window(100.0, -3.0)
     root2 = 2.0 ** 0.5
-    assert not params.in_window(5792.0, -root2)
-    assert params.in_window(5793.0, -root2)
+    assert not in_window(5792.0, -root2)
+    assert in_window(5793.0, -root2)
 
 
 @pytest.mark.parametrize("half_width", [0.5, 0.75, 1.0 - 2.0 ** -0.5,
@@ -267,12 +268,12 @@ def test_bump_integral_has_the_closed_form(half_width):
     assert abs(half_width * BUMP_INTEGRAL - val) <= bump_integral_tol * val
 
 
-@pytest.mark.parametrize("delta_p", [0.5, 1.0, 2.0, 3.0])
-def test_packet_profile_has_unit_integral(delta_p):
+@pytest.mark.parametrize("half_width", [0.5, 1.0, 2.0, 3.0])
+def test_packet_profile_has_unit_integral(monkeypatch, half_width):
+    # chi reads HALF_WIDTH when called; 0.5 is the probes' own
     from scipy.integrate import quad
-    params = dataclasses.replace(default_config().probe, delta_p=delta_p)
-    a = params.half_width
-    val, _ = quad(lambda y: params.chi(np.array([y]))[0], -a, a,
+    monkeypatch.setattr(packets, "HALF_WIDTH", half_width)
+    val, _ = quad(lambda y: chi(np.array([y]))[0], -half_width, half_width,
                   epsabs=1e-13, epsrel=1e-13)
     assert abs(val - 1.0) <= bump_integral_tol
 
@@ -287,25 +288,24 @@ def test_the_cli_import_path_leaves_out_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_window_exponent_respects_the_regularity_ceiling(tmp_path):
-    assert alpha_ceiling(4.5) > default_config().probe.alpha
-    ini = tmp_path / "alpha.ini"
-    ini.write_text("[norms]\ns = 4.5\n[probe]\nalpha = 0.05\n")
-    with pytest.raises(ConfigError, match="probe.alpha"):
-        load_config(ini)
+def test_window_exponent_respects_the_regularity_ceiling():
+    s = SOBOLEV_S
+    assert ALPHA < min(2.0 / 45.0, 2.0 / (2.0 * s + 1.0),
+                       2.0 * (s - 4.0) / (3.0 * (s + 1.0)))
 
 
 def test_default_velocity_ladder():
-    assert len(DEFAULT_VELOCITIES) == 17
-    assert DEFAULT_VELOCITIES[0] == pytest.approx(-0.25)
-    assert DEFAULT_VELOCITIES[-1] == pytest.approx(-4.0)
-    assert -1.0 in DEFAULT_VELOCITIES
+    assert len(VELOCITIES) == 17
+    assert VELOCITIES[0] == pytest.approx(-0.25)
+    assert VELOCITIES[-1] == pytest.approx(-4.0)
+    assert -1.0 in VELOCITIES
+    assert set(SUMMARY_VELOCITIES) <= set(VELOCITIES)
 
 
 def test_probing_skips_rays_that_leave_the_box(mini_probe_records):
     first = {r.v for r in mini_probe_records if abs(r.t - 1.0) < 1e-9}
     last = {r.v for r in mini_probe_records if abs(r.t - 64.0) < 1e-9}
-    assert len(first) == len(DEFAULT_VELOCITIES)
+    assert len(first) == len(VELOCITIES)
     assert len(last) == 12       # fast rays reach the L=256 box edge
     assert -1.0 in last and -4.0 not in last
 
@@ -318,17 +318,16 @@ def test_probe_records_carry_consistent_corrected_states(mini_probe_records):
 def test_shared_spectra_leave_probe_records_bit_identical(mini_traj):
     # the last snapshot (t = 64) drops some rays, so the skip path runs too
     snap = mini_traj.snapshots[-1]
-    params = default_config().probe
     expected = {}
-    for v in params.velocities:
+    for v in VELOCITIES:
         try:
-            gam = gamma(snap, v, params)
+            gam = gamma(snap, v)
         except (OutOfBox, UnderResolved):
             continue
         expected[v] = (gam, extract_w(snap.t, v, gam),
                        *prop42_errors(snap, v, gam, _ray_coefficients(snap)))
-    records = probe_snapshot(snap, params, Counter())
-    assert 0 < len(records) < len(params.velocities)
+    records = probe_snapshot(snap, Counter())
+    assert 0 < len(records) < len(VELOCITIES)
     assert {r.v: (r.gamma, r.w, r.approx_err_u, r.approx_err_ux)
             for r in records} == expected
 
@@ -344,8 +343,7 @@ def test_residual_attachment_fills_only_the_interior(mini_probe_records):
 
 def test_packet_spectrum_concentrates_as_time_grows(cutoff):
     g = Grid(1 << 13, 800.0)
-    params = default_config().probe
-    leaks = [spectrum_concentration(t, -1.0, params, g, cutoff)
+    leaks = [spectrum_concentration(t, -1.0, g, cutoff)
              for t in (25.0, 100.0, 200.0)]
     for got, frozen in zip(leaks, concentration_frozen):
         assert got == pytest.approx(frozen, abs=2e-2)
@@ -409,14 +407,13 @@ def test_band_limited_interpolation_is_exact_on_modes():
 
 def test_masked_carrier_ray_errors_shrink_with_time(cutoff):
     g = Grid(1 << 13, 800.0)
-    params = default_config().probe
     c0 = 0.3 + 0.1j
     errs_u, errs_ux = [], []
     for t in (16.0, 36.0, 64.0):
         mask = sigma_range(cutoff, np.abs(g.x), t / 3.0, 200.0) * (g.x < 0.0)
         vals = 2.0 * t ** -0.5 * (np.exp(1j * phase(t, g.x)) * c0).real * mask
         snap = Snapshot(t, Field(g, vals))
-        gm = gamma(snap, -1.0, params)
+        gm = gamma(snap, -1.0)
         eu, eux = prop42_errors(snap, -1.0, gm, _ray_coefficients(snap))
         errs_u.append(eu)
         errs_ux.append(eux)
@@ -429,55 +426,53 @@ def test_masked_carrier_ray_errors_shrink_with_time(cutoff):
 def test_free_flow_amplitude_modulus_is_steady():
     g = Grid(1 << 16, 4800.0)
     u0 = Field(g, 0.05 * np.cos(g.x) * np.exp(-(g.x / 12.0) ** 2))
-    params = default_config().probe
     ts = 100.0 * 2.0 ** (np.arange(28) / 8.0)
     mods = [abs(gamma(Snapshot(t, Field(g, free_propagate(g, u0.values, t))),
-                      -1.0, params))
+                      -1.0))
             for t in ts]
     drift = abs(np.log(mods[-1] / mods[0])) / np.log10(ts[-1] / ts[0])
     assert drift < freeflow_drift_ceiling
 
 
-def whole_grid_packet(t, v, params, grid):
+def whole_grid_packet(t, v, grid):
     """Psi_v(t, .) with chi and the carrier evaluated at every node."""
     width = np.sqrt(t) * np.abs(v) ** 0.75
-    return np.abs(v) ** -0.75 * params.chi((grid.x - v * t) / width) \
+    return np.abs(v) ** -0.75 * chi((grid.x - v * t) / width) \
         * np.exp(1j * phase(t, grid.x))
 
 
-def time_of_left_edge(v, params, grid, left):
+def time_of_left_edge(v, grid, left):
     """The t at which the packet support's left end v t - a w sits at left."""
     # |v| s^2 + a |v|^{3/4} s + left = 0 with s = sqrt(t)
-    a, b = abs(v), params.half_width * abs(v) ** 0.75
+    a, b = abs(v), HALF_WIDTH * abs(v) ** 0.75
     s = (-b + np.sqrt(b * b - 4.0 * a * left)) / (2.0 * a)
     return s * s
 
 
 def test_packet_on_its_support_matches_the_whole_grid_packet(mini_traj):
-    params = default_config().probe
     g = mini_traj.config.grid()
     snaps = [s for s in mini_traj.snapshots if s.t >= 1.0]
     # the support of this ray starts half a node spacing inside the box
-    t_edge = time_of_left_edge(-1.0, params, g, -g.length / 2 + 0.5 * g.dx)
-    assert -g.length / 2 < -t_edge - params.half_width * np.sqrt(t_edge) \
+    t_edge = time_of_left_edge(-1.0, g, -g.length / 2 + 0.5 * g.dx)
+    assert -g.length / 2 < -t_edge - HALF_WIDTH * np.sqrt(t_edge) \
         < -g.length / 2 + g.dx
     edge = Snapshot(t_edge, mini_traj.snapshots[-1].u)
     checked = set()
     for snap in snaps + [edge]:
         u = np.asarray(snap.u.values)
-        for v in params.velocities:
+        for v in VELOCITIES:
             try:
-                got = gamma(snap, v, params)
-                psi = packet(snap.t, v, params, g)
+                got = gamma(snap, v)
+                psi = packet(snap.t, v, g)
             except (OutOfBox, UnderResolved):
                 continue
-            whole = whole_grid_packet(snap.t, v, params, g)
+            whole = whole_grid_packet(snap.t, v, g)
             assert np.max(np.abs(psi - whole)) <= 1e-15 * np.max(np.abs(whole))
             want = complex(g.dx * np.sum(u * np.conj(whole)))
             assert abs(got - want) <= support_sum_tol * abs(want)
             checked.add((snap.t, v))
     assert (t_edge, -1.0) in checked
-    assert len(checked) > 0.9 * len(snaps) * len(params.velocities)
+    assert len(checked) > 0.9 * len(snaps) * len(VELOCITIES)
 
 
 @pytest.mark.parametrize("which", ["mini t=64", "noise t=4"])
@@ -487,10 +482,9 @@ def test_half_spectrum_ray_values_match_the_full_spectrum(mini_traj, which):
     noise = Field(g, np.random.default_rng(11).standard_normal(g.n))
     snap = mini_traj.snapshots[-1] if which == "mini t=64" \
         else Snapshot(4.0, noise)
-    params = default_config().probe
     gam = 0.01 + 0.02j
     t = snap.t
-    for v in params.velocities:
+    for v in VELOCITIES:
         x_ray = v * t
         carrier = np.exp(1j * phase(t, x_ray))
         u_ray = field_at(snap.u, x_ray)[0]
