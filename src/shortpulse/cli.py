@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from . import __version__, _kernels, bands, counterexample, norms, packets, stor
 from .config import default_config, load_config
 from .errors import (
     ConfigError,
-    InsufficientData,
     MissingSnapshots,
     MonitorViolation,
     ShortPulseError,
@@ -39,10 +37,6 @@ from .spectral import Field, Grid, Snapshot, l2_norm
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MONITOR = 2
-
-# the rays the fit summary takes (criterion-style trio), all of them among
-# packets.VELOCITIES
-SUMMARY_VELOCITIES = (-1.0, -(2.0 ** -0.5), -(2.0 ** 0.5))
 
 
 def _log(message):
@@ -124,35 +118,6 @@ def cmd_simulate(args):
 # scatter
 
 
-def _probe_times(cfg, t_max):
-    """The cadence the probe stage requires: t0 * r^j up to the stored end."""
-    t0 = cfg.solver.snap_t0
-    if t0 < 1.0:
-        raise ConfigError("probing needs solver.snap_t0 >= 1 (the packets "
-                          f"need t >= 1), got {t0:g}")
-    times = []
-    t = t0
-    while t <= t_max * (1.0 + 1e-9):
-        times.append(t)
-        t = t0 * cfg.cadence_ratio ** len(times)
-    if not times:
-        raise MissingSnapshots(f"the trajectory ends at t={t_max:g}, before "
-                               f"the first probe time solver.snap_t0 = {t0:g}")
-    return times
-
-
-def _fit_or_none(fn, degenerate, name):
-    """The finite value of ``fn()``, else None, ``name`` listed as degenerate."""
-    try:
-        value = float(fn())
-    except (InsufficientData, ValueError):
-        value = np.nan
-    if np.isfinite(value):
-        return value
-    degenerate.append(name)
-    return None
-
-
 def cmd_scatter(args):
     cfg, out_dir = _load_experiment(args)
     chash = cfg.hash()
@@ -167,73 +132,18 @@ def cmd_scatter(args):
     if not traj.snapshots:
         raise MissingSnapshots(f"trajectory {traj_dir} holds no snapshots")
 
-    times = _probe_times(cfg, traj.times[-1])
-    snaps = storage.require_times(traj, times)
-    _log(f"scatter: probing {len(snaps)} snapshots x {len(packets.VELOCITIES)} "
+    snaps, records, skipped = packets.probe_trajectory(
+        traj, cfg.solver.snap_t0, cfg.cadence_ratio)
+    _log(f"scatter: probed {len(snaps)} snapshots x {len(packets.VELOCITIES)} "
          f"velocities from {traj_dir} [{chash}]")
-
-    skipped = Counter()
-    records = [rec for snap in snaps
-               for rec in packets.probe_snapshot(snap, skipped)]
     skipped_probes = [{"v": v, "reason": reason, "count": count}
                       for (v, reason), count in sorted(skipped.items())]
     _log(f"scatter: {len(records)} probe records, {sum(skipped.values())} "
          f"(t, v) skipped" + "".join(
              f"; v={row['v']:.4g} {row['reason']} x{row['count']}"
              for row in skipped_probes))
-    for v in packets.VELOCITIES:
-        try:
-            packets.attach_residuals(records, v)
-        except InsufficientData:
-            pass
-
-    t_max = snaps[-1].t
-    degenerate = []
-
-    def linf_slope():
-        fit = [s.norms for s in snaps if 10.0 <= s.t <= t_max]
-        return norms.decay_fit([r.t for r in fit],
-                               [r.Linf + r.uxLinf for r in fit])[0]
-
-    def max_over_rays(keep, fit, what):
-        """Max over the fit rays v of ``fit(ts, series, v)`` on v's records in
-        [20, t_max] that ``keep`` takes, in time order, if 8 or more."""
-        values = []
-        for v in SUMMARY_VELOCITIES:
-            series = sorted((r for r in records if r.v == v
-                             and 20.0 <= r.t <= t_max and keep(r)),
-                            key=lambda r: r.t)
-            if len(series) >= 8:
-                values.append(fit([r.t for r in series], series, v))
-        if not values:
-            raise InsufficientData(f"no velocity had enough {what} samples")
-        return max(values)
-
-    def residual_slope():
-        return max_over_rays(
-            lambda r: r.ode_residual is not None,
-            lambda ts, series, v: norms.decay_fit(
-                ts, [abs(r.ode_residual) for r in series])[0],
-            "residual")
-
-    def phase_relerr():
-        return max_over_rays(
-            lambda r: True,
-            lambda ts, series, v: packets.phase_drift_fit(
-                ts, [r.gamma for r in series], v)[2],
-            "phase")
-
-    def w_slope():
-        ts, sups = packets.w_stability_series(records)
-        return norms.decay_fit(ts, sups)[0]
-
-    def remainder_slope():
-        ts, sups = packets.profile_remainder_series(records)
-        return norms.decay_fit(ts, sups, window=(20.0, t_max))[0]
-
-    fits = {"linf_slope": linf_slope, "ode_residual_slope": residual_slope,
-            "W_stability_slope": w_slope, "phase_drift_relerr": phase_relerr,
-            "profile_remainder_slope": remainder_slope}
+    values, degenerate = packets.acceptance_statistics(
+        [s.norms for s in traj.snapshots], records)
     summary = {
         "command": "scatter",
         "config_hash": chash,
@@ -242,8 +152,7 @@ def cmd_scatter(args):
         "records": len(records),
         "skipped_probes": skipped_probes,
         "velocities": sorted({r.v for r in records}),
-        **{name: _fit_or_none(fn, degenerate, name)
-           for name, fn in fits.items()},
+        **values,
         "degenerate": degenerate,
     }
 
@@ -397,7 +306,7 @@ def _selftest_checks():
         1e-10,
     ))
 
-    cut = bands.CutoffSpec(1.0)
+    cut = norms.MONITOR_CUTOFF
     r = np.linspace(0.0, 100.0, 4001)
     total = cut.sigma_le(r, 1.0)
     for scale in cut.lattice(2.0, 256.0):

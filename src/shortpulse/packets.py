@@ -16,18 +16,23 @@ so the phase-corrected extraction
     W(t,v) = gamma exp(-3 i |v|^{-1/2} |gamma|^2 log t)
 
 stabilizes for large t.  Everything here is a pure function of stored
-snapshots; fits over probe tables live with the callers.
+snapshots, and :func:`acceptance_statistics` is the one place where the
+acceptance criteria's fits over the norm rows and probe tables are made.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from ._kernels import derivative_symbols
 from .bands import bump
-from .errors import InsufficientData, OutOfBox, UnderResolved
+from .errors import (ConfigError, InsufficientData, MissingSnapshots, OutOfBox,
+                     UnderResolved)
+from .norms import decay_fit
+from .storage import require_times
 
 #: The integral of exp(-1/(1 - y^2)) over (-1, 1) (40-digit quadrature), so
 #: that bump(., a) integrates to a * BUMP_INTEGRAL by the substitution y / a.
@@ -40,6 +45,8 @@ HALF_WIDTH = 0.5
 ALPHA = 0.04
 #: The 17 probe rays -1/4 .. -4, a quarter octave apart.
 VELOCITIES = tuple(-(2.0 ** (k / 4.0)) for k in range(-8, 9))
+#: The rays of the per-ray acceptance statistics, in their reported order.
+SUMMARY_VELOCITIES = (-1.0, -(2.0 ** -0.5), -(2.0 ** 0.5))
 
 
 def in_window(t, v):
@@ -237,8 +244,9 @@ def attach_residuals(records, v):
 def phase_drift_fit(ts, gammas, v):
     """Fitted d(arg gamma)/d(log t) against the model 3 |v|^{-1/2} |gamma|^2.
 
-    Returns (slope, target, relative error).  The target uses the median
-    |gamma|^2 over the samples since the modulus is near-constant.
+    Returns (slope, target, relative error, modulus drift).  The target
+    uses the median |gamma|^2 over the samples since the modulus is
+    near-constant; the drift is |log(|gamma| last / first)| per decade of t.
     """
     ts = np.asarray(ts, dtype=np.float64)
     gam = np.asarray(gammas, dtype=np.complex128)
@@ -248,10 +256,12 @@ def phase_drift_fit(ts, gammas, v):
     tau = np.log(ts)
     theta = np.unwrap(np.angle(gam))
     slope = np.polyfit(tau, theta, 1)[0]
-    target = 3.0 * np.abs(v) ** -0.5 * float(np.median(np.abs(gam) ** 2))
+    mods = np.abs(gam)
+    target = 3.0 * np.abs(v) ** -0.5 * float(np.median(mods ** 2))
     if target == 0.0:
-        return float(slope), 0.0, np.inf
-    return float(slope), target, abs(slope - target) / target
+        return float(slope), 0.0, np.inf, np.nan
+    drift = abs(np.log(mods[-1] / mods[0])) / np.log10(ts[-1] / ts[0])
+    return float(slope), target, abs(slope - target) / target, float(drift)
 
 
 def w_stability_series(records):
@@ -295,3 +305,97 @@ def profile_remainder_series(records):
     ts = sorted(by_time)
     return (np.asarray(ts),
             np.asarray([max(by_time[t]) for t in ts]) * np.sqrt(ts))
+
+
+def probe_trajectory(traj, t0, ratio):
+    """Probe a trajectory at the cadence t0 * ratio^j up to its last
+    snapshot, and at that last snapshot when no cadence time is it.
+
+    Returns (probed snapshots, records, skipped): the records carry their
+    residuals on every ray of :data:`VELOCITIES` that has three probe
+    times, and ``skipped`` is :func:`probe_snapshot`'s Counter.  Raises
+    ConfigError for t0 < 1 (the packets need t >= 1) and MissingSnapshots
+    for a cadence time the trajectory does not hold.
+    """
+    if t0 < 1.0:
+        raise ConfigError("probing needs solver.snap_t0 >= 1 (the packets "
+                          f"need t >= 1), got {t0:g}")
+    t_max = traj.times[-1]
+    times = []
+    t = t0
+    while t <= t_max * (1.0 + 1e-9):
+        times.append(t)
+        t = t0 * ratio ** len(times)
+    if not times:
+        raise MissingSnapshots(f"the trajectory ends at t={t_max:g}, before "
+                               f"the first probe time solver.snap_t0 = {t0:g}")
+    snaps = require_times(traj, times)
+    if snaps[-1] is not traj.snapshots[-1]:
+        snaps.append(traj.snapshots[-1])
+    skipped = Counter()
+    records = [rec for snap in snaps for rec in probe_snapshot(snap, skipped)]
+    for v in VELOCITIES:
+        try:
+            attach_residuals(records, v)
+        except InsufficientData:
+            pass
+    return snaps, records, skipped
+
+
+def _finite(fit):
+    """``fit()``, a float or a tuple of floats, if finite, else None."""
+    try:
+        value = np.asarray(fit(), dtype=np.float64)
+    except (InsufficientData, ValueError):
+        return None
+    return value.tolist() if np.all(np.isfinite(value)) else None
+
+
+def acceptance_statistics(rows, records):
+    """Every acceptance criterion's statistic of one run, from all its norm
+    rows in time order and its probe records, residuals attached.
+
+    t_max is the last row's time.  Returns (values, degenerate): a value
+    that cannot be formed or is not finite is None, its key listed in
+    ``degenerate``.  The per-ray keys hold one value per ray of
+    :data:`SUMMARY_VELOCITIES` over [20, t_max], None for a ray with fewer
+    than 8 samples there, and a key is degenerate when any ray is None.
+    ``modulus_drift`` comes from the phase fit, is None exactly where
+    ``phase_drift_relerr`` is, and is listed under that name.
+    """
+    t_max = rows[-1].t
+    ts = [r.t for r in rows]
+    l2 = np.array([r.L2 for r in rows])
+    fd = np.array([r.h1_rate_fd for r in rows])
+    flux = np.array([r.h1_rate_flux for r in rows])
+    residual, relerr, drift = [], [], []
+    for v in SUMMARY_VELOCITIES:
+        ray = sorted((r for r in records if r.v == v and 20.0 <= r.t <= t_max),
+                     key=lambda r: r.t)
+        res = [r for r in ray if r.ode_residual is not None]
+        residual.append(_finite(lambda: decay_fit(
+            [r.t for r in res], [abs(r.ode_residual) for r in res])[0]))
+        pair = _finite(lambda: phase_drift_fit(
+            [r.t for r in ray], [r.gamma for r in ray], v)[2:])
+        relerr.append(pair and pair[0])
+        drift.append(pair and pair[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = {
+            "linf_slope": _finite(lambda: decay_fit(
+                ts, [r.Linf + r.uxLinf for r in rows], window=(10.0, t_max))[0]),
+            "xs_exponent": _finite(lambda: decay_fit(
+                ts, [r.Xs for r in rows], window=(1.0, t_max))[0]),
+            "l2_drift": _finite(lambda: np.max(np.abs(l2 - l2[0])) / l2[0]),
+            "h1_flux_gap": _finite(lambda: np.max(np.abs(fd - flux) / np.maximum(
+                np.abs(flux), 1e-12 * np.max(np.abs(flux))))),
+            "ode_residual_slope": residual,
+            "phase_drift_relerr": relerr,
+            "modulus_drift": drift,
+            "W_stability_slope": _finite(lambda: decay_fit(
+                *w_stability_series(records), window=(t_max / 10.0, t_max))[0]),
+            "profile_remainder_slope": _finite(lambda: decay_fit(
+                *profile_remainder_series(records), window=(20.0, t_max))[0]),
+        }
+    degenerate = [key for key, value in values.items() if key != "modulus_drift"
+                  and (value is None or isinstance(value, list) and None in value)]
+    return values, degenerate

@@ -7,16 +7,16 @@ instant build a Snapshot instead of evolving.
 """
 
 import os
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from shortpulse.bands import CutoffSpec
+from shortpulse.config import default_config
 from shortpulse.evolve import evolve
-from shortpulse.packets import probe_snapshot
+from shortpulse.norms import MONITOR_CUTOFF
+from shortpulse.packets import probe_trajectory
 from shortpulse.spectral import Field
 from oracles import solver_config
 
@@ -63,13 +63,10 @@ def mini_rows(mini_traj):
 
 @pytest.fixture(scope="session")
 def mini_probe_records(mini_traj):
-    records = []
-    for snap in mini_traj.snapshots:
-        if snap.t >= 1.0:
-            records.extend(probe_snapshot(snap, Counter()))
-    return records
+    return probe_trajectory(mini_traj, mini_traj.config.snap_t0,
+                            default_config().cadence_ratio)[1]
 
 
 @pytest.fixture(scope="session")
 def cutoff():
-    return CutoffSpec(1.0)
+    return MONITOR_CUTOFF

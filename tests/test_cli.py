@@ -51,8 +51,17 @@ SELFTEST_NAMES = {
     "antiderivative_inverse", "hamiltonian_conservation",
 }
 
-FIT_KEYS = ("linf_slope", "ode_residual_slope", "W_stability_slope",
-            "phase_drift_relerr", "profile_remainder_slope")
+# the statistics scatter can list as degenerate, in the order it lists
+# them; modulus_drift is null exactly where phase_drift_relerr is
+FIT_KEYS = ("linf_slope", "xs_exponent", "l2_drift", "h1_flux_gap",
+            "ode_residual_slope", "phase_drift_relerr", "W_stability_slope",
+            "profile_remainder_slope")
+PER_RAY_KEYS = ("ode_residual_slope", "phase_drift_relerr", "modulus_drift")
+
+
+def unformed(summary, key):
+    """Whether a summary statistic is null, on some ray for a per-ray one."""
+    return None in summary[key] if key in PER_RAY_KEYS else summary[key] is None
 
 
 def run_cli(*args):
@@ -174,9 +183,9 @@ def test_scatter_on_a_zero_field_reports_degenerate_fits(zero_run):
     assert len(summary["velocities"]) == 17
     assert min(summary["velocities"]) == -4.0
     assert max(summary["velocities"]) == -0.25
-    for key in FIT_KEYS:
-        assert summary[key] is None
-    assert sorted(summary["degenerate"]) == sorted(FIT_KEYS)
+    for key in FIT_KEYS + PER_RAY_KEYS:
+        assert summary[key] in (None, [None, None, None])
+    assert summary["degenerate"] == list(FIT_KEYS)
     for name in ("probes.csv", "wtable.csv", "scatter_summary.json"):
         assert (scat_out / name).exists()
     stored = json.loads((scat_out / "scatter_summary.json").read_text())
@@ -185,7 +194,8 @@ def test_scatter_on_a_zero_field_reports_degenerate_fits(zero_run):
 
 def test_a_non_finite_fit_is_listed_as_degenerate(tmp_path):
     # on a zero field |gamma| = 0, so the phase fit's target is 0 and its
-    # relative error inf; by T = 48 a fit ray holds the 8 samples it needs
+    # relative error inf; by T = 48 the ray v = -1/sqrt(2) holds 9 samples
+    # in [20, 48], one more than the fit needs
     ini = tmp_path / "zero48.ini"
     ini.write_text(TINY_INI.replace("epsilon = 0.1", "epsilon = 0.0")
                    .replace("T = 2", "T = 48"))
@@ -196,10 +206,27 @@ def test_a_non_finite_fit_is_listed_as_degenerate(tmp_path):
                    "--out", str(tmp_path / "s"))
     assert proc.returncode == 0
     summary = json.loads(proc.stdout)
-    assert summary["phase_drift_relerr"] is None
+    assert summary["phase_drift_relerr"][1] is None
+    assert summary["modulus_drift"][1] is None
     assert "phase_drift_relerr" in summary["degenerate"]
-    assert all((summary[key] is None) == (key in summary["degenerate"])
+    assert all(unformed(summary, key) == (key in summary["degenerate"])
                for key in FIT_KEYS)
+
+
+def test_scatter_probes_the_last_snapshot_off_the_cadence(tmp_path):
+    # T = 2.5 lies between the cadence times 2^{10/8} = 2.378 and 2^{11/8}:
+    # the 11 cadence times and t = 2.5 are probed at all 17 rays
+    ini = tmp_path / "off.ini"
+    ini.write_text(TINY_INI.replace("T = 2\n", "T = 2.5\n"))
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", str(ini), "--out",
+                   str(out)).returncode == 0
+    proc = run_cli("scatter", "--config", str(ini), "--traj", str(out),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["records"] == 12 * len(VELOCITIES)
+    _, rows = read_csv(tmp_path / "s" / "probes.csv")
+    assert rows[-1][0] == 2.5
 
 
 def test_scatter_counts_the_probes_it_skips(mini_traj, tmp_path):

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from shortpulse import packets
 from shortpulse.bands import bump
-from shortpulse.cli import SUMMARY_VELOCITIES
 from shortpulse.errors import InsufficientData, OutOfBox, UnderResolved
 from shortpulse.norms import SOBOLEV_S
 from shortpulse.packets import (
     ALPHA,
     BUMP_INTEGRAL,
     HALF_WIDTH,
+    SUMMARY_VELOCITIES,
     VELOCITIES,
     ProbeRecord,
     _packet_on_support,
@@ -212,9 +212,13 @@ def test_phase_drift_fit_recovers_the_model_rate():
     v = -1.0
     ts = 20.0 * 2.0 ** (np.arange(28) / 8.0)
     gams = limit_ode_gamma(ts, 0.05 * np.exp(0.3j), v)
-    slope, target, relerr = phase_drift_fit(ts, gams, v)
+    slope, target, relerr, drift = phase_drift_fit(ts, gams, v)
     assert relerr < phase_fit_tol
     assert slope == pytest.approx(3.0 * 0.05 ** 2, rel=1e-9)
+    assert drift < phase_fit_tol
+    # |gamma| ~ t^-0.02 moves log|gamma| by 0.02 log(10) per decade of t
+    assert phase_drift_fit(ts, gams * ts ** -0.02, v)[3] == pytest.approx(
+        0.02 * np.log(10.0), rel=1e-12)
 
 
 def test_phase_drift_fit_needs_eight_samples():
