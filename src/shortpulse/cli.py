@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,19 @@ def _load_experiment(args):
 # simulate
 
 
+@dataclasses.dataclass
+class _LoggedTrajectory(Trajectory):
+    """A run's trajectory that logs one progress line per stored snapshot."""
+
+    started: float = dataclasses.field(default_factory=time.monotonic)
+
+    def append(self, snap):
+        super().append(snap)
+        _log(f"simulate: t={snap.t:.6g} K={self.band} steps={self.steps} "
+             f"wrapfrac={snap.norms.wrapfrac:.3e} "
+             f"elapsed={time.monotonic() - self.started:.2f}s")
+
+
 def cmd_simulate(args):
     cfg, out_dir = _load_experiment(args)
     chash = cfg.hash()
@@ -70,11 +84,13 @@ def cmd_simulate(args):
     _log(f"simulate: n={cfg.solver.n} L={cfg.solver.length:g} dt={cfg.solver.dt:g} "
          f"T={cfg.solver.t_final:g} [{chash}]")
 
+    # each snapshot goes to its file as it is taken; the run keeps its row
+    traj = _LoggedTrajectory(config=cfg.solver, snapshots=storage.SnapshotFiles(
+        out_dir, cfg.solver))
     status, message, code = "completed", None, EXIT_OK
     try:
-        traj = evolve(u0, cfg.solver)
+        evolve(u0, cfg.solver, traj)
     except MonitorViolation as exc:
-        traj = getattr(exc, "trajectory", None) or Trajectory(config=cfg.solver)
         status, message, code = type(exc).__name__, str(exc), EXIT_MONITOR
         _log(f"simulate: aborted by monitor: {status}: {message}")
 
@@ -85,10 +101,9 @@ def cmd_simulate(args):
          f"{steps}); stepped band K={traj.band} of {cfg.solver.n // 2}, "
          f"widened at t={widened}")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     storage.save_trajectory(out_dir, traj, cfg.raw, chash)
 
-    last = traj.snapshots[-1].norms if traj.snapshots else None
+    last = traj.rows[-1] if traj.rows else None
     summary = {
         "command": "simulate",
         "status": status,
@@ -97,8 +112,8 @@ def cmd_simulate(args):
         "code_version": __version__,
         "out_dir": str(out_dir),
         "files": [storage.MANIFEST_NAME, storage.NORMS_NAME],
-        "snapshots": len(traj.snapshots),
-        "final_t": _jsonable(traj.snapshots[-1].t) if traj.snapshots else None,
+        "snapshots": len(traj.rows),
+        "final_t": None if last is None else _jsonable(last.t),
         **{name: getattr(traj, name) for name in storage.PROVENANCE
            if name != "status"},
         "final_norms": None
@@ -129,12 +144,12 @@ def cmd_scatter(args):
             f"trajectory {traj_dir} was produced under config hash {stored_hash}, "
             f"not {chash}; re-simulate or pass --force"
         )
-    if not traj.snapshots:
+    if not traj.rows:
         raise MissingSnapshots(f"trajectory {traj_dir} holds no snapshots")
 
-    snaps, records, skipped = packets.probe_trajectory(
+    probed, records, skipped = packets.probe_trajectory(
         traj, cfg.solver.snap_t0, cfg.cadence_ratio)
-    _log(f"scatter: probed {len(snaps)} snapshots x {len(packets.VELOCITIES)} "
+    _log(f"scatter: probed {len(probed)} snapshots x {len(packets.VELOCITIES)} "
          f"velocities from {traj_dir} [{chash}]")
     skipped_probes = [{"v": v, "reason": reason, "count": count}
                       for (v, reason), count in sorted(skipped.items())]
@@ -142,8 +157,7 @@ def cmd_scatter(args):
          f"(t, v) skipped" + "".join(
              f"; v={row['v']:.4g} {row['reason']} x{row['count']}"
              for row in skipped_probes))
-    values, degenerate = packets.acceptance_statistics(
-        [s.norms for s in traj.snapshots], records)
+    values, degenerate = packets.acceptance_statistics(traj.rows, records)
     summary = {
         "command": "scatter",
         "config_hash": chash,

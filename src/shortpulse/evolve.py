@@ -111,7 +111,10 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     config: SolverConfig
+    # the snapshots in time order: a list, or any container with append and
+    # iteration, such as storage.SnapshotFiles, which keeps them on disk
     snapshots: list = dc_field(default_factory=list)
+    rows: list = dc_field(default_factory=list)  # each snapshot's NormRecord
     code_version: str = __version__
     status: str = "completed"
     steps: int = 0                 # accepted steps
@@ -120,23 +123,26 @@ class Trajectory:
     # snapshot time; None when there was none
     h_min: float = None
     h_max: float = None
-    band: int = None               # the active band K at the end of the run
+    band: int = None               # the active band K (at the last snapshot
+                                   # while the run goes, at its end after)
     band_widenings: list = dc_field(default_factory=list)  # t of each doubling
     # max top-quarter level / TAIL_TOL over the steps on the final band;
     # None when that band is n/2, which has no top quarter to watch
     tail_headroom: float = None
 
     def append(self, snap):
-        if self.snapshots and snap.t <= self.snapshots[-1].t:
+        """Add a snapshot that carries its NormRecord."""
+        if self.rows and snap.t <= self.rows[-1].t:
             raise ValueError(
                 f"snapshot times must increase: {snap.t} after "
-                f"{self.snapshots[-1].t}"
+                f"{self.rows[-1].t}"
             )
         self.snapshots.append(snap)
+        self.rows.append(snap.norms)
 
     @property
     def times(self):
-        return [s.t for s in self.snapshots]
+        return [row.t for row in self.rows]
 
 
 class Stepper:
@@ -284,8 +290,10 @@ def _step_factor(err, tol):
     return min(2.0, max(0.2, 0.9 * (tol / err) ** 0.25))
 
 
-def evolve(u0, cfg):
-    """Integrate from u0 at t = 0, emitting snapshots at the monitor cadence.
+def evolve(u0, cfg, traj=None):
+    """Integrate from u0 at t = 0, emitting snapshots at the monitor cadence
+    into ``traj``, an empty Trajectory of ``cfg`` (by default a new one that
+    keeps its snapshots in memory), which is returned.
 
     Every emitted snapshot is held to the config's wrap-around, mean-drift
     and blow-up bounds.  With ``cfg.step_tol`` > 0 the step size is
@@ -309,7 +317,8 @@ def evolve(u0, cfg):
     vh[0] = 0.0
     vh = vh[: stepper.start_band(vh) + 1]
 
-    traj = Trajectory(config=cfg)
+    if traj is None:
+        traj = Trajectory(config=cfg)
     h1_init = stepper.h1_norm(vh)
     tol = cfg.step_tol
     h_cap = PHASE_CAP * 2.0 * np.pi / cfg.length if tol > 0.0 else np.inf
@@ -332,6 +341,7 @@ def evolve(u0, cfg):
         um = stepper.step_raw(vh_now, -probe, nl_now)[0]
         rate = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * probe)
         rec = snap.norms = norms.compute_record(snap, cfg, nl_now, rate)
+        traj.band = len(vh_now) - 1
         traj.append(snap)
         if rec.wrapfrac >= cfg.wrap_tol:
             raise WrapAround(

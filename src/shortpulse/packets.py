@@ -311,8 +311,11 @@ def probe_trajectory(traj, t0, ratio):
     """Probe a trajectory at the cadence t0 * ratio^j up to its last
     snapshot, and at that last snapshot when no cadence time is it.
 
-    Returns (probed snapshots, records, skipped): the records carry their
-    residuals on every ray of :data:`VELOCITIES` that has three probe
+    The probe times are mapped onto the trajectory's times before any
+    snapshot is read; its snapshots are then iterated once, in order, and
+    only their records are kept, so a stored trajectory is read one field
+    at a time.  Returns (probed times, records, skipped): the records carry
+    their residuals on every ray of :data:`VELOCITIES` that has three probe
     times, and ``skipped`` is :func:`probe_snapshot`'s Counter.  Raises
     ConfigError for t0 < 1 (the packets need t >= 1) and MissingSnapshots
     for a cadence time the trajectory does not hold.
@@ -320,7 +323,8 @@ def probe_trajectory(traj, t0, ratio):
     if t0 < 1.0:
         raise ConfigError("probing needs solver.snap_t0 >= 1 (the packets "
                           f"need t >= 1), got {t0:g}")
-    t_max = traj.times[-1]
+    stored = traj.times
+    t_max = stored[-1]
     times = []
     t = t0
     while t <= t_max * (1.0 + 1e-9):
@@ -329,17 +333,18 @@ def probe_trajectory(traj, t0, ratio):
     if not times:
         raise MissingSnapshots(f"the trajectory ends at t={t_max:g}, before "
                                f"the first probe time solver.snap_t0 = {t0:g}")
-    snaps = require_times(traj, times)
-    if snaps[-1] is not traj.snapshots[-1]:
-        snaps.append(traj.snapshots[-1])
-    skipped = Counter()
-    records = [rec for snap in snaps for rec in probe_snapshot(snap, skipped)]
+    picked = set(require_times(traj, times)) | {len(stored) - 1}
+    probed, records, skipped = [], [], Counter()
+    for i, snap in enumerate(traj.snapshots):
+        if i in picked:
+            probed.append(snap.t)
+            records += probe_snapshot(snap, skipped)
     for v in VELOCITIES:
         try:
             attach_residuals(records, v)
         except InsufficientData:
             pass
-    return snaps, records, skipped
+    return probed, records, skipped
 
 
 def _finite(fit):

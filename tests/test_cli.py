@@ -2,6 +2,7 @@
 load-time config checks the CLI relies on."""
 
 import configparser
+import errno
 import json
 import math
 import re
@@ -9,12 +10,13 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shortpulse import cli
+from shortpulse import cli, storage
 from shortpulse.config import _SCHEMA, load_config
 from shortpulse.errors import ConfigError
 from shortpulse.evolve import Trajectory
@@ -140,6 +142,18 @@ def test_simulate_reports_and_stores_the_run(tiny_run):
     assert (out / "manifest.json").exists()
     bins = sorted(p.name for p in out.glob("snap_*.bin"))
     assert len(bins) == 10 and bins[0] == "snap_00000.bin"
+    # one stderr line per written snapshot; stdout holds the summary alone
+    progress = re.findall(r"^simulate: t=(\S+) K=(\d+) steps=(\d+) "
+                          r"wrapfrac=(\S+) elapsed=\d+\.\d\ds$",
+                          proc.stderr, re.M)
+    assert [float(t) for t, *_ in progress] == pytest.approx(
+        [0.0] + [2.0 ** (m / 8) for m in range(9)], rel=1e-5)
+    # the band widens to n/2 on the first step, after the t = 0 snapshot
+    assert [int(k) for _, k, _, _ in progress] == [256] + [512] * 9
+    steps = [int(s) for _, _, s, _ in progress]
+    assert steps[0] == 0 and steps == sorted(steps) and steps[-1] == 103
+    assert float(progress[-1][3]) == pytest.approx(
+        tiny_final_norms["wrapfrac"], rel=1e-3)
 
 
 def test_simulate_reports_the_step_controller(tmp_path):
@@ -413,6 +427,111 @@ def test_scatter_reports_a_stored_snapshot_with_a_nonzero_mean(tiny_run,
     assert "Traceback" not in proc.stderr
 
 
+# a trajectory with a cadence time missing (its manifest entry and norms.csv
+# row dropped), with its last snapshot file truncated, or with both
+FAULTS = {"time": "MissingSnapshots", "file": "CorruptSnapshot",
+          "both": "MissingSnapshots"}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_scatter_checks_the_probe_times_before_reading_a_field(
+        tiny_run, tmp_path, fault):
+    ini, out, _ = tiny_run
+    bad = tmp_path / "bad"
+    shutil.copytree(out, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    last = bad / manifest["snapshots"][-1]["file"]
+    if fault in ("time", "both"):
+        del manifest["snapshots"][2]                     # t = 2^{1/8}
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        lines = (bad / "norms.csv").read_text().splitlines(keepends=True)
+        (bad / "norms.csv").write_text("".join(lines[:4] + lines[5:]))
+    if fault in ("file", "both"):
+        last.write_bytes(last.read_bytes()[:-8])
+    proc = run_cli("scatter", "--config", str(ini), "--traj", str(bad),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["status"] == FAULTS[fault]
+    assert ("no snapshot at t=1.09051" if FAULTS[fault] == "MissingSnapshots"
+            else f"{last.name}: expected") in summary["error"]
+
+
+def test_a_rerun_that_dies_midway_leaves_no_manifest(tiny_run, tmp_path,
+                                                     monkeypatch, capsys):
+    # the disk fills on the fourth snapshot of a run into a directory that
+    # holds an earlier trajectory: the first three files are the new run's,
+    # so no manifest may index them
+    ini, out, _ = tiny_run
+    rerun = tmp_path / "run"
+    shutil.copytree(out, rerun)
+    real, written = storage.write_field, []
+
+    def fill_up(path, field, t):
+        if len(written) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        written.append(t)
+        return real(path, field, t)
+
+    monkeypatch.setattr(storage, "write_field", fill_up)
+    with pytest.raises(OSError):
+        cli.main(["simulate", "--config", str(ini), "--out", str(rerun)])
+    assert not (rerun / "manifest.json").exists()
+    assert not (rerun / "norms.csv").exists()
+    assert cli.main(["scatter", "--config", str(ini), "--traj", str(rerun),
+                     "--out", str(tmp_path / "s")]) == 1
+    assert "no manifest.json" in capsys.readouterr().err
+
+
+MEMORY_INI = textwrap.dedent("""\
+    [solver]
+    n = 0x2000
+    L = 256
+    dt = 0.02
+    T = 4
+    wrap_tol = 0.02
+    snap_h = {snap_h!r}
+    [probe]
+    cadence_ratio = {ratio!r}
+    [initial]
+    epsilon = 0.1
+""")
+
+
+def test_simulate_and_scatter_hold_one_snapshot_at_a_time(tmp_path, capsys):
+    # simulate + scatter at snap_h = 1/8 (18 snapshots) and 1/64 (130), both
+    # probed at the cadence 2^{1/8}.  One snapshot's fields, u and its
+    # spectrum uh, take 16 n = 128 KB.  Held one at a time, what grows with
+    # the count is each snapshot's bookkeeping: its 17-column NormRecord,
+    # its manifest entry and its time, about 1 KB.  The 112 extra snapshots
+    # then add about one snapshot size to the peak, where holding the
+    # fields would add at least 112; the bound of 3 leaves room for
+    # allocator noise.
+    snap = 16 * 0x2000
+
+    def peak(snap_h, name):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(MEMORY_INI.format(snap_h=snap_h, ratio=2.0 ** 0.125))
+        out = tmp_path / name
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for command in ("simulate", "scatter"):   # scatter reads --out
+            assert cli.main([command, "--config", str(ini),
+                             "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peak(0.125, "warm")   # lazily built tables count once, not here
+        sparse, dense = peak(0.125, "sparse"), peak(1.0 / 64.0, "dense")
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert len(list((tmp_path / "dense").glob("snap_*.bin"))) == 130
+    assert abs(dense - sparse) < 3 * snap, (sparse / snap, dense / snap)
+
+
 def test_scatter_needs_an_existing_trajectory(tmp_path):
     ini = tmp_path / "tiny.ini"
     ini.write_text(TINY_INI)
@@ -610,4 +729,7 @@ def test_wrap_abort_exits_with_the_monitor_code(tmp_path):
     assert summary["status"] == "WrapAround"
     assert "box" in summary["error"]
     assert 2.0 < summary["final_t"] < 8.0
-    assert (out / "manifest.json").exists()   # partial run is still stored
+    # the partial run is still stored, with its status
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["provenance"]["status"] == "WrapAround"
+    assert len(manifest["snapshots"]) == summary["snapshots"]

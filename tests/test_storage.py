@@ -10,7 +10,7 @@ import pytest
 from shortpulse import storage
 from shortpulse.errors import (ConfigError, CorruptSnapshot, MeanNotZero,
                                MissingSnapshots)
-from shortpulse.evolve import evolve
+from shortpulse.evolve import Trajectory, evolve
 from shortpulse.spectral import Field, Grid
 from shortpulse.storage import (load_trajectory, read_field, require_times,
                                 save_trajectory, write_csv, write_field,
@@ -209,10 +209,17 @@ def test_reloaded_snapshots_match_the_in_run_ones(tmp_path, mini_traj):
     # 5.5e-16 for uh, 7.6e-15 for u_x, 2.8e-16 for u_anti, at most 5.1e-15
     # for a record column, p32_hyp_x), each record taken afresh from the reloaded
     # field but for h1_rate_fd, which only the stepper can take and which
-    # is carried over
-    save(tmp_path / "run", mini_traj)
-    back, _ = load_trajectory(tmp_path / "run")
+    # is carried over.  The run streams its snapshots to their files, as
+    # simulate does, and keeps only their rows
+    cfg, out = mini_traj.config, tmp_path / "run"
+    streamed = evolve(gaussian_pulse(cfg.grid()), cfg, Trajectory(
+        config=cfg, snapshots=storage.SnapshotFiles(out, cfg)))
+    save(out, streamed)
+    back, _ = load_trajectory(out)
     assert back.times == mini_traj.times
+    run = np.array([row.as_row() for row in mini_traj.rows])
+    assert np.array([row.as_row() for row in back.rows]).tobytes() \
+        == run.tobytes()
     pairs = list(zip(mini_traj.snapshots, back.snapshots))
     quantities = {
         "uh": lambda snap: snap.uh,
@@ -234,7 +241,7 @@ def test_loaded_records_equal_the_run_bit_for_bit(tmp_path, tiny_traj):
     save(tmp_path / "run", tiny_traj)
     back, _ = load_trajectory(tmp_path / "run")
     run = np.array([s.norms.as_row() for s in tiny_traj.snapshots])
-    loaded = np.array([s.norms.as_row() for s in back.snapshots])
+    loaded = np.array([row.as_row() for row in back.rows])
     assert np.isnan(run).any() and not np.isnan(run[-1]).any()
     assert loaded.tobytes() == run.tobytes()
 
@@ -264,6 +271,20 @@ def test_loading_fails_closed_on_a_damaged_norms_table(tmp_path, tiny_traj,
         load_trajectory(out)
 
 
+def test_loading_fails_closed_on_times_out_of_order(tmp_path, tiny_traj):
+    # the second and third snapshot swapped in the manifest and norms.csv
+    out = tmp_path / "run"
+    save(out, tiny_traj)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["snapshots"][1:3] = manifest["snapshots"][2:0:-1]
+    write_json(out / "manifest.json", manifest)
+    lines = (out / "norms.csv").read_text().splitlines(keepends=True)
+    (out / "norms.csv").write_text(
+        "".join(lines[:3] + [lines[4], lines[3]] + lines[5:]))
+    with pytest.raises(CorruptSnapshot, match="row 3 t=.* does not follow"):
+        load_trajectory(out)
+
+
 def test_loading_a_snapshot_with_a_nonzero_mean_fails(tmp_path, tiny_traj):
     out = tmp_path / "run"
     save(out, tiny_traj)
@@ -271,8 +292,9 @@ def test_loading_a_snapshot_with_a_nonzero_mean_fails(tmp_path, tiny_traj):
     u = tiny_traj.snapshots[-1].u
     write_field(out / entry["file"], Field(u.grid, u.values + 1e-3),
                 entry["t"])
+    back, _ = load_trajectory(out)   # reads no field
     with pytest.raises(MeanNotZero, match="antiderivative"):
-        load_trajectory(out)
+        list(back.snapshots)
 
 
 def test_save_without_timestamp_is_byte_deterministic(tmp_path, tiny_traj):
@@ -302,14 +324,13 @@ def test_loader_cross_checks_header_against_manifest(tmp_path, tiny_traj):
     g = tiny_traj.config.grid()
     t_bad = entry["t"] + 1.0
     write_field(out / entry["file"], tiny_traj.snapshots[0].u, t_bad)
-    with pytest.raises(CorruptSnapshot):
-        load_trajectory(out)
+    back, _ = load_trajectory(out)   # reads no field
+    with pytest.raises(CorruptSnapshot, match="disagrees with manifest"):
+        list(back.snapshots)
 
 
 def test_require_times_picks_stored_snapshots(tiny_traj):
     ts = tiny_traj.times
-    picked = require_times(tiny_traj, [ts[0], ts[-1]])
-    assert picked[0].t == ts[0]
-    assert picked[1].t == ts[-1]
+    assert require_times(tiny_traj, [ts[0], ts[-1]]) == [0, len(ts) - 1]
     with pytest.raises(MissingSnapshots, match="t=17"):
         require_times(tiny_traj, [17.0])
