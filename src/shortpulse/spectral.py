@@ -19,7 +19,8 @@ derivative i xi and its inverse 1/(i xi), pinned to 0 at xi = 0 and both
 zero on the Nyquist row (:func:`shortpulse._kernels.derivative_symbols`),
 and the linear flow exp(t / (i xi)).  The inverse is exact only on
 zero-mean fields: the solver checks its datum and every snapshot, and
-``load_trajectory`` every stored field, with :func:`check_zero_mean`.
+a loaded trajectory every stored field as it reads it, with
+:func:`check_zero_mean`.
 """
 
 from __future__ import annotations
