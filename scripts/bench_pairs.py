@@ -21,6 +21,15 @@ monitors: on a 2-core x86_64 host (Python 3.11.7, numpy 2.4.6) they took
 n = 2^15.  An ``evolve_s`` of a commit whose ``evolve`` leaves the
 monitors out, such as BENCH_19.json's 48.1 s, does not compare with it.
 
+After the pairs of a command workload, each side runs the workload's
+commands once more at ``--seed``, on the INI of its own tree's
+``perfbench/workloads.config_text``, and the entry's ``outputs`` lists the
+files the two sides write byte for byte alike (``identical``) and those they
+do not (``differ``, which includes a file only one side writes).  The
+comparison skips each CSV's ``#`` line and each JSON line holding the key
+``created_utc`` or ``trajectory``: the config hash and code version, the
+time of writing and the run directory.
+
 Each metric row holds both sides' runs, medians and quartiles, the pairs
 the change wins and the status defined in the file's ``status`` field: the
 claimed metric (``--claim``) is "claim met" when the change wins at least
@@ -66,6 +75,17 @@ print(json.dumps({"evolve_s": time.perf_counter() - start,
                   "checked_steps": len(calls)}))
 """
 
+# the JSON keys whose lines the output comparison skips
+VOLATILE_KEYS = ("created_utc", "trajectory")
+OUTPUT_SNIPPET = """
+import json, sys
+sys.path.insert(0, "perfbench")
+from workloads import WORKLOADS, config_text
+workload = WORKLOADS[sys.argv[1]]
+print(json.dumps({"ini": config_text(workload, int(sys.argv[2])),
+                  "commands": workload.commands}))
+"""
+
 QUARTILES = "numpy.percentile, linear interpolation, over the runs of one side"
 WIN = "the change's value is better than the parent's in the same pair " \
       "(lower for every metric here)"
@@ -104,6 +124,44 @@ def run_evolve(tree):
         [sys.executable, "-c", EVOLVE_SNIPPET], cwd=tree, capture_output=True,
         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")))
     return json.loads(proc.stdout)
+
+
+def run_outputs(tree, workload, seed, out):
+    """Run a workload's commands once in ``tree``, on the INI of the tree's
+    own perfbench/workloads.py, writing into ``out``."""
+    spec = json.loads(subprocess.run(
+        [sys.executable, "-c", OUTPUT_SNIPPET, workload, str(seed)], cwd=tree,
+        capture_output=True, text=True, check=True).stdout)
+    ini = out.parent / f"{out.name}.ini"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    ini.write_text(spec["ini"])
+    for command in spec["commands"]:
+        traj = ["--traj", str(out)] if command == "scatter" else []
+        subprocess.run(
+            [sys.executable, "-m", "shortpulse.cli", command, "--config",
+             str(ini), *traj, "--out", str(out)], cwd=tree, capture_output=True,
+            check=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+
+
+def comparable(path):
+    """A file's bytes without the lines the output comparison skips."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    if path.suffix == ".csv":
+        lines = [line for line in lines if not line.startswith(b"#")]
+    elif path.suffix == ".json":
+        keys = tuple(f'"{key}":'.encode() for key in VOLATILE_KEYS)
+        lines = [line for line in lines if not line.lstrip().startswith(keys)]
+    return b"".join(lines)
+
+
+def compare_outputs(parent, change):
+    """The file names under two output directories -> {"identical": [...],
+    "differ": [...]}, by :func:`comparable` bytes."""
+    names = sorted({p.name for d in (parent, change) for p in d.iterdir()})
+    same = [name for name in names
+            if (parent / name).is_file() and (change / name).is_file()
+            and comparable(parent / name) == comparable(change / name)]
+    return {"identical": same, "differ": [n for n in names if n not in same]}
 
 
 def _side(runs):
@@ -190,6 +248,9 @@ def main(argv=None):
         }
     else:
         failed = {s: [r["failed"] for r in results[s]] for s in SIDES}
+        for side in SIDES:
+            run_outputs(trees[side], args.workload, args.seed,
+                        work / "outputs" / side)
         entry = {
             "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
             "first": first,
@@ -204,6 +265,7 @@ def main(argv=None):
                     failed=tuple(sum(failed[s]) for s in SIDES))
                 for name, spec in specs.items()
             },
+            "outputs": compare_outputs(*(work / "outputs" / s for s in SIDES)),
         }
 
     out = Path(args.out)

@@ -70,10 +70,10 @@ class _LoggedTrajectory(Trajectory):
 
     started: float = dataclasses.field(default_factory=time.monotonic)
 
-    def append(self, snap):
-        super().append(snap)
+    def append(self, snap, record):
+        super().append(snap, record)
         _log(f"simulate: t={snap.t:.6g} K={self.band} steps={self.steps} "
-             f"wrapfrac={snap.norms.wrapfrac:.3e} "
+             f"wrapfrac={record.wrapfrac:.3e} "
              f"elapsed={time.monotonic() - self.started:.2f}s")
 
 
@@ -147,61 +147,51 @@ def cmd_scatter(args):
     if not traj.rows:
         raise MissingSnapshots(f"trajectory {traj_dir} holds no snapshots")
 
-    probed, records, skipped = packets.probe_trajectory(
+    # the probe table p: a row per probed time, a column per ray
+    p, skipped = packets.probe_trajectory(
         traj, cfg.solver.snap_t0, cfg.cadence_ratio)
-    _log(f"scatter: probed {len(probed)} snapshots x {len(packets.VELOCITIES)} "
+    probed = p.probed
+    records = int(probed.sum())
+    _log(f"scatter: probed {len(p.t)} snapshots x {len(packets.VELOCITIES)} "
          f"velocities from {traj_dir} [{chash}]")
     skipped_probes = [{"v": v, "reason": reason, "count": count}
                       for (v, reason), count in sorted(skipped.items())]
-    _log(f"scatter: {len(records)} probe records, {sum(skipped.values())} "
+    _log(f"scatter: {records} probe records, {sum(skipped.values())} "
          f"(t, v) skipped" + "".join(
              f"; v={row['v']:.4g} {row['reason']} x{row['count']}"
              for row in skipped_probes))
-    values, degenerate = packets.acceptance_statistics(traj.rows, records)
+    values, degenerate = packets.acceptance_statistics(traj.rows, p)
+    # the rays in increasing v
+    rays = sorted(enumerate(packets.VELOCITIES), key=lambda ray: ray[1])
     summary = {
         "command": "scatter",
         "config_hash": chash,
         "code_version": __version__,
         "trajectory": str(traj_dir),
-        "records": len(records),
+        "records": records,
         "skipped_probes": skipped_probes,
-        "velocities": sorted({r.v for r in records}),
+        "velocities": [v for j, v in rays if probed[:, j].any()],
         **values,
         "degenerate": degenerate,
     }
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    probe_rows = [
-        (
-            rec.t,
-            rec.v,
-            rec.gamma.real,
-            rec.gamma.imag,
-            rec.w.real,
-            rec.w.imag,
-            abs(rec.ode_residual) if rec.ode_residual is not None else float("nan"),
-            rec.approx_err_u,
-            rec.approx_err_ux,
-            rec.in_window,
-        )
-        for rec in sorted(records, key=lambda r: (r.t, r.v))
-    ]
     storage.write_csv(
         out_dir / "probes.csv",
         ("t", "v", "re_gamma", "im_gamma", "re_W", "im_W",
          "abs_res", "err_u", "err_ux", "in_window"),
-        probe_rows,
+        [(t, v, p.gamma[i, j].real, p.gamma[i, j].imag, p.w[i, j].real,
+          p.w[i, j].imag, abs(p.residual[i, j]), p.err_u[i, j],
+          p.err_ux[i, j], p.in_window[i, j])
+         for i, t in enumerate(p.t) for j, v in rays if probed[i, j]],
         chash,
     )
-    w_rows = [
-        (rec.v, rec.t, rec.w.real, rec.w.imag, abs(rec.w), float(np.angle(rec.w)))
-        for rec in sorted(records, key=lambda r: (r.v, r.t))
-        if rec.in_window
-    ]
     storage.write_csv(
         out_dir / "wtable.csv",
         ("v", "t", "re_W", "im_W", "abs_W", "arg_W"),
-        w_rows,
+        [(v, t, w.real, w.imag, abs(w), float(np.angle(w)))
+         for j, v in rays for t, w in zip(p.t[p.in_window[:, j]],
+                                          p.w[p.in_window[:, j], j])],
         chash,
     )
     storage.write_json(out_dir / "scatter_summary.json", summary)

@@ -130,15 +130,15 @@ class Trajectory:
     # None when that band is n/2, which has no top quarter to watch
     tail_headroom: float = None
 
-    def append(self, snap):
-        """Add a snapshot that carries its NormRecord."""
+    def append(self, snap, record):
+        """Add a snapshot and its NormRecord."""
         if self.rows and snap.t <= self.rows[-1].t:
             raise ValueError(
                 f"snapshot times must increase: {snap.t} after "
                 f"{self.rows[-1].t}"
             )
         self.snapshots.append(snap)
-        self.rows.append(snap.norms)
+        self.rows.append(record)
 
     @property
     def times(self):
@@ -340,9 +340,9 @@ def evolve(u0, cfg, traj=None):
         up = stepper.step_raw(vh_now, probe, nl_now)[0]
         um = stepper.step_raw(vh_now, -probe, nl_now)[0]
         rate = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * probe)
-        rec = snap.norms = norms.compute_record(snap, cfg, nl_now, rate)
+        rec = norms.compute_record(snap, cfg, nl_now, rate)
         traj.band = len(vh_now) - 1
-        traj.append(snap)
+        traj.append(snap, rec)
         if rec.wrapfrac >= cfg.wrap_tol:
             raise WrapAround(
                 f"{100 * rec.wrapfrac:.2f}% of L2 mass in the outer "

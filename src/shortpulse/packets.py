@@ -16,14 +16,16 @@ so the phase-corrected extraction
     W(t,v) = gamma exp(-3 i |v|^{-1/2} |gamma|^2 log t)
 
 stabilizes for large t.  Everything here is a pure function of stored
-snapshots, and :func:`acceptance_statistics` is the one place where the
-acceptance criteria's fits over the norm rows and probe tables are made.
+snapshots.  The probes of a run form one :class:`Probes` table, a row per
+probed time and a column per ray of :data:`VELOCITIES`, and
+:func:`acceptance_statistics` is the one place where the acceptance
+criteria's fits over the norm rows and that table are made.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,18 +62,24 @@ def chi(y):
 
 
 @dataclass
-class ProbeRecord:
-    """One (t, v) probe: amplitude, corrected state, residual, ray errors."""
+class Probes:
+    """The probe table of one run: row i is the probed time ``t[i]``,
+    column j the ray ``VELOCITIES[j]``.  A skipped (t, v) is NaN, and False
+    in ``in_window``; ``residual`` is NaN also at each ray's first and last
+    probed time, and on a ray with fewer than three."""
 
-    t: float
-    v: float
-    gamma: complex
-    w: complex
-    # filled in by attach_residuals once the neighbors exist
-    ode_residual: complex = dc_field(default=None, init=False)
-    approx_err_u: float
-    approx_err_ux: float
-    in_window: bool
+    t: np.ndarray
+    gamma: np.ndarray
+    w: np.ndarray
+    err_u: np.ndarray
+    err_ux: np.ndarray
+    in_window: np.ndarray
+    residual: np.ndarray
+
+    @property
+    def probed(self):
+        """The mask of the probed (t, v)."""
+        return ~np.isnan(self.gamma)
 
 
 def phase(t, x):
@@ -203,42 +211,29 @@ def prop42_errors(snap, v, gam, coeffs):
 
 
 def probe_snapshot(snap, skipped):
-    """Probe one snapshot at every ray of :data:`VELOCITIES`.
+    """Probe one snapshot at every ray of :data:`VELOCITIES` -> its row of
+    each :class:`Probes` table but ``residual``: (gamma, w, err_u, err_ux,
+    in_window).
 
     Velocities whose packet does not fit the box or the resolution are
     skipped (the probe set is ray-dependent by design); each skip adds one
     to the ``(v, reason)`` entry of the Counter ``skipped``, with the
-    reason the exception's class name.  Residuals are filled in later by
-    :func:`attach_residuals` once neighbors exist.
+    reason the exception's class name.
     """
     coeffs = _ray_coefficients(snap)
-    records = []
-    for v in VELOCITIES:
+    gam, w = np.full((2, len(VELOCITIES)), np.nan, dtype=np.complex128)
+    err_u, err_ux = np.full((2, len(VELOCITIES)), np.nan)
+    window = np.zeros(len(VELOCITIES), dtype=bool)
+    for j, v in enumerate(VELOCITIES):
         try:
-            gam = gamma(snap, v)
+            g = gamma(snap, v)
         except (OutOfBox, UnderResolved) as exc:
             skipped[(float(v), type(exc).__name__)] += 1
             continue
-        err_u, err_ux = prop42_errors(snap, v, gam, coeffs)
-        records.append(ProbeRecord(
-            t=float(snap.t), v=float(v), gamma=gam, w=extract_w(snap.t, v, gam),
-            approx_err_u=err_u, approx_err_ux=err_ux,
-            in_window=in_window(snap.t, v)))
-    return records
-
-
-def attach_residuals(records, v):
-    """Fill ode_residual on the interior records of one velocity's series."""
-    series = sorted((r for r in records if r.v == v), key=lambda r: r.t)
-    if len(series) < 3:
-        raise InsufficientData(
-            f"need >= 3 probe times at v = {v}, got {len(series)}")
-    ts = [r.t for r in series]
-    gams = [r.gamma for r in series]
-    t_mid, res = ode_residual_series(ts, gams, v)
-    for rec, r in zip(series[1:-1], res):
-        rec.ode_residual = complex(r)
-    return series
+        gam[j], w[j] = g, extract_w(snap.t, v, g)
+        err_u[j], err_ux[j] = prop42_errors(snap, v, g, coeffs)
+        window[j] = in_window(snap.t, v)
+    return gam, w, err_u, err_ux, window
 
 
 def phase_drift_fit(ts, gammas, v):
@@ -264,47 +259,38 @@ def phase_drift_fit(ts, gammas, v):
     return float(slope), target, abs(slope - target) / target, float(drift)
 
 
-def w_stability_series(records):
+def w_stability_series(probes):
     """Sup over in-window velocities of |W(t,v) - W(2t,v)|, per t.
 
     Only velocities in-window at both t and 2t contribute; times whose
     double is not probed (to 1e-9 relative) are skipped.  Returns
     (ts, sups).
     """
-    by_time = {}
-    for rec in records:
-        by_time.setdefault(rec.t, {})[rec.v] = rec
-    times = sorted(by_time)
     out_t, out_s = [], []
-    for t in times:
-        t2 = next((s for s in times
-                   if abs(s - 2.0 * t) <= 1e-9 * s), None)
-        if t2 is None:
+    for i, t in enumerate(probes.t):
+        k = next((k for k, s in enumerate(probes.t)
+                  if abs(s - 2.0 * t) <= 1e-9 * s), None)
+        if k is None:
             continue
-        diffs = [abs(by_time[t][v].w - by_time[t2][v].w)
-                 for v in by_time[t]
-                 if v in by_time[t2]
-                 and by_time[t][v].in_window and by_time[t2][v].in_window]
-        if diffs:
+        both = probes.in_window[i] & probes.in_window[k]
+        if both.any():
             out_t.append(t)
-            out_s.append(max(diffs))
+            out_s.append(max(map(abs, probes.w[i, both] - probes.w[k, both])))
     return np.asarray(out_t), np.asarray(out_s)
 
 
-def profile_remainder_series(records):
+def profile_remainder_series(probes):
     """Sup over in-window rays of |u(t,vt) - profile(t,vt)| sqrt(t), per t.
 
     At probed rays the displayed profile collapses to
     2 t^{-1/2} Re(e^{i phi} gamma) (the W phase correction cancels by
     construction), so the remainder is the stored ray error.
     """
-    by_time = {}
-    for rec in records:
-        if rec.in_window:
-            by_time.setdefault(rec.t, []).append(rec.approx_err_u)
-    ts = sorted(by_time)
-    return (np.asarray(ts),
-            np.asarray([max(by_time[t]) for t in ts]) * np.sqrt(ts))
+    rows = probes.in_window.any(axis=1)
+    ts = probes.t[rows]
+    sups = np.max(probes.err_u[rows], axis=1, where=probes.in_window[rows],
+                  initial=-np.inf)
+    return ts, sups * np.sqrt(ts)
 
 
 def probe_trajectory(traj, t0, ratio):
@@ -313,12 +299,12 @@ def probe_trajectory(traj, t0, ratio):
 
     The probe times are mapped onto the trajectory's times before any
     snapshot is read; its snapshots are then iterated once, in order, and
-    only their records are kept, so a stored trajectory is read one field
-    at a time.  Returns (probed times, records, skipped): the records carry
-    their residuals on every ray of :data:`VELOCITIES` that has three probe
-    times, and ``skipped`` is :func:`probe_snapshot`'s Counter.  Raises
-    ConfigError for t0 < 1 (the packets need t >= 1) and MissingSnapshots
-    for a cadence time the trajectory does not hold.
+    only their rows are kept, so a stored trajectory is read one field at a
+    time.  Returns (probes, skipped): the :class:`Probes` table, whose
+    ``residual`` column j holds :func:`ode_residual_series` over that ray's
+    probed rows, and :func:`probe_snapshot`'s Counter.  Raises ConfigError
+    for t0 < 1 (the packets need t >= 1) and MissingSnapshots for a cadence
+    time the trajectory does not hold.
     """
     if t0 < 1.0:
         raise ConfigError("probing needs solver.snap_t0 >= 1 (the packets "
@@ -334,17 +320,16 @@ def probe_trajectory(traj, t0, ratio):
         raise MissingSnapshots(f"the trajectory ends at t={t_max:g}, before "
                                f"the first probe time solver.snap_t0 = {t0:g}")
     picked = set(require_times(traj, times)) | {len(stored) - 1}
-    probed, records, skipped = [], [], Counter()
-    for i, snap in enumerate(traj.snapshots):
-        if i in picked:
-            probed.append(snap.t)
-            records += probe_snapshot(snap, skipped)
-    for v in VELOCITIES:
-        try:
-            attach_residuals(records, v)
-        except InsufficientData:
-            pass
-    return probed, records, skipped
+    skipped = Counter()
+    t, gam, w, err_u, err_ux, window = map(np.array, zip(*(
+        (snap.t, *probe_snapshot(snap, skipped))
+        for i, snap in enumerate(traj.snapshots) if i in picked)))
+    residual = np.full_like(gam, np.nan)
+    for j, v in enumerate(VELOCITIES):
+        i = np.flatnonzero(~np.isnan(gam[:, j]))
+        if i.size >= 3:
+            residual[i[1:-1], j] = ode_residual_series(t[i], gam[i, j], v)[1]
+    return Probes(t, gam, w, err_u, err_ux, window, residual), skipped
 
 
 def _finite(fit):
@@ -356,9 +341,9 @@ def _finite(fit):
     return value.tolist() if np.all(np.isfinite(value)) else None
 
 
-def acceptance_statistics(rows, records):
+def acceptance_statistics(rows, probes):
     """Every acceptance criterion's statistic of one run, from all its norm
-    rows in time order and its probe records, residuals attached.
+    rows in time order and its :class:`Probes` table.
 
     t_max is the last row's time.  Returns (values, degenerate): a value
     that cannot be formed or is not finite is None, its key listed in
@@ -373,15 +358,17 @@ def acceptance_statistics(rows, records):
     l2 = np.array([r.L2 for r in rows])
     fd = np.array([r.h1_rate_fd for r in rows])
     flux = np.array([r.h1_rate_flux for r in rows])
+    late = (probes.t >= 20.0) & (probes.t <= t_max)
     residual, relerr, drift = [], [], []
     for v in SUMMARY_VELOCITIES:
-        ray = sorted((r for r in records if r.v == v and 20.0 <= r.t <= t_max),
-                     key=lambda r: r.t)
-        res = [r for r in ray if r.ode_residual is not None]
+        j = VELOCITIES.index(v)
+        ray = late & probes.probed[:, j]
+        res = late & ~np.isnan(probes.residual[:, j])
+        # abs per value: np.abs may round |r| differently from the scalar abs
         residual.append(_finite(lambda: decay_fit(
-            [r.t for r in res], [abs(r.ode_residual) for r in res])[0]))
+            probes.t[res], list(map(abs, probes.residual[res, j])))[0]))
         pair = _finite(lambda: phase_drift_fit(
-            [r.t for r in ray], [r.gamma for r in ray], v)[2:])
+            probes.t[ray], probes.gamma[ray, j], v)[2:])
         relerr.append(pair and pair[0])
         drift.append(pair and pair[1])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -397,9 +384,9 @@ def acceptance_statistics(rows, records):
             "phase_drift_relerr": relerr,
             "modulus_drift": drift,
             "W_stability_slope": _finite(lambda: decay_fit(
-                *w_stability_series(records), window=(t_max / 10.0, t_max))[0]),
+                *w_stability_series(probes), window=(t_max / 10.0, t_max))[0]),
             "profile_remainder_slope": _finite(lambda: decay_fit(
-                *profile_remainder_series(records), window=(20.0, t_max))[0]),
+                *profile_remainder_series(probes), window=(20.0, t_max))[0]),
         }
     degenerate = [key for key, value in values.items() if key != "modulus_drift"
                   and (value is None or isinstance(value, list) and None in value)]

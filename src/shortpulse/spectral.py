@@ -106,22 +106,21 @@ class Field:
 
 
 class Snapshot:
-    """The real solution at one time: node values ``u``, their rfft ``uh``
-    (as given, else ``numpy.fft.rfft(u)`` with its Nyquist row) and its
-    :class:`shortpulse.norms.NormRecord`, set by ``evolve`` and on loading.
-    ``u_x`` and ``u_anti`` (dx^{-1} u) are not stored: each access is one
-    inverse rfft of ``uh`` times the symbol, so a caller that needs one
-    twice keeps it.
+    """The real solution at one time: node values ``u`` and their rfft
+    ``uh`` (as given, else ``numpy.fft.rfft(u)`` with its Nyquist row).  Its
+    :class:`shortpulse.norms.NormRecord` is held by the trajectory, in
+    ``rows``.  ``u_x`` and ``u_anti`` (dx^{-1} u) are not stored: each
+    access is one inverse rfft of ``uh`` times the symbol, so a caller that
+    needs one twice keeps it.
     """
 
-    __slots__ = ("t", "u", "uh", "norms")
+    __slots__ = ("t", "u", "uh")
 
     def __init__(self, t, u, uh=None):
         self.t = float(t)
         self.u = u
         self.uh = np.fft.rfft(u.values) if uh is None else uh
         self.uh.setflags(write=False)
-        self.norms = None
 
     @property
     def u_x(self):

@@ -186,15 +186,13 @@ class SnapshotFiles:
                 raise CorruptSnapshot(
                     f"cannot load {self.directory}: {type(exc).__name__} "
                     f"{exc}; re-simulate") from None
-            if abs(t - entry["t"]) > 1e-9 * max(1.0, abs(entry["t"])):
+            # norms.csv's rows carry the manifest's times exactly, so the
+            # header must too
+            if t != entry["t"]:
                 raise CorruptSnapshot(
                     f"{path}: header t={t} disagrees with manifest t={entry['t']}"
                 )
             check_zero_mean(u, self.config.mean_tol, "antiderivative")
-            # a stored trajectory's norms.csv rows carry the manifest's times
-            if t != entry["t"]:
-                raise CorruptSnapshot(f"{path}: t={t} disagrees with its "
-                                      f"{NORMS_NAME} row t={entry['t']}")
             yield Snapshot(t, u)
 
 

@@ -58,13 +58,13 @@ def mini_traj():
 
 @pytest.fixture(scope="session")
 def mini_rows(mini_traj):
-    return [s.norms for s in mini_traj.snapshots]
+    return mini_traj.rows
 
 
 @pytest.fixture(scope="session")
-def mini_probe_records(mini_traj):
+def mini_probes(mini_traj):
     return probe_trajectory(mini_traj, mini_traj.config.snap_t0,
-                            default_config().cadence_ratio)[1]
+                            default_config().cadence_ratio)[0]
 
 
 @pytest.fixture(scope="session")

@@ -48,10 +48,9 @@ def reference():
 def stats(reference):
     # the probe cadence t = 2^{j/8} ends at 197.4, so the T = 200 snapshot
     # is probed as the last one, as scatter probes it
-    records = probe_trajectory(reference, reference.config.snap_t0,
-                               default_config().cadence_ratio)[1]
-    return acceptance_statistics([s.norms for s in reference.snapshots],
-                                 records)[0]
+    probes = probe_trajectory(reference, reference.config.snap_t0,
+                              default_config().cadence_ratio)[0]
+    return acceptance_statistics(reference.rows, probes)[0]
 
 
 def test_mass_and_mean_conservation(reference, stats):
@@ -147,8 +146,8 @@ def test_self_convergence_and_resolution(reference):
     fine_cfg = solver_config(n=cfg.n * 2, length=cfg.length, dt=cfg.dt,
                              t_final=1.0, wrap_tol=cfg.wrap_tol)
     fine = evolve(gaussian_pulse(fine_cfg.grid()), fine_cfg)
-    coarse_rec = reference.snapshots[1].norms
-    fine_rec = fine.snapshots[-1].norms
+    coarse_rec = reference.rows[1]
+    fine_rec = fine.rows[-1]
     assert coarse_rec.t == 1.0 and fine_rec.t == 1.0
     for col in NORM_COLUMNS:                             # measured <= 9.4e-15
         a, b = getattr(coarse_rec, col), getattr(fine_rec, col)
@@ -166,8 +165,8 @@ def test_controlled_reference_run_matches_the_fixed_one(reference):
     # measured 12,770 steps against 20,029, none rejected
     assert 1.5 * controlled.steps <= reference.steps
     assert controlled.times == reference.times
-    gaps = column_gaps([s.norms for s in controlled.snapshots],
-                       [s.norms for s in reference.snapshots])
+    gaps = column_gaps(controlled.rows,
+                       reference.rows)
     # measured <= 3.3e-9, and <= 2.1e-9 for a monitor (c34_jwt)
     for col, (gap, scale) in gaps.items():
         assert gap <= 1e-8 * scale, col

@@ -1,5 +1,5 @@
-"""The status rule of scripts/bench_pairs.py, which writes the BENCH_*.json
-files."""
+"""The status rule and the output comparison of scripts/bench_pairs.py,
+which writes the BENCH_*.json files."""
 
 import importlib.util
 from pathlib import Path
@@ -37,3 +37,23 @@ def test_failed_operations_leave_an_unclaimed_row_alone():
     row = bench_pairs.metric_row(PARENT, CHANGE, WALL, claimed=False,
                                  failed=(0, 1))
     assert row["status"] == "lower in every run"
+
+
+def test_outputs_compare_equal_apart_from_the_hash_line(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # the two sides differ only on each CSV's hash line and the run directory
+    for side, digest in ((parent, "cafe"), (change, "beef")):
+        side.mkdir()
+        (side / "probes.csv").write_text(f"# config_hash={digest}\nt,v\n1,0.125\n")
+        (side / "scatter_summary.json").write_text(
+            f'{{\n  "records": 2,\n  "trajectory": "{side}"\n}}\n')
+    (change / "wtable.csv").write_text("# config_hash=beef\nv,t\n")
+    assert bench_pairs.compare_outputs(parent, change) == {
+        "identical": ["probes.csv", "scatter_summary.json"],
+        "differ": ["wtable.csv"]}
+    # one changed digit in each
+    (change / "probes.csv").write_text("# config_hash=beef\nt,v\n1,0.126\n")
+    (change / "scatter_summary.json").write_text(
+        '{\n  "records": 3,\n  "trajectory": "elsewhere"\n}\n')
+    assert bench_pairs.compare_outputs(parent, change)["differ"] == [
+        "probes.csv", "scatter_summary.json", "wtable.csv"]

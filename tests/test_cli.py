@@ -239,8 +239,27 @@ def test_scatter_probes_the_last_snapshot_off_the_cadence(tmp_path):
                    "--out", str(tmp_path / "s"))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["records"] == 12 * len(VELOCITIES)
-    _, rows = read_csv(tmp_path / "s" / "probes.csv")
+    header, rows = read_csv(tmp_path / "s" / "probes.csv")
     assert rows[-1][0] == 2.5
+    # the file layout: one row per probed (t, v), in increasing (t, v), the
+    # residual on each ray's interior probe times only; perfbench's
+    # probe_yield reads the summary's record count as this row count
+    assert len(rows) == json.loads(proc.stdout)["records"]
+    col = {name: k for k, name in enumerate(header)}
+    keys = [(row[col["t"]], row[col["v"]]) for row in rows]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for v in VELOCITIES:
+        ray = [math.isnan(row[col["abs_res"]]) for row in rows
+               if row[col["v"]] == v]
+        assert ray == [True] + [False] * (len(ray) - 2) + [True], v
+    # wtable.csv: the in-window probes in increasing (v, t), with their W
+    w_header, w_rows = read_csv(tmp_path / "s" / "wtable.csv")
+    assert w_header[:4] == ["v", "t", "re_W", "im_W"]
+    w_keys = [(row[0], row[1]) for row in w_rows]
+    assert w_rows and all(a < b for a, b in zip(w_keys, w_keys[1:]))
+    assert [row[:4] for row in w_rows] == sorted(
+        [row[col["v"]], row[col["t"]], row[col["re_W"]], row[col["im_W"]]]
+        for row in rows if row[col["in_window"]] == 1)
 
 
 def test_scatter_counts_the_probes_it_skips(mini_traj, tmp_path):
@@ -250,7 +269,7 @@ def test_scatter_counts_the_probes_it_skips(mini_traj, tmp_path):
                    "wrap_tol = 0.02\nsnap_t0 = 64\n")
     cfg = load_config(ini)
     traj = Trajectory(config=cfg.solver)
-    traj.append(mini_traj.snapshots[-1])
+    traj.append(mini_traj.snapshots[-1], mini_traj.rows[-1])
     save_trajectory(tmp_path / "traj", traj, experiment=cfg.raw,
                     config_hash=cfg.hash())
     proc = run_cli("scatter", "--config", str(ini), "--traj",

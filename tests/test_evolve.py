@@ -198,8 +198,8 @@ def test_every_norm_column_of_a_band_run_matches_the_run_held_at_n_over_2(
     # the band run widens twice, to n/4 at t = 1.82, and stays below n/2
     assert band.band == cfg.n // 4 and len(band.band_widenings) == 2
     assert held.band == cfg.n // 2 and held.band_widenings == []
-    gaps = column_gaps([s.norms for s in band.snapshots],
-                       [s.norms for s in held.snapshots])
+    gaps = column_gaps(band.rows,
+                       held.rows)
     for col, (gap, scale) in gaps.items():
         tol = held_band_rate_tol if col == "h1_rate_fd" else held_band_tol
         assert gap <= tol * scale, col
@@ -292,11 +292,11 @@ def test_snapshot_rate_probe_shares_its_first_stage(monkeypatch):
     assert len(traj.snapshots) == 2
     assert len(calls) == 20 * 4 - 1 + 2 * (1 + 2 * 3)
     stepper, h = Stepper(cfg), 0.25 * cfg.dt
-    for snap, vh in zip(traj.snapshots, states):
+    for rec, vh in zip(traj.rows, states):
         up = stepper.step_raw(vh, h, None)[0]
         um = stepper.step_raw(vh, -h, None)[0]
         rate = (stepper.hx1_sq(up) - stepper.hx1_sq(um)) / (2 * h)
-        assert snap.norms.h1_rate_fd == rate
+        assert rec.h1_rate_fd == rate
 
 
 def test_halving_the_step_divides_the_error_by_sixteen():
@@ -362,8 +362,8 @@ def test_controlled_and_fixed_steps_agree_in_every_norm_column():
     fixed = evolve(u0, dataclasses.replace(cfg, step_tol=0.0))
     assert controlled.steps < fixed.steps
     assert controlled.times == fixed.times
-    gaps = column_gaps([s.norms for s in controlled.snapshots],
-                       [s.norms for s in fixed.snapshots])
+    gaps = column_gaps(controlled.rows,
+                       fixed.rows)
     for col, (gap, scale) in gaps.items():
         assert gap <= controlled_tol * scale, col
 
@@ -468,4 +468,4 @@ def test_mass_reaching_the_box_edge_trips_the_wrap_gate():
 
 def test_trajectory_rejects_unordered_snapshots(mini_traj):
     with pytest.raises(ValueError):
-        mini_traj.append(mini_traj.snapshots[0])
+        mini_traj.append(mini_traj.snapshots[0], mini_traj.rows[0])

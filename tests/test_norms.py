@@ -76,8 +76,7 @@ def jplus_field(t, grid, target):
 
 
 def rows_of(traj):
-    recs = [s.norms for s in traj.snapshots]
-    arr = np.array([r.as_row() for r in recs])
+    arr = np.array([r.as_row() for r in traj.rows])
     return {c: arr[:, i] for i, c in enumerate(NormRecord.COLUMNS)}
 
 
@@ -141,14 +140,13 @@ def test_equation_action_norm_tracks_the_weighted_term(mini_traj):
 
 
 def test_record_components_recompose_the_weighted_norm(mini_traj):
-    for snap in mini_traj.snapshots[1:]:
-        r = snap.norms
+    for r in mini_traj.rows[1:]:
         total = np.sqrt(r.Hs ** 2 + r.Hm1 ** 2 + r.JdxL2 ** 2)
         assert r.Xs == pytest.approx(total, rel=1e-12)
 
 
 def test_record_rows_follow_the_declared_column_order(mini_traj):
-    r = mini_traj.snapshots[-1].norms
+    r = mini_traj.rows[-1]
     row = r.as_row()
     assert len(row) == len(NormRecord.COLUMNS) == 17
     assert row[NormRecord.COLUMNS.index("t")] == r.t
@@ -159,19 +157,19 @@ def test_record_rows_follow_the_declared_column_order(mini_traj):
 
 def test_record_monitors_are_nan_before_t_one_and_the_monitors_after(
         mini_traj):
-    for snap in mini_traj.snapshots[::8]:
-        got = tuple(getattr(snap.norms, name) for name in MONITORS)
+    for snap, rec in list(zip(mini_traj.snapshots, mini_traj.rows))[::8]:
+        got = tuple(getattr(rec, name) for name in MONITORS)
         if snap.t < 1.0:
             assert all(np.isnan(got)), snap.t
         else:
             assert got == decomposition_monitors(
-                snap, snap.u_x, snap.norms.Xs), snap.t
+                snap, snap.u_x, rec.Xs), snap.t
 
 
 def test_decomposition_monitors_stay_bounded(mini_traj):
-    snaps = [s for s in mini_traj.snapshots if s.t >= 1.0]
-    ts = np.array([s.t for s in snaps])
-    series = {name: [getattr(s.norms, name) for s in snaps]
+    recs = [r for r in mini_traj.rows if r.t >= 1.0]
+    ts = np.array([r.t for r in recs])
+    series = {name: [getattr(r, name) for r in recs]
               for name in MONITORS}
     late = ts >= 10.0
     for name, (slope_ceiling, max_ceiling) in monitor_ceilings.items():
@@ -183,8 +181,7 @@ def test_decomposition_monitors_stay_bounded(mini_traj):
 
 
 def test_record_norms_match_their_full_transform_forms(mini_traj):
-    for snap in mini_traj.snapshots[::4]:
-        rec = snap.norms
+    for snap, rec in list(zip(mini_traj.snapshots, mini_traj.rows))[::4]:
         g, u = snap.u.grid, snap.u.values
         for got, want in ((rec.Hs, hs_norm(g, u, 4.5)),
                           (rec.Hm1, hm1_norm(g, u)),
@@ -198,8 +195,10 @@ def test_monitors_match_their_transform_pair_forms(mini_traj, cutoff):
     # projection, and dx u^{ell,+} and dx^{-1} dx u^{hyp,+} by derivative /
     # antiderivative transform pairs, as the monitors' definitions read
     s = 4.5
-    for snap in [snap for snap in mini_traj.snapshots if snap.t >= 1.0][::4]:
-        t, g, xs = snap.t, snap.u.grid, snap.norms.Xs
+    for snap, rec in [(snap, rec) for snap, rec in zip(mini_traj.snapshots,
+                                                      mini_traj.rows)
+                      if snap.t >= 1.0][::4]:
+        t, g, xs = snap.t, snap.u.grid, rec.Xs
         got = dict(zip(MONITORS, decomposition_monitors(snap, snap.u_x, xs)))
         hyp = hyp_ell_decompose(snap, cutoff)
         ell_plus = project_sign(g, snap.u.values, +1) - hyp

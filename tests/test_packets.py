@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from shortpulse import packets
 from shortpulse.bands import bump
 from shortpulse.errors import InsufficientData, OutOfBox, UnderResolved
+from shortpulse.evolve import Trajectory
 from shortpulse.norms import SOBOLEV_S
 from shortpulse.packets import (
     ALPHA,
@@ -19,10 +20,9 @@ from shortpulse.packets import (
     HALF_WIDTH,
     SUMMARY_VELOCITIES,
     VELOCITIES,
-    ProbeRecord,
+    Probes,
     _packet_on_support,
     _ray_coefficients,
-    attach_residuals,
     chi,
     extract_w,
     gamma,
@@ -31,6 +31,7 @@ from shortpulse.packets import (
     phase,
     phase_drift_fit,
     probe_snapshot,
+    probe_trajectory,
     profile_remainder_series,
     prop42_errors,
     w_stability_series,
@@ -113,6 +114,20 @@ def asymptotic_profile(t, x, v_probed, w_values):
             * np.abs(wn) ** 2 * np.log(t)
         vals[neg] = 2.0 / np.sqrt(t) * (wn * np.exp(1j * arg)).real
     return vals, ((v_ray < v_sorted[0]) | (v_ray > v_sorted[-1])) & neg
+
+
+def probe_table(ts, rays):
+    """A :class:`Probes` table over the times ``ts`` holding the columns
+    ``rays``, {v: {name: values over ts}}, every other (t, v) skipped."""
+    shape = (len(ts), len(VELOCITIES))
+    gam, w, residual = np.full((3, *shape), np.nan, dtype=np.complex128)
+    err_u, err_ux = np.full((2, *shape), np.nan)
+    probes = Probes(np.asarray(ts, dtype=np.float64), gam, w, err_u, err_ux,
+                    np.zeros(shape, dtype=bool), residual)
+    for v, columns in rays.items():
+        for name, values in columns.items():
+            getattr(probes, name)[:, VELOCITIES.index(v)] = values
+    return probes
 
 
 def limit_ode_gamma(ts, g0, v):
@@ -232,11 +247,10 @@ def test_corrected_state_is_steady_when_the_ode_holds():
     v = -1.0
     ts = 20.0 * 2.0 ** (np.arange(17) / 8.0)
     gams = limit_ode_gamma(ts, 0.05 * np.exp(0.3j), v)
-    records = [ProbeRecord(t=float(t), v=v, gamma=gm,
-                           w=extract_w(float(t), v, gm), approx_err_u=0.0,
-                           approx_err_ux=0.0, in_window=True)
-               for t, gm in zip(ts, gams)]
-    out_t, sups = w_stability_series(records)
+    probes = probe_table(ts, {v: dict(
+        gamma=gams, w=[extract_w(float(t), v, gm) for t, gm in zip(ts, gams)],
+        err_u=0.0, err_ux=0.0, in_window=True)})
+    out_t, sups = w_stability_series(probes)
     assert len(out_t) > 0
     assert np.max(sups) < w_stability_tol
 
@@ -306,16 +320,24 @@ def test_default_velocity_ladder():
     assert set(SUMMARY_VELOCITIES) <= set(VELOCITIES)
 
 
-def test_probing_skips_rays_that_leave_the_box(mini_probe_records):
-    first = {r.v for r in mini_probe_records if abs(r.t - 1.0) < 1e-9}
-    last = {r.v for r in mini_probe_records if abs(r.t - 64.0) < 1e-9}
+def ray_set(probes, t):
+    """The rays probed at time t."""
+    row = probes.probed[np.abs(probes.t - t) < 1e-9][0]
+    return {v for v, kept in zip(VELOCITIES, row) if kept}
+
+
+def test_probing_skips_rays_that_leave_the_box(mini_probes):
+    first = ray_set(mini_probes, 1.0)
+    last = ray_set(mini_probes, 64.0)
     assert len(first) == len(VELOCITIES)
     assert len(last) == 12       # fast rays reach the L=256 box edge
     assert -1.0 in last and -4.0 not in last
 
 
-def test_probe_records_carry_consistent_corrected_states(mini_probe_records):
-    worst = max(abs(abs(r.w) - abs(r.gamma)) for r in mini_probe_records)
+def test_probe_records_carry_consistent_corrected_states(mini_probes):
+    kept = mini_probes.probed
+    worst = max(abs(abs(w) - abs(gm)) for w, gm
+                in zip(mini_probes.w[kept], mini_probes.gamma[kept]))
     assert worst < 1e-15
 
 
@@ -330,19 +352,31 @@ def test_shared_spectra_leave_probe_records_bit_identical(mini_traj):
             continue
         expected[v] = (gam, extract_w(snap.t, v, gam),
                        *prop42_errors(snap, v, gam, _ray_coefficients(snap)))
-    records = probe_snapshot(snap, Counter())
-    assert 0 < len(records) < len(VELOCITIES)
-    assert {r.v: (r.gamma, r.w, r.approx_err_u, r.approx_err_ux)
-            for r in records} == expected
+    gam, w, err_u, err_ux, window = probe_snapshot(snap, Counter())
+    kept = ~np.isnan(gam)
+    assert 0 < np.sum(kept) < len(VELOCITIES)
+    assert {v: (gam[j], w[j], err_u[j], err_ux[j])
+            for j, v in enumerate(VELOCITIES) if kept[j]} == expected
 
 
-def test_residual_attachment_fills_only_the_interior(mini_probe_records):
-    series = attach_residuals(list(mini_probe_records), -1.0)
-    assert series[0].ode_residual is None
-    assert series[-1].ode_residual is None
-    assert all(r.ode_residual is not None for r in series[1:-1])
-    with pytest.raises(InsufficientData):
-        attach_residuals(series[:2], -1.0)
+def test_residual_attachment_fills_only_the_interior(mini_probes, mini_traj):
+    # v = -4 leaves the box before t = 64, so its last probe is earlier
+    assert not mini_probes.probed[-1, VELOCITIES.index(-4.0)]
+    for j, v in enumerate(VELOCITIES):
+        probed = np.flatnonzero(mini_probes.probed[:, j])
+        interior = np.zeros(len(mini_probes.t), dtype=bool)
+        interior[probed[1:-1]] = True
+        assert probed.size >= 3, v
+        assert (~np.isnan(mini_probes.residual[:, j]) == interior).all(), v
+    # two probe times, t = 1 and t = 64: no ray has the three a residual needs
+    two = Trajectory(config=mini_traj.config)
+    for snap, row in zip(mini_traj.snapshots, mini_traj.rows):
+        if snap.t in (1.0, 64.0):
+            two.append(snap, row)
+    probes = probe_trajectory(two, 1.0, 64.0)[0]
+    assert probes.t.tolist() == [1.0, 64.0]
+    assert probes.probed[:, VELOCITIES.index(-1.0)].all()
+    assert np.isnan(probes.residual).all()
 
 
 def test_packet_spectrum_concentrates_as_time_grows(cutoff):
@@ -383,17 +417,14 @@ def test_profile_rejects_bad_tables():
 
 
 def test_remainder_series_reads_the_stored_ray_errors():
-    def ray(t, v, err_u, in_window):
-        return ProbeRecord(t=t, v=v, gamma=0j, w=0j, approx_err_u=err_u,
-                           approx_err_ux=0.0, in_window=in_window)
-
-    recs = [
-        ray(4.0, -1.0, 0.03, True),
-        ray(4.0, -2.0, 0.05, True),
-        ray(4.0, -4.0, 9.0, False),
-        ray(9.0, -1.0, 0.02, True),
-    ]
-    ts, sups = profile_remainder_series(recs)
+    # t = 4 probes v = -1, -2 and -4, t = 9 only v = -1
+    probes = probe_table([4.0, 9.0], {
+        -1.0: dict(gamma=0j, err_u=[0.03, 0.02], in_window=True),
+        -2.0: dict(gamma=[0j, np.nan], err_u=[0.05, np.nan],
+                   in_window=[True, False]),
+        -4.0: dict(gamma=[0j, np.nan], err_u=[9.0, np.nan], in_window=False),
+    })
+    ts, sups = profile_remainder_series(probes)
     assert ts.tolist() == [4.0, 9.0]
     assert sups[0] == pytest.approx(0.05 * 2.0)  # out-of-window ray ignored
     assert sups[1] == pytest.approx(0.02 * 3.0)
